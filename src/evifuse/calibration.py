@@ -46,13 +46,19 @@ class ConfusionMatrix:
 
 
 def build_confusion(
-    preds: Sequence[tuple[int, int]], frame: Frame, source_id: str = ""
+    preds: Sequence[tuple[int, int]] | np.ndarray, frame: Frame, source_id: str = ""
 ) -> ConfusionMatrix:
-    """Count (true class, predicted class) pairs into a confusion matrix."""
-    counts = np.zeros((frame.n, frame.n), dtype=np.int64)
-    for truth, predicted in preds:
-        counts[frame.check_class(truth), frame.check_class(predicted)] += 1
-    return ConfusionMatrix(frame, counts, source_id)
+    """Count (true class, predicted class) pairs into a confusion matrix.
+
+    ``preds`` is a sequence of pairs or an equivalent (count, 2) array.
+    """
+    pairs = np.asarray(preds, dtype=np.int64).reshape(-1, 2)
+    n = frame.n
+    bad = (pairs < 0) | (pairs >= n)
+    if bad.any():
+        frame.check_class(pairs[bad][0])  # raises for the first bad index
+    counts = np.bincount(pairs[:, 0] * n + pairs[:, 1], minlength=n * n)
+    return ConfusionMatrix(frame, counts.reshape(n, n), source_id)
 
 
 def _common_frame(cms: Sequence[ConfusionMatrix]) -> Frame:

@@ -10,26 +10,142 @@ pooled over trials so rare classes with empty trial slices stay defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import belief, possibility, voting
-from .calibration import build_confusion, conditional_probs, vote_weights
-from .frame import Decision, Frame, SourceOutput
+from .calibration import (
+    ConfusionMatrix,
+    build_confusion,
+    conditional_probs,
+    vote_weights,
+)
+from .frame import Decision, Frame
 from .simulate import Dataset, FusionSettings, SimConfig, simulate, trial_stream
 
-METHODS = (
-    "vote_majority",
-    "vote_absolute",
-    "vote_weighted",
-    "possibility_min",
-    "possibility_max",
-    "possibility_mean",
-    "possibility_median",
-    "belief_appriou",
-    "belief_denoeux",
-)
+
+class TrialCalibration:
+    """One trial's calibration artifacts, each built from the calibration
+    split on first use, so a trial builds only what its methods need."""
+
+    def __init__(
+        self, ds: Dataset, calib_idx: np.ndarray, settings: FusionSettings
+    ) -> None:
+        self.ds = ds
+        self.calib_idx = calib_idx
+        self.settings = settings
+
+    @cached_property
+    def confusion(self) -> list[ConfusionMatrix]:
+        ds, idx = self.ds, self.calib_idx
+        return [
+            build_confusion(
+                np.column_stack((ds.truth[idx], ds.labels[idx, j])),
+                ds.frame,
+                source_id=ds.source_ids[j],
+            )
+            for j in range(ds.m_sources)
+        ]
+
+    @cached_property
+    def weights(self) -> voting.VoteWeights:
+        return vote_weights(self.confusion)
+
+    @cached_property
+    def appriou(self) -> belief.AppriouParams:
+        return conditional_probs(self.confusion)
+
+    @cached_property
+    def training_set(self) -> belief.TrainingSet:
+        ds, idx = self.ds, self.calib_idx
+        return belief.TrainingSet(
+            ds.frame,
+            ds.scores[idx].reshape(idx.shape[0], -1),
+            ds.truth[idx],
+            k=min(self.settings.denoeux_k, idx.shape[0]),
+            alpha=self.settings.denoeux_alpha,
+        )
+
+
+# A kernel decides every test sample of one trial: (ds, calib, test_idx,
+# settings) -> (decided, conflict_mass), with -1 for the conflict class.
+Kernel = Callable[
+    [Dataset, TrialCalibration, np.ndarray, FusionSettings],
+    tuple[np.ndarray, np.ndarray],
+]
+# A pattern rule decides one row of source labels with the scalar API.
+PatternRule = Callable[
+    [np.ndarray, TrialCalibration, FusionSettings], tuple[Decision, float]
+]
+
+
+def _by_pattern(rule: PatternRule) -> Kernel:
+    """Kernel for a symbolic method: each distinct row of source labels is
+    decided once by the scalar rule, and the results are scattered back."""
+
+    def kernel(ds, calib, test_idx, settings):
+        patterns, inverse = np.unique(
+            ds.labels[test_idx], axis=0, return_inverse=True
+        )
+        decided = np.empty(patterns.shape[0], dtype=np.int64)
+        conflict = np.empty(patterns.shape[0])
+        for p, row in enumerate(patterns):
+            d, conflict[p] = rule(row, calib, settings)
+            decided[p] = -1 if d.is_conflict else d.index
+        inverse = inverse.reshape(-1)
+        return decided[inverse], conflict[inverse]
+
+    return kernel
+
+
+def _vote_majority(row, calib, settings):
+    return voting.decide_majority(voting.tally(row, calib.ds.frame)), 0.0
+
+
+def _vote_absolute(row, calib, settings):
+    return voting.decide_absolute_majority(voting.tally(row, calib.ds.frame)), 0.0
+
+
+def _vote_weighted(row, calib, settings):
+    t = voting.tally(row, calib.ds.frame, calib.weights)
+    return voting.decide_threshold(t, settings.vote_c, settings.vote_b), 0.0
+
+
+def _belief_appriou(row, calib, settings):
+    m = belief.combine_all(
+        [
+            belief.appriou_mass(j, int(k), calib.appriou, settings.appriou_as_printed)
+            for j, k in enumerate(row)
+        ]
+    )
+    return belief.decide_pignistic(m), m.conflict_mass()
+
+
+def _possibility(op: str) -> Kernel:
+    def kernel(ds, calib, test_idx, settings):
+        decided = possibility.decide_batch(ds.scores[test_idx], op)
+        return decided, np.zeros(test_idx.shape[0])
+
+    return kernel
+
+
+def _belief_denoeux(ds, calib, test_idx, settings):
+    queries = ds.scores[test_idx].reshape(test_idx.shape[0], -1)
+    return belief.denoeux_decide_batch(queries, calib.training_set)
+
+
+KERNELS: dict[str, Kernel] = {
+    "vote_majority": _by_pattern(_vote_majority),
+    "vote_absolute": _by_pattern(_vote_absolute),
+    "vote_weighted": _by_pattern(_vote_weighted),
+    **{f"possibility_{op}": _possibility(op) for op in possibility.OPERATORS},
+    "belief_appriou": _by_pattern(_belief_appriou),
+    "belief_denoeux": _belief_denoeux,
+}
+
+METHODS = tuple(KERNELS)
 
 
 def normalize_methods(methods: Sequence[str], settings: FusionSettings) -> list[str]:
@@ -79,13 +195,12 @@ class _Accumulator:
         self.class_total = np.zeros(n_classes)
 
     def add_trial(
-        self, truth: np.ndarray, decided: np.ndarray, conflict_mass_sum: float
+        self, truth: np.ndarray, decided: np.ndarray, conflict_mass: np.ndarray
     ) -> None:
-        n_test = truth.shape[0]
         correct = decided == truth
         self.trial_accuracy.append(float(correct.mean()))
         self.trial_conflict_rate.append(float((decided < 0).mean()))
-        self.trial_conflict_mass.append(conflict_mass_sum / n_test)
+        self.trial_conflict_mass.append(float(conflict_mass.mean()))
         np.add.at(self.class_total, truth, 1.0)
         np.add.at(self.class_correct, truth, correct.astype(float))
 
@@ -100,98 +215,6 @@ class _Accumulator:
             conflict_rate=float(np.mean(self.trial_conflict_rate)),
             mean_conflict_mass=float(np.mean(self.trial_conflict_mass)),
         )
-
-
-def _decision_index(d: Decision) -> int:
-    return -1 if d.is_conflict else d.index
-
-
-def _make_runners(
-    ds: Dataset,
-    methods: Sequence[str],
-    settings: FusionSettings,
-    calib_idx: np.ndarray,
-) -> dict[str, Callable[[int], tuple[Decision, float]]]:
-    """Per-method closures mapping a sample index to (decision, conflict mass)."""
-    frame = ds.frame
-    runners: dict[str, Callable[[int], tuple[Decision, float]]] = {}
-
-    need_confusion = {"vote_weighted", "belief_appriou"} & set(methods)
-    if need_confusion:
-        cms = [
-            build_confusion(
-                list(zip(ds.truth[calib_idx], ds.labels[calib_idx, j])),
-                frame,
-                source_id=ds.source_ids[j],
-            )
-            for j in range(ds.m_sources)
-        ]
-
-    for name in methods:
-        if name == "vote_majority":
-
-            def run(i: int) -> tuple[Decision, float]:
-                return voting.decide_majority(voting.tally(ds.labels[i], frame)), 0.0
-
-        elif name == "vote_absolute":
-
-            def run(i: int) -> tuple[Decision, float]:
-                t = voting.tally(ds.labels[i], frame)
-                return voting.decide_absolute_majority(t), 0.0
-
-        elif name == "vote_weighted":
-            weights = vote_weights(cms)
-
-            def run(i: int, weights=weights) -> tuple[Decision, float]:
-                t = voting.tally(ds.labels[i], frame, weights)
-                return voting.decide_threshold(t, settings.vote_c, settings.vote_b), 0.0
-
-        elif name.startswith("possibility_"):
-            op = name.removeprefix("possibility_")
-
-            def run(i: int, op=op) -> tuple[Decision, float]:
-                dists = [
-                    possibility.to_possibility(
-                        SourceOutput.numeric(frame, ds.scores[i, j])
-                    )
-                    for j in range(ds.m_sources)
-                ]
-                return possibility.decide_possibilistic(
-                    possibility.combine(dists, op)
-                ), 0.0
-
-        elif name == "belief_appriou":
-            params = conditional_probs(cms)
-
-            def run(i: int, params=params) -> tuple[Decision, float]:
-                masses = [
-                    belief.appriou_mass(
-                        j, int(ds.labels[i, j]), params, settings.appriou_as_printed
-                    )
-                    for j in range(ds.m_sources)
-                ]
-                m = belief.combine_all(masses)
-                return belief.decide_pignistic(m), m.conflict_mass()
-
-        elif name == "belief_denoeux":
-            k = min(settings.denoeux_k, calib_idx.shape[0])
-            ts = belief.TrainingSet(
-                frame,
-                ds.scores[calib_idx].reshape(calib_idx.shape[0], -1),
-                ds.truth[calib_idx],
-                k=k,
-                alpha=settings.denoeux_alpha,
-            )
-
-            def run(i: int, ts=ts) -> tuple[Decision, float]:
-                m = belief.denoeux_classify_mass(ds.scores[i].ravel(), ts)
-                return belief.decide_pignistic(m), m.conflict_mass()
-
-        else:  # pragma: no cover - normalize_methods guards this
-            raise ValueError(f"unknown method {name!r}")
-
-        runners[name] = run
-    return runners
 
 
 def evaluate_dataset(
@@ -215,18 +238,12 @@ def evaluate_dataset(
     for trial in range(n_trials):
         rng = trial_stream(seed, trial)
         perm = rng.permutation(ds.n_samples)
-        calib_idx = perm[third : 2 * third]
+        calib = TrialCalibration(ds, perm[third : 2 * third], settings)
         test_idx = perm[2 * third : 3 * third]
-        runners = _make_runners(ds, methods, settings, calib_idx)
         truth = ds.truth[test_idx]
-        for name, run in runners.items():
-            decided = np.empty(test_idx.shape[0], dtype=np.int64)
-            conflict_sum = 0.0
-            for pos, i in enumerate(test_idx):
-                decision, cmass = run(int(i))
-                decided[pos] = _decision_index(decision)
-                conflict_sum += cmass
-            accs[name].add_trial(truth, decided, conflict_sum)
+        for name in methods:
+            decided, conflict_mass = KERNELS[name](ds, calib, test_idx, settings)
+            accs[name].add_trial(truth, decided, conflict_mass)
         source_rates += (ds.labels[test_idx] == truth[:, None]).mean(axis=0)
 
     source_accuracy = {

@@ -17,7 +17,8 @@ from .frame import Decision, FocalSet, SourceOutput
 
 _NORM_TOL = 1e-9
 
-OPERATORS = ("min", "max", "mean", "median")
+# Elementwise merge operators: each reduces its argument over ``axis``.
+OPERATORS = {"min": np.min, "max": np.max, "mean": np.mean, "median": np.median}
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,7 @@ def to_possibility(output: SourceOutput) -> PossibilityDistribution:
     scores = np.asarray(output.scores, dtype=float)
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    top = float(scores.max())
-    if top <= 0.0:
-        return PossibilityDistribution(np.ones_like(scores))
-    return PossibilityDistribution(scores / top)
+    return PossibilityDistribution(_normalize_rows(scores))
 
 
 def _check_width(d: PossibilityDistribution, subset: FocalSet) -> None:
@@ -93,28 +91,52 @@ def combine(
     step, and cannot change the argmax; an all-zero result (possible under
     "min" between disjoint sources) falls back to total ignorance.
     """
-    if op not in OPERATORS:
-        raise ValueError(f"unknown operator {op!r}, expected one of {OPERATORS}")
+    merge = _operator(op)
     if not dists:
         raise ValueError("at least one distribution is required")
     n = dists[0].n
     if any(d.n != n for d in dists):
         raise ValueError("distributions cover different numbers of classes")
-    mat = np.vstack([d.pi for d in dists])
-    if op == "min":
-        raw = mat.min(axis=0)
-    elif op == "max":
-        raw = mat.max(axis=0)
-    elif op == "mean":
-        raw = mat.mean(axis=0)
-    else:
-        raw = np.median(mat, axis=0)
-    top = float(raw.max())
-    if top <= 0.0:
-        return PossibilityDistribution(np.ones(n))
-    return PossibilityDistribution(raw / top)
+    raw = merge(np.vstack([d.pi for d in dists]), axis=0)
+    return PossibilityDistribution(_normalize_rows(raw))
 
 
 def decide_possibilistic(d: PossibilityDistribution) -> Decision:
     """Pick the class with the highest membership; ties go to the lowest index."""
     return Decision(int(np.argmax(d.pi)))
+
+
+def decide_batch(scores: np.ndarray, op: str) -> np.ndarray:
+    """Possibilistic decisions for a batch of (sample, source, class) scores.
+
+    Row by row this is ``to_possibility`` on each source, ``combine`` with
+    the operator and ``decide_possibilistic``, run over a leading sample
+    axis; the decisions are the same, and scores outside [0, 1] raise
+    ValueError as ``SourceOutput.numeric`` does.
+    """
+    merge = _operator(op)
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 3 or 0 in scores.shape[1:]:
+        raise ValueError("scores must form a (samples, sources, classes) array")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
+    if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
+        raise ValueError("scores must lie in [0, 1]")
+    merged = merge(_normalize_rows(scores), axis=1)
+    # combine's renormalization is left out: it maps the maximum to exactly
+    # 1 and every smaller value to below 1, so the argmax cannot move.
+    return np.argmax(merged, axis=-1)
+
+
+def _operator(op: str):
+    if op not in OPERATORS:
+        raise ValueError(
+            f"unknown operator {op!r}, expected one of {tuple(OPERATORS)}"
+        )
+    return OPERATORS[op]
+
+
+def _normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Divide each last-axis row by its maximum; all-zero rows become all ones."""
+    top = x.max(axis=-1, keepdims=True)
+    return np.divide(x, top, out=np.ones_like(x), where=top > 0.0)

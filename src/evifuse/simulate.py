@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .frame import Frame, make_frame
+from .possibility import OPERATORS
 
 _PRIOR_SUM_TOL = 1e-9
 
@@ -54,7 +55,7 @@ class FusionSettings:
     def __post_init__(self) -> None:
         if not 0.0 <= self.vote_c <= 1.0:
             raise ValueError("vote threshold coefficient must lie in [0, 1]")
-        if self.possibility_operator not in ("min", "max", "mean", "median"):
+        if self.possibility_operator not in OPERATORS:
             raise ValueError(
                 f"unknown possibility operator {self.possibility_operator!r}"
             )

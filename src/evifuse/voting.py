@@ -119,11 +119,14 @@ def decide_absolute_majority(t: VoteTally) -> Decision:
 
 
 def decide_threshold(t: VoteTally, c: float, b: float = 0.0) -> Decision:
-    """Generalized rule: the unique maximum must also reach c*m + b votes.
+    """Generalized rule: the unique maximum must also reach c*W + b votes.
 
-    c = 0, b = 0 recovers the relative-majority rule; c = 1/2 approaches the
-    absolute-majority rule. A tally with no votes decides the conflict class
-    regardless of the threshold.
+    W is the tally's total, counts.sum(): the number of votes m for a plain
+    tally, the summed weight of the cast votes for a weighted one, so c is
+    a share of the tally on either scale. c = 0, b = 0 recovers the
+    relative-majority rule; c = 1/2 approaches the absolute-majority rule.
+    A tally with no votes decides the conflict class regardless of the
+    threshold.
     """
     if not 0.0 <= c <= 1.0:
         raise ValueError("threshold coefficient c must lie in [0, 1]")
@@ -132,6 +135,6 @@ def decide_threshold(t: VoteTally, c: float, b: float = 0.0) -> Decision:
     top = counts[k]
     if top <= 0.0 or int(np.count_nonzero(counts == top)) > 1:
         return CONFLICT
-    if top >= c * t.m_sources + b:
+    if top >= c * counts.sum() + b:
         return Decision(k)
     return CONFLICT

@@ -24,6 +24,7 @@ from evifuse import (
     make_frame,
     vacuous,
 )
+from evifuse.belief import _mean_pairwise_distance
 from helpers import (
     brute_belief,
     brute_combine,
@@ -437,6 +438,49 @@ def test_default_gamma_degenerate_prototypes():
     x = np.zeros((3, 2))
     gamma = default_gamma(x, np.array([0, 0, 1]), 2)
     assert gamma.tolist() == [1.0, 1.0]
+
+
+def _mean_pairwise_distance_full(x):
+    """The t-by-t formula the blocked sum replaced, kept as its reference."""
+    t = x.shape[0]
+    if t < 2:
+        return None
+    sq = np.sum(x * x, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    mean = float(np.sqrt(np.maximum(d2[np.triu_indices(t, k=1)], 0.0)).mean())
+    return mean if mean > 0.0 else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(1, 60),
+    d=st.integers(1, 8),
+    duplicates=st.booleans(),
+)
+def test_mean_pairwise_distance_matches_full_formula(seed, t, d, duplicates):
+    rng = np.random.default_rng(seed)
+    if duplicates:
+        # Exactly representable repeats of one point: zero spread -> None.
+        x = np.tile(rng.integers(0, 9, d) / 8.0, (t, 1))
+    else:
+        x = rng.random((t, d))
+    got, want = _mean_pairwise_distance(x), _mean_pairwise_distance_full(x)
+    if want is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_mean_pairwise_distance_two_points_and_blocks(monkeypatch):
+    x = np.array([[0.0, 0.0], [3.0, 4.0]])
+    assert _mean_pairwise_distance(x) == pytest.approx(5.0, rel=1e-12)
+    # Blocks of a few rows must give the one-block sum.
+    y = np.random.default_rng(0).random((50, 3))
+    whole = _mean_pairwise_distance(y)
+    monkeypatch.setattr("evifuse.belief._BLOCK_FLOATS", 120)
+    assert _mean_pairwise_distance(y) == pytest.approx(whole, rel=1e-12, abs=0.0)
+    assert _mean_pairwise_distance(np.ones((4, 2))) is None
 
 
 def test_training_set_validation():

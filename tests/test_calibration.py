@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evifuse import (
     ConfusionMatrix,
@@ -35,6 +37,26 @@ def test_build_confusion_perfect_predictor():
 def test_build_confusion_validates_classes():
     with pytest.raises(ValueError):
         build_confusion([(0, 2)], FRAME2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=40))
+def test_build_confusion_counts_pairs_and_arrays(pairs):
+    want = np.zeros((3, 3), dtype=int)
+    for truth, predicted in pairs:
+        want[truth, predicted] += 1
+    assert build_confusion(pairs, FRAME3).counts.tolist() == want.tolist()
+    array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    assert build_confusion(array, FRAME3).counts.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("pairs", [[(0, 0), (-1, 1)], [(1, 0), (1, 3)]])
+def test_build_confusion_reports_first_bad_class(pairs):
+    bad = [k for pair in pairs for k in pair if not 0 <= k < 2][0]
+    with pytest.raises(ValueError, match=f"class index {bad} out of range"):
+        build_confusion(pairs, FRAME2)
+    with pytest.raises(ValueError, match=f"class index {bad} out of range"):
+        build_confusion(np.array(pairs), FRAME2)
 
 
 def test_vote_weights_single_diagonal_source():

@@ -1,5 +1,7 @@
 """Repeated split protocol: determinism, metrics, method behavior."""
 
+from dataclasses import replace
+
 import pytest
 
 from evifuse import (
@@ -121,6 +123,16 @@ def test_weighted_vote_beats_worst_source_on_default_scenario():
         report = run_experiment(cfg, ["vote_weighted"])
         worst = min(report.source_accuracy.values())
         assert report.methods["vote_weighted"].accuracy >= worst
+
+
+def test_weighted_vote_threshold_is_on_the_tally_scale():
+    # Weighted tallies sum to the weight of the cast votes, far below the
+    # number of sources; a threshold of c * m made every sample a conflict.
+    cfg = replace(default_config(n_trials=2), fusion=FusionSettings(vote_c=0.5))
+    report = run_experiment(cfg, ["vote_weighted"])
+    result = report.methods["vote_weighted"]
+    assert result.conflict_rate < 1.0
+    assert result.accuracy > min(report.source_accuracy.values())
 
 
 def test_dataset_too_small_to_split():

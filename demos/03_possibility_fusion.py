@@ -11,7 +11,6 @@ import numpy as np
 
 from evifuse import (
     OPERATORS,
-    SourceOutput,
     combine,
     decide_possibilistic,
     make_frame,
@@ -23,9 +22,9 @@ from evifuse import (
 frame = make_frame(["a", "b", "c"])
 
 print("--- from scores to a distribution ---")
-out = SourceOutput.numeric(frame, [0.8, 0.4, 0.1])
-d = to_possibility(out)
-print(f"scores {out.scores} -> pi {np.round(d.pi, 4).tolist()}")
+scores = [0.8, 0.4, 0.1]
+d = to_possibility(scores)
+print(f"scores {scores} -> pi {np.round(d.pi, 4).tolist()}")
 
 subset = frame.subset(["b", "c"])
 print(f"possibility of {subset}: {possibility_measure(d, subset):.3f}")
@@ -34,8 +33,7 @@ print(f"necessity of {{a}}:      {necessity_measure(d, frame.singleton(0)):.3f}"
 
 print("--- fusing three classifiers ---")
 dists = [
-    to_possibility(SourceOutput.numeric(frame, s))
-    for s in ([0.9, 0.6, 0.1], [0.7, 0.8, 0.2], [0.8, 0.5, 0.3])
+    to_possibility(s) for s in ([0.9, 0.6, 0.1], [0.7, 0.8, 0.2], [0.8, 0.5, 0.3])
 ]
 for op in OPERATORS:
     merged = combine(dists, op)
@@ -47,8 +45,8 @@ for op in OPERATORS:
 
 print("--- conflicting sources ---")
 clash = [
-    to_possibility(SourceOutput.numeric(frame, [1.0, 0.0, 0.0])),
-    to_possibility(SourceOutput.numeric(frame, [0.0, 1.0, 0.0])),
+    to_possibility([1.0, 0.0, 0.0]),
+    to_possibility([0.0, 1.0, 0.0]),
 ]
 print(f"min of flatly opposed sources: {combine(clash, 'min').pi.tolist()}")
 print("(an all-zero elementwise result falls back to total ignorance)")

@@ -24,8 +24,6 @@ from .calibration import (
     ConfusionMatrix,
     build_confusion,
     conditional_probs,
-    confusion_to_csv,
-    save_confusion_csv,
     vote_weights,
 )
 from .experiment import (
@@ -41,7 +39,6 @@ from .frame import (
     Decision,
     FocalSet,
     Frame,
-    SourceOutput,
     make_frame,
 )
 from .io import (
@@ -77,7 +74,6 @@ from .voting import (
     decide_absolute_majority,
     decide_majority,
     decide_threshold,
-    indicator,
     tally,
 )
 
@@ -100,7 +96,6 @@ __all__ = [
     "OPERATORS",
     "PossibilityDistribution",
     "SimConfig",
-    "SourceOutput",
     "SourceProfile",
     "TrainingSet",
     "ValidationError",
@@ -112,7 +107,6 @@ __all__ = [
     "combine",
     "combine_all",
     "conditional_probs",
-    "confusion_to_csv",
     "conjunctive_combine",
     "decide_absolute_majority",
     "decide_majority",
@@ -125,7 +119,6 @@ __all__ = [
     "denoeux_classify_mass",
     "denoeux_mass",
     "evaluate_dataset",
-    "indicator",
     "load_config",
     "load_dataset",
     "load_report",
@@ -134,7 +127,6 @@ __all__ = [
     "possibility_measure",
     "run_experiment",
     "save_config",
-    "save_confusion_csv",
     "save_dataset",
     "save_report",
     "simulate",

@@ -7,8 +7,6 @@ weights and the per-class recognition rates feeding the Appriou model.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -101,19 +99,3 @@ def conditional_probs(
     if alpha is None:
         alpha = np.ones_like(cond)
     return AppriouParams(frame, cond, r, alpha)
-
-
-def confusion_to_csv(cm: ConfusionMatrix) -> str:
-    """Render a confusion matrix as CSV: predicted labels across the header,
-    one row per true label."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["true_class", *cm.frame.labels])
-    for i, label in enumerate(cm.frame.labels):
-        writer.writerow([label, *(int(c) for c in cm.counts[i])])
-    return buf.getvalue()
-
-
-def save_confusion_csv(cm: ConfusionMatrix, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(confusion_to_csv(cm))

@@ -7,9 +7,10 @@ from functools import wraps
 
 import click
 
+from . import __version__
 from .experiment import evaluate_dataset, normalize_methods, run_experiment
 from .io import load_config, load_dataset, save_dataset, save_report
-from .simulate import FusionSettings, simulate as simulate_dataset
+from .simulate import FusionSettings, SimConfig, simulate as simulate_dataset
 
 
 def _guarded(fn):
@@ -32,7 +33,7 @@ def _parse_methods(raw: str, settings: FusionSettings) -> list[str]:
 
 
 @click.group()
-@click.version_option(package_name="evifuse")
+@click.version_option(__version__)
 def main() -> None:
     """Fuse multi-classifier decisions and benchmark the fusion rules."""
 
@@ -95,19 +96,16 @@ def eval_cmd(
     ds = load_dataset(dataset_path, truth_col=truth_col)
     if config_path is not None:
         config = load_config(config_path)
-        settings = config.fusion
-        n_trials = trials if trials is not None else config.n_trials
-        seed_value = seed if seed is not None else config.seed
+        settings, n_trials, seed_value = config.fusion, config.n_trials, config.seed
     else:
         settings = FusionSettings()
-        n_trials = trials if trials is not None else 10
-        seed_value = seed if seed is not None else 0
+        n_trials, seed_value = SimConfig.n_trials, SimConfig.seed  # the defaults
     report = evaluate_dataset(
         ds,
         _parse_methods(methods, settings),
         settings=settings,
-        n_trials=n_trials,
-        seed=seed_value,
+        n_trials=trials if trials is not None else n_trials,
+        seed=seed if seed is not None else seed_value,
     )
     save_report(report, out_path)
     click.echo(f"wrote report for {len(report.methods)} methods to {out_path}")

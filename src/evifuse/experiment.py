@@ -221,8 +221,8 @@ def evaluate_dataset(
     ds: Dataset,
     methods: Sequence[str],
     settings: FusionSettings | None = None,
-    n_trials: int = 10,
-    seed: int = 0,
+    n_trials: int = SimConfig.n_trials,
+    seed: int = SimConfig.seed,
 ) -> ExperimentReport:
     """Run the repeated split protocol over an existing dataset."""
     settings = settings or FusionSettings()

@@ -9,9 +9,7 @@ supported frame widths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import Iterable, Iterator
 
 MAX_CLASSES = 16
 
@@ -156,38 +154,3 @@ class Decision:
 
 
 CONFLICT = Decision(None)
-
-
-@dataclass(frozen=True)
-class SourceOutput:
-    """One classifier's report for one sample.
-
-    Numeric outputs carry one score per class in [0, 1]; symbolic outputs
-    carry a single decided class index. Exactly one of the two is set.
-    """
-
-    scores: tuple[float, ...] | None = None
-    label: int | None = None
-
-    def __post_init__(self) -> None:
-        if (self.scores is None) == (self.label is None):
-            raise ValueError("a source output is either numeric or symbolic")
-
-    @classmethod
-    def numeric(cls, frame: Frame, scores: Sequence[float]) -> "SourceOutput":
-        arr = np.asarray(scores, dtype=float)
-        if arr.shape != (frame.n,):
-            raise ValueError(f"expected {frame.n} scores, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("scores must be finite")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise ValueError("scores must lie in [0, 1]")
-        return cls(scores=tuple(float(s) for s in arr))
-
-    @classmethod
-    def symbolic(cls, frame: Frame, label: int) -> "SourceOutput":
-        return cls(label=frame.check_class(label))
-
-    @property
-    def kind(self) -> str:
-        return "numeric" if self.scores is not None else "symbolic"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import MISSING, fields
 from typing import Any
 
 import numpy as np
@@ -65,14 +66,17 @@ def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
     if not score_cols or any(not c.startswith("score_") for c in score_cols):
         raise ValidationError(f"{path}: line 1: expected score_<class> columns")
     class_names = [c.removeprefix("score_") for c in score_cols]
-    frame = make_frame(class_names)
+    try:
+        frame = make_frame(class_names)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: line 1: {exc}") from None
     class_index = {name: k for k, name in enumerate(class_names)}
 
     if len(rows) == 1:
         raise ValidationError(f"{path}: no data rows")
 
-    samples: dict[str, dict[str, Any]] = {}
-    order: list[str] = []
+    # keyed by the parsed id, so "0" and "00" name the same sample
+    samples: dict[int, dict[str, Any]] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ValidationError(
@@ -104,38 +108,32 @@ def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
                 )
             scores.append(value)
 
-        key = sid_raw
-        entry = samples.get(key)
-        if entry is None:
-            entry = {"id": sample_id, "truth": truth_name, "sources": {}}
-            samples[key] = entry
-            order.append(key)
-        elif entry["truth"] != truth_name:
+        entry = samples.setdefault(sample_id, {"truth": truth_name, "sources": {}})
+        if entry["truth"] != truth_name:
             raise ValidationError(
-                f"{path}: line {lineno}: sample {sid_raw} has inconsistent true class"
+                f"{path}: line {lineno}: sample {sample_id} has inconsistent true class"
             )
         if source_id in entry["sources"]:
             raise ValidationError(
                 f"{path}: line {lineno}: duplicate source {source_id!r} "
-                f"for sample {sid_raw}"
+                f"for sample {sample_id}"
             )
         entry["sources"][source_id] = (label_name, scores)
 
-    source_ids = tuple(samples[order[0]]["sources"].keys())
-    for key in order:
-        if tuple(samples[key]["sources"].keys()) != source_ids:
+    source_ids = tuple(next(iter(samples.values()))["sources"].keys())
+    for key, entry in samples.items():
+        if tuple(entry["sources"].keys()) != source_ids:
             raise ValidationError(
                 f"{path}: sample {key} does not cover sources {list(source_ids)}"
             )
 
-    n, m = len(order), len(source_ids)
+    n, m = len(samples), len(source_ids)
     sample_ids = np.empty(n, dtype=np.int64)
     truth = np.empty(n, dtype=np.int64)
     labels = np.empty((n, m), dtype=np.int64)
     scores = np.empty((n, m, frame.n))
-    for i, key in enumerate(order):
-        entry = samples[key]
-        sample_ids[i] = entry["id"]
+    for i, (key, entry) in enumerate(samples.items()):
+        sample_ids[i] = key
         truth[i] = class_index[entry["truth"]]
         for j, sid in enumerate(source_ids):
             label_name, score_row = entry["sources"][sid]
@@ -148,9 +146,29 @@ def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
 # scenario config JSON
 
 
+# Method parameters in the scenario JSON: (block, key, FusionSettings field).
+# Both directions read this table; absent keys take FusionSettings' defaults.
+_FUSION_KEYS = (
+    ("vote", "c", "vote_c"),
+    ("vote", "b", "vote_b"),
+    ("possibility", "operator", "possibility_operator"),
+    ("denoeux", "k", "denoeux_k"),
+    ("denoeux", "alpha", "denoeux_alpha"),
+    ("appriou", "as_printed", "appriou_as_printed"),
+)
+# Top-level keys: SimConfig's fields, with "fusion" spread over the blocks.
+_KNOWN_KEYS = {f.name for f in fields(SimConfig)} - {"fusion"} | {
+    block for block, _, _ in _FUSION_KEYS
+}
+_REQUIRED_KEYS = tuple(
+    f.name
+    for f in fields(SimConfig)
+    if f.default is MISSING and f.default_factory is MISSING
+)
+
+
 def config_to_dict(config: SimConfig) -> dict[str, Any]:
-    f = config.fusion
-    return {
+    data: dict[str, Any] = {
         "classes": list(config.classes),
         "priors": list(config.priors),
         "sources": [
@@ -164,52 +182,45 @@ def config_to_dict(config: SimConfig) -> dict[str, Any]:
         "n_samples": config.n_samples,
         "n_trials": config.n_trials,
         "seed": config.seed,
-        "vote": {"c": f.vote_c, "b": f.vote_b},
-        "possibility": {"operator": f.possibility_operator},
-        "denoeux": {"k": f.denoeux_k, "alpha": f.denoeux_alpha},
-        "appriou": {"as_printed": f.appriou_as_printed},
     }
+    for block, key, name in _FUSION_KEYS:
+        data.setdefault(block, {})[key] = getattr(config.fusion, name)
+    return data
+
+
+def _fusion_from_dict(data: dict[str, Any]) -> FusionSettings:
+    """FusionSettings from the method blocks; absent keys keep the defaults,
+    and each value is converted to its default's type."""
+    defaults = FusionSettings()
+    values: dict[str, Any] = {}
+    for block in dict.fromkeys(b for b, _, _ in _FUSION_KEYS):
+        given = data.get(block, {})
+        if not isinstance(given, dict):
+            raise ValidationError(f"config block {block!r} must be a JSON object")
+        names = {key: name for b, key, name in _FUSION_KEYS if b == block}
+        unknown = set(given) - set(names)
+        if unknown:
+            raise ValidationError(
+                f"unknown keys in config block {block!r}: {sorted(unknown)}"
+            )
+        for key, value in given.items():
+            kind = type(getattr(defaults, names[key]))
+            if kind is bool and not isinstance(value, bool):
+                raise ValidationError(f"config key {block}.{key} must be a boolean")
+            values[names[key]] = kind(value)
+    return FusionSettings(**values)
 
 
 def config_from_dict(data: dict[str, Any]) -> SimConfig:
     if not isinstance(data, dict):
         raise ValidationError("config must be a JSON object")
-    known = {
-        "classes",
-        "priors",
-        "sources",
-        "n_samples",
-        "n_trials",
-        "seed",
-        "vote",
-        "possibility",
-        "denoeux",
-        "appriou",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - _KNOWN_KEYS
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("classes", "priors", "sources", "n_samples"):
+    for key in _REQUIRED_KEYS:
         if key not in data:
             raise ValidationError(f"config key {key!r} is required")
-    vote = data.get("vote", {})
-    poss = data.get("possibility", {})
-    deno = data.get("denoeux", {})
-    appr = data.get("appriou", {})
-    defaults = FusionSettings()
     try:
-        fusion = FusionSettings(
-            vote_c=float(vote.get("c", defaults.vote_c)),
-            vote_b=float(vote.get("b", defaults.vote_b)),
-            possibility_operator=poss.get(
-                "operator", defaults.possibility_operator
-            ),
-            denoeux_k=int(deno.get("k", defaults.denoeux_k)),
-            denoeux_alpha=float(deno.get("alpha", defaults.denoeux_alpha)),
-            appriou_as_printed=bool(
-                appr.get("as_printed", defaults.appriou_as_printed)
-            ),
-        )
         sources = tuple(
             SourceProfile(
                 id=str(s["id"]),
@@ -218,14 +229,15 @@ def config_from_dict(data: dict[str, Any]) -> SimConfig:
             )
             for s in data["sources"]
         )
+        # n_trials and seed may be left out: SimConfig's defaults apply
+        optional = {key: int(data[key]) for key in ("n_trials", "seed") if key in data}
         return SimConfig(
             classes=tuple(data["classes"]),
             priors=tuple(data["priors"]),
             sources=sources,
             n_samples=int(data["n_samples"]),
-            n_trials=int(data.get("n_trials", 10)),
-            seed=int(data.get("seed", 0)),
-            fusion=fusion,
+            fusion=_fusion_from_dict(data),
+            **optional,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"invalid config: {exc}") from exc

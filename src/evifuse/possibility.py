@@ -10,10 +10,11 @@ elementwise with one of four operators before an argmax decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .frame import Decision, FocalSet, SourceOutput
+from .frame import Decision, FocalSet
 
 _NORM_TOL = 1e-9
 
@@ -45,18 +46,13 @@ class PossibilityDistribution:
         return self.pi.size
 
 
-def to_possibility(output: SourceOutput) -> PossibilityDistribution:
+def to_possibility(scores: Sequence[float] | np.ndarray) -> PossibilityDistribution:
     """Turn a numeric score vector into a normalized possibility distribution.
 
     Scores are divided by their maximum. An all-zero score vector carries no
     information and maps to the vacuous all-ones distribution.
     """
-    if output.scores is None:
-        raise ValueError("numeric source output required")
-    scores = np.asarray(output.scores, dtype=float)
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
-    return PossibilityDistribution(_normalize_rows(scores))
+    return PossibilityDistribution(_normalize_rows(_check_scores(scores)))
 
 
 def _check_width(d: PossibilityDistribution, subset: FocalSet) -> None:
@@ -111,21 +107,29 @@ def decide_batch(scores: np.ndarray, op: str) -> np.ndarray:
 
     Row by row this is ``to_possibility`` on each source, ``combine`` with
     the operator and ``decide_possibilistic``, run over a leading sample
-    axis; the decisions are the same, and scores outside [0, 1] raise
-    ValueError as ``SourceOutput.numeric`` does.
+    axis; the decisions are the same, and so are the rejected scores.
     """
     merge = _operator(op)
-    scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 3 or 0 in scores.shape[1:]:
+    scores = _check_scores(scores)
+    if scores.ndim != 3:
         raise ValueError("scores must form a (samples, sources, classes) array")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
-    if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
-        raise ValueError("scores must lie in [0, 1]")
     merged = merge(_normalize_rows(scores), axis=1)
     # combine's renormalization is left out: it maps the maximum to exactly
     # 1 and every smaller value to below 1, so the argmax cannot move.
     return np.argmax(merged, axis=-1)
+
+
+def _check_scores(scores: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Scores as a float array; raise ValueError unless they are non-empty,
+    finite and in [0, 1]."""
+    scores = np.asarray(scores, dtype=float)
+    if scores.size == 0:
+        raise ValueError("scores must not be empty")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
+    if scores.min() < 0.0 or scores.max() > 1.0:
+        raise ValueError("scores must lie in [0, 1]")
+    return scores
 
 
 def _operator(op: str):

@@ -64,13 +64,6 @@ class VoteTally:
         object.__setattr__(self, "counts", counts)
 
 
-def indicator(label: int, frame: Frame) -> np.ndarray:
-    """One-hot vote vector for a single symbolic decision."""
-    vec = np.zeros(frame.n)
-    vec[frame.check_class(label)] = 1.0
-    return vec
-
-
 def tally(
     labels: Sequence[int], frame: Frame, weights: VoteWeights | None = None
 ) -> VoteTally:
@@ -96,14 +89,9 @@ def decide_majority(t: VoteTally) -> Decision:
     """Relative majority: the class with the unique strict maximum of votes.
 
     A tied maximum, or a tally with no votes at all, decides the conflict
-    class instead of picking arbitrarily.
+    class instead of picking arbitrarily: the threshold rule at c = b = 0.
     """
-    counts = t.counts
-    k = int(np.argmax(counts))
-    top = counts[k]
-    if top <= 0.0 or int(np.count_nonzero(counts == top)) > 1:
-        return CONFLICT
-    return Decision(k)
+    return decide_threshold(t, 0.0, 0.0)
 
 
 def decide_absolute_majority(t: VoteTally) -> Decision:

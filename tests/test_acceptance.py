@@ -19,7 +19,6 @@ from evifuse import (
     MassFunction,
     SimConfig,
     SourceProfile,
-    SourceOutput,
     TrainingSet,
     appriou_raw_masses,
     combine,
@@ -210,7 +209,7 @@ def test_criterion_07_possibility_measures():
                 scores = rng.uniform(0.0, 1.0, size=n)
                 if rng.random() < 0.1:
                     scores[:] = 0.0
-                d = to_possibility(SourceOutput.numeric(frame, scores))
+                d = to_possibility(scores)
                 assert abs(float(d.pi.max()) - 1.0) < 1e-9
                 for a, b in itertools.product(frame.subsets(), repeat=2):
                     union = possibility_measure(d, a | b)
@@ -224,9 +223,7 @@ def test_criterion_07_possibility_measures():
         for op in ("min", "max", "mean", "median"):
             for _ in range(100):
                 dists = [
-                    to_possibility(
-                        SourceOutput.numeric(frame, rng.uniform(0, 1, size=3))
-                    )
+                    to_possibility(rng.uniform(0, 1, size=3))
                     for _ in range(int(rng.integers(1, 5)))
                 ]
                 merged = combine(dists, op)

@@ -9,7 +9,6 @@ from evifuse import (
     ConfusionMatrix,
     build_confusion,
     conditional_probs,
-    confusion_to_csv,
     make_frame,
     vote_weights,
 )
@@ -129,21 +128,6 @@ def test_mixed_frames_rejected():
         vote_weights(
             [build_confusion([], FRAME2), build_confusion([], FRAME3)]
         )
-
-
-def test_confusion_csv_layout():
-    cm = build_confusion([(0, 0), (0, 1), (1, 1)], FRAME2, "s1")
-    text = confusion_to_csv(cm)
-    assert text == "true_class,a,b\na,1,1\nb,0,1\n"
-
-
-def test_confusion_csv_file(tmp_path):
-    from evifuse import save_confusion_csv
-
-    cm = build_confusion([(0, 0), (1, 0)], FRAME2)
-    path = tmp_path / "cm.csv"
-    save_confusion_csv(cm, str(path))
-    assert path.read_text() == confusion_to_csv(cm)
 
 
 def test_confusion_matrix_rejects_negative_counts():

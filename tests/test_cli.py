@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from evifuse import default_config, save_config
+from evifuse import __version__, default_config, save_config
 from evifuse.cli import main
 
 
@@ -155,3 +155,30 @@ def test_invalid_dataset_exits_2(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert "error:" in result.output
+
+
+def test_non_object_config_block_exits_2(runner, config_path, tmp_path):
+    data = json.loads(open(config_path).read())
+    data["vote"] = 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    result = runner.invoke(
+        main,
+        [
+            "run",
+            "--config",
+            str(bad),
+            "--methods",
+            "vote_majority",
+            "--out",
+            str(tmp_path / "r.json"),
+        ],
+    )
+    assert result.exit_code == 2
+    assert "error:" in result.output
+
+
+def test_version(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert __version__ in result.output

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evifuse import CONFLICT, Decision, FocalSet, SourceOutput, make_frame
+from evifuse import CONFLICT, Decision, FocalSet, make_frame
 
 
 def test_make_frame_basic():
@@ -80,21 +80,3 @@ def test_decision_values():
     frame = make_frame(["a", "b", "c"])
     assert Decision(2).label(frame) == "c"
     assert CONFLICT.label(frame) == "conflict"
-
-
-def test_source_output_kinds():
-    frame = make_frame(["a", "b"])
-    num = SourceOutput.numeric(frame, [0.2, 0.9])
-    sym = SourceOutput.symbolic(frame, 1)
-    assert num.kind == "numeric"
-    assert sym.kind == "symbolic"
-    with pytest.raises(ValueError):
-        SourceOutput.numeric(frame, [0.2, 1.4])
-    with pytest.raises(ValueError):
-        SourceOutput.numeric(frame, [0.2, float("nan")])
-    with pytest.raises(ValueError):
-        SourceOutput.numeric(frame, [0.2])
-    with pytest.raises(ValueError):
-        SourceOutput.symbolic(frame, 2)
-    with pytest.raises(ValueError):
-        SourceOutput(scores=None, label=None)

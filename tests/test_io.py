@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from evifuse import (
+    MAX_CLASSES,
+    FusionSettings,
+    SimConfig,
     ValidationError,
     default_config,
     load_config,
@@ -108,6 +111,51 @@ def test_load_dataset_custom_truth_column(tmp_path):
     assert ds.labels.tolist() == [[1]]
 
 
+def test_load_dataset_keys_samples_by_integer_id(tmp_path):
+    """"0" and "00" are one sample, so the file survives load, save, load."""
+    path, again = tmp_path / "data.csv", tmp_path / "again.csv"
+    path.write_text(
+        "sample_id,true_class,source_id,label,score_a,score_b\n"
+        "0,a,s1,a,0.5,0.5\n"
+        "00,a,s2,b,0.25,0.75\n"
+    )
+    ds = load_dataset(str(path))
+    assert ds.sample_ids.tolist() == [0]
+    assert ds.source_ids == ("s1", "s2")
+    save_dataset(ds, str(again))
+    loaded = load_dataset(str(again))
+    assert loaded.sample_ids.tolist() == [0]
+    assert np.array_equal(loaded.labels, ds.labels)
+    assert np.array_equal(loaded.scores, ds.scores)
+    path.write_text(
+        "sample_id,true_class,source_id,label,score_a,score_b\n"
+        "0,a,s1,a,0.5,0.5\n"
+        "00,b,s1,b,0.25,0.75\n"
+    )
+    with pytest.raises(ValidationError, match="line 3.*inconsistent"):
+        load_dataset(str(path))
+
+
+@pytest.mark.parametrize(
+    "score_cols",
+    [
+        "score_a,score_a",
+        "score_,score_b",
+        ",".join(f"score_c{i}" for i in range(MAX_CLASSES + 1)),
+    ],
+    ids=["duplicate", "empty", "too_many"],
+)
+def test_load_dataset_header_class_errors_name_line_1(tmp_path, score_cols):
+    path = tmp_path / "data.csv"
+    n = score_cols.count(",") + 1
+    path.write_text(
+        f"sample_id,true_class,source_id,label,{score_cols}\n"
+        f"0,a,s1,a,{','.join(['0.5'] * n)}\n"
+    )
+    with pytest.raises(ValidationError, match="line 1"):
+        load_dataset(str(path))
+
+
 def test_config_round_trip(tmp_path):
     cfg = default_config()
     path = tmp_path / "config.json"
@@ -136,6 +184,33 @@ def test_config_rejects_missing_required_keys():
     del data["classes"]
     with pytest.raises(ValidationError):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "block, value",
+    [
+        ("vote", 1),
+        ("vote", {"c": 0.0, "bogus": 1}),
+        ("appriou", {"as_printed": "false"}),
+        ("appriou", {"as_printed": 0}),
+    ],
+    ids=["non_object_block", "unknown_block_key", "string_bool", "int_bool"],
+)
+def test_config_rejects_malformed_blocks(block, value):
+    data = config_to_dict(default_config())
+    data[block] = value
+    with pytest.raises(ValidationError):
+        config_from_dict(data)
+
+
+def test_config_defaults_fill_missing_keys():
+    data = config_to_dict(default_config())
+    for key in ("n_trials", "seed", "vote", "possibility", "denoeux", "appriou"):
+        del data[key]
+    data["denoeux"] = {"k": 5}
+    cfg = config_from_dict(data)
+    assert (cfg.n_trials, cfg.seed) == (SimConfig.n_trials, SimConfig.seed)
+    assert cfg.fusion == FusionSettings(denoeux_k=5)
 
 
 def test_config_rejects_bad_json(tmp_path):

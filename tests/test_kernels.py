@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from evifuse import (
     Dataset,
     FusionSettings,
-    SourceOutput,
     TrainingSet,
     build_confusion,
     combine,
@@ -66,10 +65,7 @@ def scalar_method(name, ds, calib_idx, settings):
         op = name.removeprefix("possibility_")
 
         def run(i):
-            dists = [
-                to_possibility(SourceOutput.numeric(frame, ds.scores[i, j]))
-                for j in range(m)
-            ]
+            dists = [to_possibility(ds.scores[i, j]) for j in range(m)]
             return decide_possibilistic(combine(dists, op)), 0.0
 
         return run

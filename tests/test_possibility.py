@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from evifuse import (
     Decision,
     PossibilityDistribution,
-    SourceOutput,
     combine,
     decide_possibilistic,
     make_frame,
@@ -18,6 +17,7 @@ from evifuse import (
     possibility_measure,
     to_possibility,
 )
+from evifuse.possibility import decide_batch
 
 FRAME2 = make_frame(["a", "b"])
 FRAME3 = make_frame(["a", "b", "c"])
@@ -28,23 +28,41 @@ def _dist(values):
 
 
 def test_to_possibility_divides_by_max():
-    d = to_possibility(SourceOutput.numeric(FRAME2, [0.8, 0.4]))
+    d = to_possibility([0.8, 0.4])
     assert d.pi == pytest.approx([1.0, 0.5])
 
 
 def test_to_possibility_ignorance_fallback():
-    d = to_possibility(SourceOutput.numeric(FRAME3, [0.0, 0.0, 0.0]))
+    d = to_possibility([0.0, 0.0, 0.0])
     assert d.pi.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_to_possibility_identity_when_normalized():
-    d = to_possibility(SourceOutput.numeric(FRAME2, [1.0, 1.0]))
+    d = to_possibility([1.0, 1.0])
     assert d.pi.tolist() == [1.0, 1.0]
 
 
-def test_to_possibility_requires_numeric():
-    with pytest.raises(ValueError):
-        to_possibility(SourceOutput.symbolic(FRAME2, 0))
+BAD_SCORES = {
+    "nan": [0.2, float("nan")],
+    "inf": [0.2, float("inf")],
+    "negative": [-0.1, 0.5],
+    "above_one": [1.4, 0.2],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("scores", BAD_SCORES.values(), ids=BAD_SCORES.keys())
+def test_score_check_is_shared(scores):
+    """The scalar and the batch path reject the same scores, with one message."""
+    with pytest.raises(ValueError, match="scores must") as scalar:
+        to_possibility(scores)
+    batch_scores = np.asarray(scores, dtype=float).reshape(1, 1, -1)
+    with pytest.raises(ValueError, match="scores must") as batch:
+        decide_batch(batch_scores, "max")
+    assert str(scalar.value) == str(batch.value)
+    good = [0.2, 0.9]
+    assert to_possibility(good).pi == pytest.approx([0.2 / 0.9, 1.0])
+    assert decide_batch(np.array([[good]]), "max").tolist() == [1]
 
 
 def test_distribution_requires_normalization():
@@ -147,6 +165,6 @@ def test_decision_invariant_under_score_rescaling(d, scale):
     rescaled = np.clip(scores * scale, 0.0, 1.0)
     if rescaled.max() <= 0.0:
         return
-    a = to_possibility(SourceOutput.numeric(FRAME3, scores))
-    b = to_possibility(SourceOutput.numeric(FRAME3, rescaled))
+    a = to_possibility(scores)
+    b = to_possibility(rescaled)
     assert decide_possibilistic(a) == decide_possibilistic(b)

@@ -15,21 +15,11 @@ from evifuse import (
     decide_absolute_majority,
     decide_majority,
     decide_threshold,
-    indicator,
     make_frame,
     tally,
 )
 
 FRAME3 = make_frame(["a", "b", "c"])
-
-
-def test_indicator():
-    assert indicator(1, FRAME3).tolist() == [0.0, 1.0, 0.0]
-    assert indicator(0, make_frame(["x"])).tolist() == [1.0]
-    frame6 = make_frame([f"c{i}" for i in range(6)])
-    assert indicator(5, frame6).tolist() == [0, 0, 0, 0, 0, 1]
-    with pytest.raises(ValueError):
-        indicator(3, FRAME3)
 
 
 def test_tally_unweighted():

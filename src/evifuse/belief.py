@@ -28,7 +28,7 @@ import numpy as np
 from .frame import CONFLICT, Decision, FocalSet, Frame
 
 _SUM_TOL = 1e-9
-_DUST = 1e-12  # combination products below this absolute mass are dropped
+_DUST = 1e-12  # combination drops entries below this mass, at most this much in all
 # float64 entries in one block of pairwise distances (512 KB). Blocks this
 # small stay in a core's cache; on a 2-core x86 VM the blocked sums ran 2-4x
 # faster than with 8 MB blocks.
@@ -160,8 +160,9 @@ def conjunctive_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Unnormalized conjunctive rule: intersect focal pairs, multiply masses.
 
     Disagreement lands on the empty set and is kept there; nothing is
-    renormalized. Dust entries below 1e-12 are dropped to keep repeated
-    combinations sparse.
+    renormalized. To keep repeated combinations sparse, entries below
+    1e-12 are dropped as dust, smallest first, while their total stays
+    below 1e-12; a chain of k combinations thus loses less than k * 1e-12.
     """
     if m1.frame != m2.frame:
         raise ValueError("mass functions are defined over different frames")
@@ -170,7 +171,12 @@ def conjunctive_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
         for b2, v2 in m2._masses.items():
             k = b1 & b2
             acc[k] = acc.get(k, 0.0) + v1 * v2
-    acc = {bits: v for bits, v in acc.items() if v >= _DUST}
+    dropped = 0.0
+    for v, bits in sorted((v, bits) for bits, v in acc.items() if v < _DUST):
+        dropped += v
+        if dropped >= _DUST:
+            break
+        del acc[bits]
     return MassFunction._from_bits(m1.frame, acc)
 
 
@@ -249,6 +255,7 @@ def appriou_raw_masses(
     The corrected complement mass alpha / (1 + r*p) makes the triple sum to
     1 for any r. The widely circulated variant alpha*r / (1 + r*p), kept
     behind ``as_printed`` for comparison, only sums to 1 when r = 1.
+    Arrays of p, r and alpha give the triples elementwise.
     """
     denom = 1.0 + r * p
     m_class = alpha * r * p / denom
@@ -281,6 +288,97 @@ def appriou_mass(
         frame,
         [(single, m_class), (single.complement(), m_other), (frame.full(), m_frame)],
     )
+
+
+def appriou_decide_batch(
+    labels: np.ndarray, params: AppriouParams, as_printed: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Appriou decisions and conflict masses for many rows of source labels.
+
+    Row by row this agrees with ``decide_pignistic(combine_all([appriou_mass(j,
+    labels[r, j], params, as_printed) for j ...]))``: the same decision (-1
+    for the conflict class) and the same conflict mass up to rounding.
+    Source j's masses (a, b, g) sit on {l_j}, its complement and the frame.
+    Over the sources that report class c let A_c = prod(a + g), B_c =
+    prod(b + g) and U_c = prod(g), each 1 when no source reports c. The
+    conjunctive combination then has the closed form m({c}) = (A_c - U_c)
+    prod_{d != c} B_d and m(frame minus S) = prod_{d in S} (B_d - U_d)
+    prod_{d not in S} U_d for each set S of reported classes; the empty set
+    takes the rest. Rows where that could differ from the scalar path are
+    handed to it: a near tie between the top two pignistic values, and any
+    row whose combination products could fall below the dust threshold
+    that ``conjunctive_combine`` drops.
+    """
+    frame = params.frame
+    labels = frame.check_classes(labels)
+    if labels.ndim != 2 or labels.shape[1] != params.m_sources:
+        raise ValueError(
+            f"labels of shape {labels.shape} do not match {params.m_sources} sources"
+        )
+    # The (m, n) mass tables, with the floating-point operations of appriou_mass.
+    tables = appriou_raw_masses(
+        params.cond_prob, params.r[:, None], params.alpha, as_printed
+    )
+    if as_printed:
+        total = tables[0] + tables[1] + tables[2]
+        tables = tuple(t / total for t in tables)
+    src = np.arange(params.m_sources)
+    masses = np.stack([t[src, labels] for t in tables])
+    # The recursion holds an (n, n) array per row; blocks bound its memory.
+    rows = max(1, _BLOCK_FLOATS // frame.n**2)
+    decided = np.empty(labels.shape[0], dtype=np.int64)
+    conflict = np.empty(labels.shape[0])
+    unsure = np.empty(labels.shape[0], dtype=bool)
+    for a in range(0, labels.shape[0], rows):
+        block = slice(a, a + rows)
+        decided[block], conflict[block], unsure[block] = _appriou_closed_form(
+            labels[block], masses[:, block], frame.n
+        )
+    # Rows handed to the scalar path repeat a few label patterns (exact
+    # ties come from sources with equal masses), so each pattern is combined once.
+    unsure = np.flatnonzero(unsure)
+    patterns, inverse = np.unique(labels[unsure], axis=0, return_inverse=True)
+    for p, row in enumerate(patterns):
+        m = combine_all(
+            [appriou_mass(j, k, params, as_printed) for j, k in enumerate(row)]
+        )
+        d = decide_pignistic(m)
+        hit = unsure[inverse.reshape(-1) == p]
+        decided[hit] = -1 if d.is_conflict else d.index
+        conflict[hit] = m.conflict_mass()
+    return decided, conflict
+
+
+def _appriou_closed_form(
+    labels: np.ndarray, masses: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decision, conflict mass and an unsure flag per row of source labels;
+    masses[:, r, j] is source j's (a, b, g) in row r."""
+    a, b, g = masses
+    rows = np.arange(labels.shape[0])
+    big_a, big_b, big_u = (np.ones((rows.shape[0], n)) for _ in range(3))
+    for j, k in enumerate(labels.T):
+        big_a[rows, k] *= a[:, j] + g[:, j]
+        big_b[rows, k] *= b[:, j] + g[:, j]
+        big_u[rows, k] *= g[:, j]
+    before, after = _prods_around(big_b)
+    singles = (big_a - big_u) * before * after
+    # poly[r, c, s]: total of prod_{d in S} (B_d - U_d) prod_{d not in S} U_d
+    # over the sets S of s classes other than c, built one class d at a time.
+    gap = big_b - big_u
+    poly = np.zeros((rows.shape[0], n, n))
+    poly[:, :, 0] = 1.0
+    for d in range(n):
+        grown = big_u[:, d, None, None] * poly
+        grown[:, :, 1:] += gap[:, d, None, None] * poly[:, :, :-1]
+        grown[:, d] = poly[:, d]
+        poly = grown
+    # Frame minus S, for S not holding c, shares its mass among n - |S| classes.
+    bet = singles + big_u * (poly @ (1.0 / (n - np.arange(n))))
+    nonempty = singles.sum(axis=1) + np.prod(big_b, axis=1) - np.prod(gap, axis=1)
+    conflict = np.maximum(1.0 - nonempty, 0.0)
+    decided = np.where(nonempty > 0.0, np.argmax(bet, axis=1), -1)
+    return decided, conflict, _unsure(masses, bet)
 
 
 # ---------------------------------------------------------------------------
@@ -514,22 +612,37 @@ def _knn_closed_form(
     # q[r, i] = prod over class-i neighbours of (1 - s) = 1 - S_i
     q = np.ones((b, n))
     np.multiply.at(q, (np.arange(b)[:, None], classes), 1.0 - support)
-    ones = np.ones((b, 1))
-    before = np.cumprod(np.hstack([ones, q[:, :-1]]), axis=1)
-    after = np.cumprod(np.hstack([ones, q[:, :0:-1]]), axis=1)[:, ::-1]
+    before, after = _prods_around(q)
     singles = (1.0 - q) * before * after
     frame_mass = before[:, -1] * q[:, -1]
     nonempty = singles.sum(axis=1) + frame_mass
     conflict = np.maximum(1.0 - nonempty, 0.0)
     bet = singles + frame_mass[:, None] / n
     decided = np.where(nonempty > 0.0, np.argmax(bet, axis=1), -1)
-    # Every combination product is a product of one nonzero factor s or
-    # 1 - s per neighbour, so none reaches below the dust threshold when
-    # the product of the smallest such factors stays above it.
-    factor = np.where(support > 0.0, np.minimum(support, 1.0 - support), 1.0)
-    factor = np.where(factor > 0.0, factor, support)
-    unsure = np.prod(factor, axis=1) < 2.0 * _DUST
-    if n > 1:
+    return decided, conflict, _unsure(np.stack([support, 1.0 - support]), bet)
+
+
+def _prods_around(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """prod_{d < c} x[:, d] and prod_{d > c} x[:, d] for every column c."""
+    ones = np.ones((x.shape[0], 1))
+    before = np.cumprod(np.hstack([ones, x[:, :-1]]), axis=1)
+    after = np.cumprod(np.hstack([ones, x[:, :0:-1]]), axis=1)[:, ::-1]
+    return before, after
+
+
+def _unsure(masses: np.ndarray, bet: np.ndarray) -> np.ndarray:
+    """Rows a closed form may decide differently from the scalar path.
+
+    masses[f, r, j] is the mass source j of row r puts on its f-th focal
+    element, bet[r] the unnormalized pignistic values. Every product that
+    ``conjunctive_combine`` forms takes one nonzero mass per source, so
+    none falls below the dust threshold when the product of each source's
+    smallest nonzero mass stays above it; top-two pignistic values within
+    _TIE_RTOL may be ordered either way by rounding.
+    """
+    smallest = np.where(masses > 0.0, masses, np.inf).min(axis=0)
+    unsure = np.prod(smallest, axis=1) < 2.0 * _DUST
+    if bet.shape[1] > 1:
         top2 = np.sort(bet, axis=1)[:, -2:]
         unsure |= top2[:, 1] - top2[:, 0] <= _TIE_RTOL * top2[:, 1]
-    return decided, conflict, unsure
+    return unsure

@@ -50,11 +50,8 @@ def build_confusion(
 
     ``preds`` is a sequence of pairs or an equivalent (count, 2) array.
     """
-    pairs = np.asarray(preds, dtype=np.int64).reshape(-1, 2)
+    pairs = frame.check_classes(preds).reshape(-1, 2)
     n = frame.n
-    bad = (pairs < 0) | (pairs >= n)
-    if bad.any():
-        frame.check_class(pairs[bad][0])  # raises for the first bad index
     counts = np.bincount(pairs[:, 0] * n + pairs[:, 1], minlength=n * n)
     return ConfusionMatrix(frame, counts.reshape(n, n), source_id)
 

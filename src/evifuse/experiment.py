@@ -22,7 +22,7 @@ from .calibration import (
     conditional_probs,
     vote_weights,
 )
-from .frame import Decision, Frame
+from .frame import Frame
 from .simulate import Dataset, FusionSettings, SimConfig, simulate, trial_stream
 
 
@@ -75,52 +75,29 @@ Kernel = Callable[
     [Dataset, TrialCalibration, np.ndarray, FusionSettings],
     tuple[np.ndarray, np.ndarray],
 ]
-# A pattern rule decides one row of source labels with the scalar API.
-PatternRule = Callable[
-    [np.ndarray, TrialCalibration, FusionSettings], tuple[Decision, float]
-]
 
 
-def _by_pattern(rule: PatternRule) -> Kernel:
-    """Kernel for a symbolic method: each distinct row of source labels is
-    decided once by the scalar rule, and the results are scattered back."""
-
-    def kernel(ds, calib, test_idx, settings):
-        patterns, inverse = np.unique(
-            ds.labels[test_idx], axis=0, return_inverse=True
-        )
-        decided = np.empty(patterns.shape[0], dtype=np.int64)
-        conflict = np.empty(patterns.shape[0])
-        for p, row in enumerate(patterns):
-            d, conflict[p] = rule(row, calib, settings)
-            decided[p] = -1 if d.is_conflict else d.index
-        inverse = inverse.reshape(-1)
-        return decided[inverse], conflict[inverse]
-
-    return kernel
+def _vote_majority(ds, calib, test_idx, settings):
+    counts = voting.tally_batch(ds.labels[test_idx], ds.frame)
+    return voting.decide_threshold_batch(counts, 0.0), np.zeros(test_idx.shape[0])
 
 
-def _vote_majority(row, calib, settings):
-    return voting.decide_majority(voting.tally(row, calib.ds.frame)), 0.0
+def _vote_absolute(ds, calib, test_idx, settings):
+    counts = voting.tally_batch(ds.labels[test_idx], ds.frame)
+    decided = voting.decide_absolute_majority_batch(counts, ds.m_sources)
+    return decided, np.zeros(test_idx.shape[0])
 
 
-def _vote_absolute(row, calib, settings):
-    return voting.decide_absolute_majority(voting.tally(row, calib.ds.frame)), 0.0
+def _vote_weighted(ds, calib, test_idx, settings):
+    counts = voting.tally_batch(ds.labels[test_idx], ds.frame, calib.weights)
+    decided = voting.decide_threshold_batch(counts, settings.vote_c, settings.vote_b)
+    return decided, np.zeros(test_idx.shape[0])
 
 
-def _vote_weighted(row, calib, settings):
-    t = voting.tally(row, calib.ds.frame, calib.weights)
-    return voting.decide_threshold(t, settings.vote_c, settings.vote_b), 0.0
-
-
-def _belief_appriou(row, calib, settings):
-    m = belief.combine_all(
-        [
-            belief.appriou_mass(j, int(k), calib.appriou, settings.appriou_as_printed)
-            for j, k in enumerate(row)
-        ]
+def _belief_appriou(ds, calib, test_idx, settings):
+    return belief.appriou_decide_batch(
+        ds.labels[test_idx], calib.appriou, settings.appriou_as_printed
     )
-    return belief.decide_pignistic(m), m.conflict_mass()
 
 
 def _possibility(op: str) -> Kernel:
@@ -137,11 +114,11 @@ def _belief_denoeux(ds, calib, test_idx, settings):
 
 
 KERNELS: dict[str, Kernel] = {
-    "vote_majority": _by_pattern(_vote_majority),
-    "vote_absolute": _by_pattern(_vote_absolute),
-    "vote_weighted": _by_pattern(_vote_weighted),
+    "vote_majority": _vote_majority,
+    "vote_absolute": _vote_absolute,
+    "vote_weighted": _vote_weighted,
     **{f"possibility_{op}": _possibility(op) for op in possibility.OPERATORS},
-    "belief_appriou": _by_pattern(_belief_appriou),
+    "belief_appriou": _belief_appriou,
     "belief_denoeux": _belief_denoeux,
 }
 

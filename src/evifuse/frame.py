@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 MAX_CLASSES = 16
 
 
@@ -54,6 +56,15 @@ class Frame:
         k = int(k)
         if not 0 <= k < self.n:
             raise ValueError(f"class index {k} out of range for {self.n} classes")
+        return k
+
+    def check_classes(self, k) -> np.ndarray:
+        """Array form of check_class: an int64 copy, or its error for the
+        first index out of range."""
+        k = np.asarray(k, dtype=np.int64)
+        bad = (k < 0) | (k >= self.n)
+        if bad.any():
+            self.check_class(k[bad][0])
         return k
 
     def empty(self) -> "FocalSet":

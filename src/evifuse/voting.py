@@ -3,7 +3,8 @@
 Sources cast one vote each; tallies may be plain counts or weighted by
 per-source, per-class reliability weights. Three decision rules are
 provided: relative majority, absolute majority, and a thresholded
-generalization of both.
+generalization of both. The ``*_batch`` functions apply the same tally and
+rules to many rows of votes at once; the scalar functions are their oracle.
 """
 
 from __future__ import annotations
@@ -126,3 +127,44 @@ def decide_threshold(t: VoteTally, c: float, b: float = 0.0) -> Decision:
     if top >= c * counts.sum() + b:
         return Decision(k)
     return CONFLICT
+
+
+def tally_batch(
+    labels: np.ndarray, frame: Frame, weights: VoteWeights | None = None
+) -> np.ndarray:
+    """Tallies of many rows of votes: (b, m) labels -> (b, n) counts.
+
+    Weights are added one source at a time in source order, the order of
+    ``tally``, so each row's counts equal its scalar tally bit for bit.
+    """
+    labels = frame.check_classes(labels)
+    if labels.ndim != 2:
+        raise ValueError("labels must form a (samples, sources) matrix")
+    b, m = labels.shape
+    if weights is not None and weights.alpha.shape != (m, frame.n):
+        raise ValueError(
+            f"weight matrix of shape {weights.alpha.shape} does not match "
+            f"{m} sources over {frame.n} classes"
+        )
+    counts = np.zeros((b, frame.n))
+    rows = np.arange(b)
+    for j in range(m):
+        k = labels[:, j]
+        counts[rows, k] += 1.0 if weights is None else weights.alpha[j, k]
+    return counts
+
+
+def decide_absolute_majority_batch(counts: np.ndarray, m_sources: int) -> np.ndarray:
+    """``decide_absolute_majority`` per row of plain counts; -1 is conflict."""
+    top = counts.max(axis=1)
+    return np.where(top > m_sources / 2.0, np.argmax(counts, axis=1), -1)
+
+
+def decide_threshold_batch(counts: np.ndarray, c: float, b: float = 0.0) -> np.ndarray:
+    """``decide_threshold`` per row of counts; -1 is conflict."""
+    if not 0.0 <= c <= 1.0:
+        raise ValueError("threshold coefficient c must lie in [0, 1]")
+    top = counts.max(axis=1)
+    unique = np.count_nonzero(counts == top[:, None], axis=1) == 1
+    wins = (top > 0.0) & unique & (top >= c * counts.sum(axis=1) + b)
+    return np.where(wins, np.argmax(counts, axis=1), -1)

@@ -4,8 +4,11 @@ The reference below is the per-sample loop the protocol used before the
 kernels: it builds every calibration artifact from a list of pairs and
 decides each sample with the public scalar functions. Decisions must be
 identical; conflict masses may differ by rounding and by the dust the
-scalar combination drops.
+scalar combination drops. The batch vote and Appriou functions are also
+checked directly against their scalar forms on random parameters.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evifuse import (
+    AppriouParams,
     Dataset,
     FusionSettings,
+    SimConfig,
     TrainingSet,
     build_confusion,
     combine,
@@ -33,8 +38,15 @@ from evifuse import (
     to_possibility,
     vote_weights,
 )
-from evifuse.belief import appriou_mass, denoeux_decide_batch
+from evifuse.belief import appriou_decide_batch, appriou_mass, denoeux_decide_batch
 from evifuse.experiment import KERNELS, METHODS, TrialCalibration
+from evifuse.simulate import SourceProfile
+from evifuse.voting import (
+    VoteWeights,
+    decide_absolute_majority_batch,
+    decide_threshold_batch,
+    tally_batch,
+)
 
 CONFLICT_ATOL = 1e-10
 
@@ -73,14 +85,7 @@ def scalar_method(name, ds, calib_idx, settings):
         params = conditional_probs(cms)
 
         def run(i):
-            mass = combine_all(
-                [
-                    appriou_mass(
-                        j, int(ds.labels[i, j]), params, settings.appriou_as_printed
-                    )
-                    for j in range(m)
-                ]
-            )
+            mass = appriou_combined(ds.labels[i], params, settings.appriou_as_printed)
             return decide_pignistic(mass), mass.conflict_mass()
 
         return run
@@ -98,6 +103,12 @@ def scalar_method(name, ds, calib_idx, settings):
         return decide_pignistic(mass), mass.conflict_mass()
 
     return run
+
+
+def appriou_combined(row, params, as_printed):
+    return combine_all(
+        [appriou_mass(j, int(k), params, as_printed) for j, k in enumerate(row)]
+    )
 
 
 def scalar_outputs(name, ds, calib_idx, test_idx, settings):
@@ -325,3 +336,282 @@ def test_out_of_range_scores_raise(bad_score, position):
         with pytest.raises(ValueError):
             scalar_outputs("belief_denoeux", ds, calib_idx, test_idx, FusionSettings())
     assert_kernels_match(ds, calib_idx, test_idx, FusionSettings(), numeric)
+
+
+# ---------------------------------------------------------------------------
+# Batch vote rules against tally / decide_*
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    m=st.integers(1, 8),
+    coarse=st.booleans(),
+    c=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    b=st.sampled_from([0.0, 0.05, 1.0]),
+)
+def test_vote_batch_matches_scalar(seed, n, m, coarse, c, b):
+    # Coarse weights take few distinct values, so weighted tallies tie exactly.
+    rng = np.random.default_rng(seed)
+    frame = make_frame([f"c{i}" for i in range(n)])
+    raw = rng.integers(0, 3, (m, n)) if coarse else rng.random((m, n))
+    raw[0, 0] += 1.0  # some weight somewhere
+    weights = VoteWeights(raw / raw.sum())
+    labels = rng.integers(0, n, (20, m))
+    for w in (None, weights):
+        counts = tally_batch(labels, frame, w)
+        tallies = [tally(row, frame, w) for row in labels]
+        for row_counts, t in zip(counts, tallies):
+            assert np.array_equal(row_counts, t.counts)
+        want = [decide_threshold(t, c, b) for t in tallies]
+        assert decide_threshold_batch(counts, c, b).tolist() == [
+            -1 if d.is_conflict else d.index for d in want
+        ]
+    counts = tally_batch(labels, frame)
+    want = [decide_absolute_majority(tally(row, frame)) for row in labels]
+    assert decide_absolute_majority_batch(counts, m).tolist() == [
+        -1 if d.is_conflict else d.index for d in want
+    ]
+
+
+def test_weighted_vote_exact_tie_is_conflict():
+    # Every source has the same weight row, so a 2-2 split between classes
+    # 0 and 1 ties exactly, and so do two votes for class 2 with one each
+    # for classes 0 and 1.
+    frame = make_frame(["a", "b", "c"])
+    weights = VoteWeights(np.tile([0.1, 0.1, 0.05], (4, 1)))
+    labels = np.array([[0, 1, 1, 0], [0, 1, 2, 0], [2, 0, 1, 2]])
+    counts = tally_batch(labels, frame, weights)
+    for c in (0.0, 0.3):
+        decided = decide_threshold_batch(counts, c)
+        assert decided.tolist() == [-1, 0, -1]
+        for row, d in zip(labels, decided):
+            want = decide_threshold(tally(row, frame, weights), c)
+            assert d == (-1 if want.is_conflict else want.index)
+
+
+def test_absolute_majority_at_half_is_conflict():
+    frame = make_frame(["a", "b", "c"])
+    labels = np.array([[0, 0, 1, 2], [0, 0, 0, 1], [1, 1, 2, 2]])
+    counts = tally_batch(labels, frame)
+    assert decide_absolute_majority_batch(counts, 4).tolist() == [-1, 0, -1]
+    for row, d in zip(labels, decide_absolute_majority_batch(counts, 4)):
+        want = decide_absolute_majority(tally(row, frame))
+        assert d == (-1 if want.is_conflict else want.index)
+
+
+def test_threshold_c_one_needs_every_vote():
+    frame = make_frame(["a", "b", "c"])
+    weights = VoteWeights(np.full((3, 3), 1.0 / 9.0))
+    labels = np.array([[2, 2, 2], [2, 2, 1], [0, 0, 0]])
+    for w in (None, weights):
+        counts = tally_batch(labels, frame, w)
+        assert decide_threshold_batch(counts, 1.0).tolist() == [2, -1, 0]
+        for row, d in zip(labels, decide_threshold_batch(counts, 1.0)):
+            want = decide_threshold(tally(row, frame, w), 1.0)
+            assert d == (-1 if want.is_conflict else want.index)
+
+
+def test_vote_batch_rejects_what_scalar_rejects():
+    frame = make_frame(["a", "b"])
+    with pytest.raises(ValueError, match="class index 2 out of range"):
+        tally_batch(np.array([[0, 2]]), frame)
+    with pytest.raises(ValueError, match="does not match"):
+        tally_batch(np.array([[0, 1]]), frame, VoteWeights(np.full((3, 2), 1 / 6)))
+    with pytest.raises(ValueError, match="threshold coefficient"):
+        decide_threshold_batch(np.ones((1, 2)), 1.5)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form Appriou combination against combine_all + decide_pignistic
+
+
+def assert_appriou_matches(labels, params, as_printed=False):
+    decided, conflict = appriou_decide_batch(labels, params, as_printed)
+    want = [appriou_combined(row, params, as_printed) for row in labels]
+    assert decided.dtype == np.int64
+    assert decided.tolist() == [
+        -1 if d.is_conflict else d.index for d in map(decide_pignistic, want)
+    ]
+    np.testing.assert_allclose(
+        conflict, [m.conflict_mass() for m in want], rtol=0.0, atol=CONFLICT_ATOL
+    )
+    return decided, conflict
+
+
+def appriou_params(cond, alpha):
+    cond = np.asarray(cond, dtype=float)
+    frame = make_frame([f"c{i}" for i in range(cond.shape[1])])
+    return AppriouParams(frame, cond, 1.0 / cond.max(axis=1), alpha)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 16),
+    m=st.integers(1, 8),
+    coarse=st.booleans(),
+    as_printed=st.booleans(),
+)
+def test_appriou_batch_matches_scalar(seed, n, m, coarse, as_printed):
+    # Discounts are 0, 1 or uniform in between: g = 1 - alpha > 0 is reached
+    # only here, as the protocol builds alpha = 1. Coarse rates and discounts
+    # (quarter steps) make classes tie exactly on BetP.
+    rng = np.random.default_rng(seed)
+    if coarse:
+        cond = rng.integers(0, 5, (m, n)) / 4.0
+        alpha = rng.integers(0, 5, (m, n)) / 4.0
+    else:
+        cond = np.where(rng.random((m, n)) < 0.2, 0.0, rng.random((m, n)))
+        pick = rng.random((m, n))
+        alpha = np.where(pick < 0.3, 0.0, np.where(pick < 0.6, 1.0, rng.random((m, n))))
+    cond[cond.max(axis=1) == 0.0, 0] = 1.0
+    labels = rng.integers(0, n, (12, m))
+    labels[:4] = rng.integers(0, min(n, 2), (4, m))  # rows with repeated classes
+    assert_appriou_matches(labels, appriou_params(cond, alpha), as_printed)
+
+
+def test_appriou_batch_spans_several_blocks():
+    # At n = 16 a block holds 256 rows, so 600 rows take three blocks.
+    rng = np.random.default_rng(11)
+    params = appriou_params(rng.random((3, 16)), np.ones((3, 16)))
+    labels = rng.integers(0, 16, (600, 3))
+    labels[::7] = rng.integers(0, 2, (86, 3))
+    assert_appriou_matches(labels, params)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_appriou_total_conflict(n):
+    # Source j reports class j, which it never recognizes: all of its mass
+    # goes to the complement, and the complements of every class meet in the
+    # empty set.
+    params = appriou_params(1.0 - np.eye(n), np.ones((n, n)))
+    decided, conflict = assert_appriou_matches(np.arange(n)[None, :], params)
+    assert decided.tolist() == [-1]
+    assert conflict.tolist() == [1.0]
+
+
+def test_appriou_single_class():
+    params = appriou_params([[0.5], [1.0], [0.2]], [[1.0], [0.5], [0.0]])
+    for as_printed in (False, True):
+        decided, _ = assert_appriou_matches(np.zeros((2, 3), int), params, as_printed)
+        assert decided.tolist() == [0, 0]
+
+
+def test_appriou_reported_class_never_recognized():
+    cond = [[0.0, 0.8, 0.5, 0.5], [0.6, 0.7, 0.1, 0.9], [0.3, 0.0, 1.0, 0.2]]
+    params = appriou_params(cond, np.ones((3, 4)))
+    labels = np.array([[0, 0, 0], [0, 1, 2], [0, 3, 1], [1, 1, 1]])
+    for as_printed in (False, True):
+        assert_appriou_matches(labels, params, as_printed)
+
+
+def test_appriou_exact_tie_among_unreported_classes():
+    # Source 0 reports class 0 with a low rate, so most of its mass sits on
+    # {1, 2, 3}, which splits it evenly: the lowest index wins.
+    cond = [[0.1, 1.0, 1.0, 1.0], [0.2, 1.0, 0.5, 0.5]]
+    params = appriou_params(cond, np.ones((2, 4)))
+    decided, _ = assert_appriou_matches(np.array([[0, 0]]), params)
+    assert decided.tolist() == [1]
+
+
+def test_appriou_rounding_tie_follows_scalar_path():
+    # Classes 0 and 1 tie on BetP; the scalar combination rounds the tie
+    # toward class 0, the closed form toward class 1 (found by search).
+    params = appriou_params(
+        [[0.75, 0.75], [1.0, 0.0], [0.75, 0.25]],
+        [[0.75, 0.75], [0.75, 0.75], [0.75, 0.5]],
+    )
+    decided, _ = assert_appriou_matches(np.array([[1, 0, 0]]), params, as_printed=True)
+    assert decided.tolist() == [0]
+
+
+def test_appriou_dust_pruned_masses_follow_scalar_path():
+    # Each source commits about 3e-13 and 4e-13 to the class it reports and
+    # the rest to its complement. The scalar combination drops both
+    # singleton products as dust and decides class 0 over an all-zero
+    # pignistic vector; the closed form alone would pick class 1.
+    params = appriou_params([[3e-13, 1.0], [1.0, 4e-13]], np.ones((2, 2)))
+    decided, conflict = assert_appriou_matches(np.array([[0, 1]]), params)
+    assert decided.tolist() == [0]
+    assert 0.0 < 1.0 - conflict[0] < 1e-12
+
+
+def test_appriou_batch_rejects_bad_labels():
+    params = appriou_params([[1.0, 0.5], [0.5, 1.0]], np.ones((2, 2)))
+    with pytest.raises(ValueError, match="class index 2 out of range"):
+        appriou_decide_batch(np.array([[0, 2]]), params)
+    with pytest.raises(ValueError, match="do not match 2 sources"):
+        appriou_decide_batch(np.array([[0, 1, 1]]), params)
+
+
+# ---------------------------------------------------------------------------
+# Mass dropped as dust by conjunctive_combine
+
+
+def dropped_mass(mass):
+    return 1.0 - math.fsum(v for _, v in mass.items())
+
+
+def wide_scenario(m, size, seed):
+    n = 16
+    sources = tuple(
+        SourceProfile(
+            id=f"s{j}",
+            reliability=tuple(0.3 + 0.06 * ((7 * i + 3 * j) % 11) for i in range(n)),
+            temperature=0.35,
+        )
+        for j in range(m)
+    )
+    return simulate(
+        SimConfig(
+            classes=tuple(f"c{i}" for i in range(n)),
+            priors=(1.0 / n,) * n,
+            sources=sources,
+            n_samples=size,
+            seed=seed,
+        )
+    )
+
+
+def test_dust_dropped_by_denoeux_combination_is_bounded():
+    # n = 16, k from 1 up to the whole calibration split.
+    ds = wide_scenario(3, 200, 1)
+    calib_idx, test_idx = np.arange(160), np.arange(160, 200)
+    queries = ds.scores[test_idx].reshape(test_idx.shape[0], -1)
+    for k in (1, 10, 40, 160):
+        ts = TrainingSet(
+            ds.frame, ds.scores[calib_idx].reshape(160, -1), ds.truth[calib_idx], k=k
+        )
+        _, conflict = denoeux_decide_batch(queries, ts)
+        for x, c in zip(queries, conflict):
+            mass = denoeux_classify_mass(x, ts)
+            assert abs(dropped_mass(mass)) < 1e-10
+            assert c == pytest.approx(mass.conflict_mass(), abs=CONFLICT_ATOL)
+
+
+def test_dust_dropped_by_appriou_combination_is_bounded():
+    # m = 16 sources over n = 16 classes, calibrated as in the protocol and
+    # with discounts below 1, which give up to 2^16 focal sets.
+    ds = wide_scenario(16, 140, 2)
+    cms = [
+        build_confusion(np.column_stack((ds.truth[:100], ds.labels[:100, j])), ds.frame)
+        for j in range(16)
+    ]
+    for alpha in (1.0, 0.9):
+        params = conditional_probs(cms, np.full((16, 16), alpha))
+        rows = ds.labels[100:110]
+        _, conflict = appriou_decide_batch(rows, params)
+        for row, c in zip(rows, conflict):
+            mass = appriou_combined(row, params, False)
+            assert abs(dropped_mass(mass)) < 1e-10
+            assert c == pytest.approx(mass.conflict_mass(), abs=CONFLICT_ATOL)
+    # Sixteen distinct reported classes: about 8000 products of the last
+    # combination fall just below the dust threshold. Dropping them all lost
+    # 8e-9 of mass, past the 1e-9 sum tolerance, so the combination raised.
+    params = appriou_params(np.full((16, 16), 0.5), np.full((16, 16), 0.9))
+    mass = appriou_combined(range(16), params, False)
+    assert abs(dropped_mass(mass)) < 1e-10
+    _, conflict = appriou_decide_batch(np.arange(16)[None, :], params)
+    assert conflict[0] == pytest.approx(mass.conflict_mass(), abs=CONFLICT_ATOL)

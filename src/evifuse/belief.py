@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable, Iterator, Sequence
+from functools import cache, reduce
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -298,16 +298,9 @@ def appriou_decide_batch(
     Row by row this agrees with ``decide_pignistic(combine_all([appriou_mass(j,
     labels[r, j], params, as_printed) for j ...]))``: the same decision (-1
     for the conflict class) and the same conflict mass up to rounding.
-    Source j's masses (a, b, g) sit on {l_j}, its complement and the frame.
-    Over the sources that report class c let A_c = prod(a + g), B_c =
-    prod(b + g) and U_c = prod(g), each 1 when no source reports c. The
-    conjunctive combination then has the closed form m({c}) = (A_c - U_c)
-    prod_{d != c} B_d and m(frame minus S) = prod_{d in S} (B_d - U_d)
-    prod_{d not in S} U_d for each set S of reported classes; the empty set
-    takes the rest. Rows where that could differ from the scalar path are
-    handed to it: a near tie between the top two pignistic values, and any
-    row whose combination products could fall below the dust threshold
-    that ``conjunctive_combine`` drops.
+    Source j's masses (a, b, g) sit on {l_j}, its complement and the frame,
+    and are combined by the closed form of ``_decide_triples``; rows it
+    hands to the scalar path are combined once per distinct label row.
     """
     frame = params.frame
     labels = frame.check_classes(labels)
@@ -315,70 +308,19 @@ def appriou_decide_batch(
         raise ValueError(
             f"labels of shape {labels.shape} do not match {params.m_sources} sources"
         )
-    # The (m, n) mass tables, with the floating-point operations of appriou_mass.
-    tables = appriou_raw_masses(
-        params.cond_prob, params.r[:, None], params.alpha, as_printed
-    )
+    # (3, m, n) mass tables, with the floating-point operations of appriou_mass.
+    r = params.r[:, None]
+    tables = np.stack(appriou_raw_masses(params.cond_prob, r, params.alpha, as_printed))
     if as_printed:
-        total = tables[0] + tables[1] + tables[2]
-        tables = tuple(t / total for t in tables)
-    src = np.arange(params.m_sources)
-    masses = np.stack([t[src, labels] for t in tables])
-    # The recursion holds an (n, n) array per row; blocks bound its memory.
-    rows = max(1, _BLOCK_FLOATS // frame.n**2)
-    decided = np.empty(labels.shape[0], dtype=np.int64)
-    conflict = np.empty(labels.shape[0])
-    unsure = np.empty(labels.shape[0], dtype=bool)
-    for a in range(0, labels.shape[0], rows):
-        block = slice(a, a + rows)
-        decided[block], conflict[block], unsure[block] = _appriou_closed_form(
-            labels[block], masses[:, block], frame.n
-        )
-    # Rows handed to the scalar path repeat a few label patterns (exact
-    # ties come from sources with equal masses), so each pattern is combined once.
-    unsure = np.flatnonzero(unsure)
-    patterns, inverse = np.unique(labels[unsure], axis=0, return_inverse=True)
-    for p, row in enumerate(patterns):
-        m = combine_all(
+        tables /= tables.sum(axis=0)
+    masses = tables[:, np.arange(params.m_sources), labels]
+
+    def scalar(row: np.ndarray) -> MassFunction:
+        return combine_all(
             [appriou_mass(j, k, params, as_printed) for j, k in enumerate(row)]
         )
-        d = decide_pignistic(m)
-        hit = unsure[inverse.reshape(-1) == p]
-        decided[hit] = -1 if d.is_conflict else d.index
-        conflict[hit] = m.conflict_mass()
-    return decided, conflict
 
-
-def _appriou_closed_form(
-    labels: np.ndarray, masses: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decision, conflict mass and an unsure flag per row of source labels;
-    masses[:, r, j] is source j's (a, b, g) in row r."""
-    a, b, g = masses
-    rows = np.arange(labels.shape[0])
-    big_a, big_b, big_u = (np.ones((rows.shape[0], n)) for _ in range(3))
-    for j, k in enumerate(labels.T):
-        big_a[rows, k] *= a[:, j] + g[:, j]
-        big_b[rows, k] *= b[:, j] + g[:, j]
-        big_u[rows, k] *= g[:, j]
-    before, after = _prods_around(big_b)
-    singles = (big_a - big_u) * before * after
-    # poly[r, c, s]: total of prod_{d in S} (B_d - U_d) prod_{d not in S} U_d
-    # over the sets S of s classes other than c, built one class d at a time.
-    gap = big_b - big_u
-    poly = np.zeros((rows.shape[0], n, n))
-    poly[:, :, 0] = 1.0
-    for d in range(n):
-        grown = big_u[:, d, None, None] * poly
-        grown[:, :, 1:] += gap[:, d, None, None] * poly[:, :, :-1]
-        grown[:, d] = poly[:, d]
-        poly = grown
-    # Frame minus S, for S not holding c, shares its mass among n - |S| classes.
-    bet = singles + big_u * (poly @ (1.0 / (n - np.arange(n))))
-    nonempty = singles.sum(axis=1) + np.prod(big_b, axis=1) - np.prod(gap, axis=1)
-    conflict = np.maximum(1.0 - nonempty, 0.0)
-    decided = np.where(nonempty > 0.0, np.argmax(bet, axis=1), -1)
-    return decided, conflict, _unsure(masses, bet)
+    return _decide_triples(labels, masses, frame.n, labels, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -531,15 +473,12 @@ def denoeux_decide_batch(
     Row by row this agrees with ``decide_pignistic(denoeux_classify_mass(x,
     ts))``: the same decision (-1 for the conflict class) and the same
     conflict mass up to rounding. The k nearest prototypes are found by
-    matrix products and ordered by (exact squared distance, index), and the
-    combination of their simple support functions takes its closed form
-    (Denoeux 1995): with S_i = 1 - prod(1 - s_t) over the neighbours of
-    class i, m({i}) = S_i prod_{j != i} (1 - S_j), m(frame) = prod_j (1 -
-    S_j) and the empty set takes the rest. Rows where that could differ
-    from the scalar path are handed to it: a near tie at the k-th neighbour,
-    a near tie between the top two pignistic values, and any row whose
-    combination products could fall below the dust threshold that
-    ``conjunctive_combine`` drops.
+    matrix products and ordered by (exact squared distance, index). Each
+    neighbour's simple support s is the mass triple (s, 0, 1 - s), combined
+    by the closed form of ``_decide_triples`` (with it, m({i}) = S_i
+    prod_{j != i} (1 - S_j) for S_i = 1 - prod(1 - s) over the neighbours of
+    class i, as in Denoeux 1995). Rows where a prototype outside the
+    candidates may tie with the k-th neighbour go to the scalar path too.
     """
     queries = np.asarray(queries, dtype=float)
     if queries.ndim != 2 or queries.shape[1:] != ts.prototypes.shape[1:]:
@@ -554,19 +493,23 @@ def denoeux_decide_batch(
     width = min(ts.k + _CANDIDATE_SLACK, t)
     rows = max(1, _BLOCK_FLOATS // max(t, width * dim))
     psq = np.einsum("td,td->t", protos, protos)
-    decided = np.empty(queries.shape[0], dtype=np.int64)
-    conflict = np.empty(queries.shape[0])
+    nearest = np.empty((queries.shape[0], ts.k), dtype=np.intp)
+    d2 = np.empty((queries.shape[0], ts.k))
+    unsafe = np.empty(queries.shape[0], dtype=bool)
     for a in range(0, queries.shape[0], rows):
-        x = queries[a : a + rows]
-        nearest, d2, unsafe = _k_nearest(x, protos, psq, ts.k, width)
-        block = slice(a, a + x.shape[0])
-        decided[block], conflict[block], unsure = _knn_closed_form(nearest, d2, ts)
-        for r in np.flatnonzero(unsafe | unsure):
-            m = denoeux_classify_mass(x[r], ts)
-            d = decide_pignistic(m)
-            decided[a + r] = -1 if d.is_conflict else d.index
-            conflict[a + r] = m.conflict_mass()
-    return decided, conflict
+        block = slice(a, a + rows)
+        nearest[block], d2[block], unsafe[block] = _k_nearest(
+            queries[block], protos, psq, ts.k, width
+        )
+    classes = ts.classes[nearest]
+    support = ts.alpha * np.exp(-ts.gamma[classes] * d2)
+    masses = np.stack([support, np.zeros_like(support), 1.0 - support])
+
+    def scalar(r: int) -> MassFunction:
+        return denoeux_classify_mass(queries[r], ts)
+
+    keys = np.arange(queries.shape[0])
+    return _decide_triples(classes, masses, ts.frame.n, keys, scalar, unsafe)
 
 
 def _k_nearest(
@@ -602,24 +545,104 @@ def _k_nearest(
     return nearest, d2, unsafe
 
 
-def _knn_closed_form(
-    nearest: np.ndarray, d2: np.ndarray, ts: TrainingSet
+# ---------------------------------------------------------------------------
+# Closed-form combination shared by both evidence models
+
+
+def _decide_triples(
+    classes: np.ndarray,
+    masses: np.ndarray,
+    n: int,
+    keys: np.ndarray,
+    scalar: Callable[..., MassFunction],
+    unsure: np.ndarray | bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decisions and conflict masses for rows of mass triples, one per source.
+
+    In row r, source j puts masses[:, r, j] = (a, b, g) on {classes[r, j]},
+    its complement and the frame; a Denoeux neighbour's simple support s is
+    the triple (s, 0, 1 - s). Rows flagged ``unsure`` by the caller, or by
+    the closed form, are decided by ``scalar(keys[r])`` instead, once per
+    distinct key.
+    """
+    decided = np.empty(classes.shape[0], dtype=np.int64)
+    conflict = np.empty(classes.shape[0])
+    flagged = np.empty(classes.shape[0], dtype=bool)
+    # The quadrature holds (n + 1) // 2 values per class and row.
+    rows = max(1, _BLOCK_FLOATS // n**2)
+    for a in range(0, classes.shape[0], rows):
+        block = slice(a, a + rows)
+        decided[block], conflict[block], flagged[block] = _closed_form(
+            classes[block], masses[:, block], n
+        )
+    unsure = np.flatnonzero(unsure | flagged)
+    distinct, inverse = np.unique(keys[unsure], axis=0, return_inverse=True)
+    outcomes = np.empty((distinct.shape[0], 2))
+    for p, key in enumerate(distinct):
+        m = scalar(key)
+        d = decide_pignistic(m)
+        outcomes[p] = -1 if d.is_conflict else d.index, m.conflict_mass()
+    decided[unsure], conflict[unsure] = outcomes[inverse.reshape(-1)].T
+    return decided, conflict
+
+
+def _closed_form(
+    classes: np.ndarray, masses: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decision, conflict mass and an unsure flag per row of neighbours."""
-    b, n = nearest.shape[0], ts.frame.n
-    classes = ts.classes[nearest]
-    support = ts.alpha * np.exp(-ts.gamma[classes] * d2)
-    # q[r, i] = prod over class-i neighbours of (1 - s) = 1 - S_i
-    q = np.ones((b, n))
-    np.multiply.at(q, (np.arange(b)[:, None], classes), 1.0 - support)
-    before, after = _prods_around(q)
-    singles = (1.0 - q) * before * after
-    frame_mass = before[:, -1] * q[:, -1]
-    nonempty = singles.sum(axis=1) + frame_mass
+    """Decision, conflict mass and an unsure flag per row of mass triples.
+
+    Over the sources that report class c let A_c = prod(a + g), B_c =
+    prod(b + g) and U_c = prod(g), each 1 when no source reports c. The
+    conjunctive combination has m({c}) = (A_c - U_c) prod_{d != c} B_d and
+    m(frame minus S) = prod_{d in S} (B_d - U_d) prod_{d not in S} U_d for
+    each set S of reported classes; the empty set takes the rest. The
+    frame-minus-S sets not holding c give c the pignistic share
+    sum_S m(frame minus S) / (n - |S|) = U_c * integral_0^1 prod_{d != c}
+    (B_d - U_d + U_d x) dx, a polynomial of degree n - 1 that (n + 1) // 2
+    Gauss-Legendre nodes integrate exactly.
+    """
+    a, b, g = masses
+    at = (np.arange(classes.shape[0])[:, None], classes)
+    big_a, big_b, big_u = (np.ones((classes.shape[0], n)) for _ in range(3))
+    np.multiply.at(big_a, at, a + g)
+    np.multiply.at(big_b, at, b + g)
+    np.multiply.at(big_u, at, g)
+    before, after = _prods_around(big_b)
+    singles = (big_a - big_u) * before * after
+    gap = big_b - big_u
+    nodes, weights = _gauss_legendre((n + 1) // 2)
+    poly = gap[:, None, :] + big_u[:, None, :] * nodes[:, None]
+    below, above = _prods_around(poly.reshape(-1, n))
+    shares = (below * above).reshape(poly.shape)
+    bet = singles + big_u * np.einsum("k,rkc->rc", weights, shares)
+    nonempty = singles.sum(axis=1) + before[:, -1] * big_b[:, -1] - np.prod(gap, axis=1)
     conflict = np.maximum(1.0 - nonempty, 0.0)
-    bet = singles + frame_mass[:, None] / n
     decided = np.where(nonempty > 0.0, np.argmax(bet, axis=1), -1)
-    return decided, conflict, _unsure(np.stack([support, 1.0 - support]), bet)
+    # Every product conjunctive_combine forms takes one nonzero mass per
+    # source, so none falls below the dust threshold while the product of
+    # each source's smallest nonzero mass stays above it; top-two pignistic
+    # values within _TIE_RTOL may be ordered either way by rounding.
+    smallest = np.where(masses > 0.0, masses, np.inf).min(axis=0)
+    unsure = np.prod(smallest, axis=1) < 2.0 * _DUST
+    if n > 1:
+        top2 = np.sort(bet, axis=1)[:, -2:]
+        unsure |= top2[:, 1] - top2[:, 0] <= _TIE_RTOL * top2[:, 1]
+    return decided, conflict, unsure
+
+
+@cache
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Count-point Gauss-Legendre nodes and weights on [0, 1], exact below
+    degree 2 * count, by Newton steps to the Legendre roots (numpy's leggauss
+    would import numpy.polynomial, about 1.3 MB more resident memory)."""
+    x = np.cos(np.pi * (np.arange(count) + 0.75) / (count + 0.5))
+    for _ in range(8):
+        p, q = x, np.ones(count)  # P_k(x) and P_{k-1}(x), from k = 1 up
+        for k in range(2, count + 1):
+            p, q = ((2 * k - 1) * x * p - (k - 1) * q) / k, p
+        slope = count * (x * p - q) / (x * x - 1.0)
+        x = x - p / slope
+    return (1.0 - x) / 2.0, 1.0 / ((1.0 - x * x) * slope * slope)
 
 
 def _prods_around(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -628,21 +651,3 @@ def _prods_around(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     before = np.cumprod(np.hstack([ones, x[:, :-1]]), axis=1)
     after = np.cumprod(np.hstack([ones, x[:, :0:-1]]), axis=1)[:, ::-1]
     return before, after
-
-
-def _unsure(masses: np.ndarray, bet: np.ndarray) -> np.ndarray:
-    """Rows a closed form may decide differently from the scalar path.
-
-    masses[f, r, j] is the mass source j of row r puts on its f-th focal
-    element, bet[r] the unnormalized pignistic values. Every product that
-    ``conjunctive_combine`` forms takes one nonzero mass per source, so
-    none falls below the dust threshold when the product of each source's
-    smallest nonzero mass stays above it; top-two pignistic values within
-    _TIE_RTOL may be ordered either way by rounding.
-    """
-    smallest = np.where(masses > 0.0, masses, np.inf).min(axis=0)
-    unsure = np.prod(smallest, axis=1) < 2.0 * _DUST
-    if bet.shape[1] > 1:
-        top2 = np.sort(bet, axis=1)[:, -2:]
-        unsure |= top2[:, 1] - top2[:, 0] <= _TIE_RTOL * top2[:, 1]
-    return unsure

@@ -10,7 +10,7 @@ pooled over trials so rare classes with empty trial slices stay defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,47 +69,41 @@ class TrialCalibration:
         )
 
 
-# A kernel decides every test sample of one trial: (ds, calib, test_idx,
-# settings) -> (decided, conflict_mass), with -1 for the conflict class.
-Kernel = Callable[
-    [Dataset, TrialCalibration, np.ndarray, FusionSettings],
-    tuple[np.ndarray, np.ndarray],
-]
+# A kernel: (calib, test_idx) -> (decided, conflict_mass); -1 = conflict class.
+Kernel = Callable[[TrialCalibration, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _vote_majority(ds, calib, test_idx, settings):
-    counts = voting.tally_batch(ds.labels[test_idx], ds.frame)
+def _vote_majority(calib, test_idx):
+    counts = voting.tally_batch(calib.ds.labels[test_idx], calib.ds.frame)
     return voting.decide_threshold_batch(counts, 0.0), np.zeros(test_idx.shape[0])
 
 
-def _vote_absolute(ds, calib, test_idx, settings):
-    counts = voting.tally_batch(ds.labels[test_idx], ds.frame)
-    decided = voting.decide_absolute_majority_batch(counts, ds.m_sources)
+def _vote_absolute(calib, test_idx):
+    counts = voting.tally_batch(calib.ds.labels[test_idx], calib.ds.frame)
+    decided = voting.decide_absolute_majority_batch(counts, calib.ds.m_sources)
     return decided, np.zeros(test_idx.shape[0])
 
 
-def _vote_weighted(ds, calib, test_idx, settings):
+def _vote_weighted(calib, test_idx):
+    ds, settings = calib.ds, calib.settings
     counts = voting.tally_batch(ds.labels[test_idx], ds.frame, calib.weights)
     decided = voting.decide_threshold_batch(counts, settings.vote_c, settings.vote_b)
     return decided, np.zeros(test_idx.shape[0])
 
 
-def _belief_appriou(ds, calib, test_idx, settings):
+def _belief_appriou(calib, test_idx):
     return belief.appriou_decide_batch(
-        ds.labels[test_idx], calib.appriou, settings.appriou_as_printed
+        calib.ds.labels[test_idx], calib.appriou, calib.settings.appriou_as_printed
     )
 
 
-def _possibility(op: str) -> Kernel:
-    def kernel(ds, calib, test_idx, settings):
-        decided = possibility.decide_batch(ds.scores[test_idx], op)
-        return decided, np.zeros(test_idx.shape[0])
-
-    return kernel
+def _possibility(op, calib, test_idx):
+    decided = possibility.decide_batch(calib.ds.scores[test_idx], op)
+    return decided, np.zeros(test_idx.shape[0])
 
 
-def _belief_denoeux(ds, calib, test_idx, settings):
-    queries = ds.scores[test_idx].reshape(test_idx.shape[0], -1)
+def _belief_denoeux(calib, test_idx):
+    queries = calib.ds.scores[test_idx].reshape(test_idx.shape[0], -1)
     return belief.denoeux_decide_batch(queries, calib.training_set)
 
 
@@ -117,7 +111,7 @@ KERNELS: dict[str, Kernel] = {
     "vote_majority": _vote_majority,
     "vote_absolute": _vote_absolute,
     "vote_weighted": _vote_weighted,
-    **{f"possibility_{op}": _possibility(op) for op in possibility.OPERATORS},
+    **{f"possibility_{op}": partial(_possibility, op) for op in possibility.OPERATORS},
     "belief_appriou": _belief_appriou,
     "belief_denoeux": _belief_denoeux,
 }
@@ -219,7 +213,7 @@ def evaluate_dataset(
         test_idx = perm[2 * third : 3 * third]
         truth = ds.truth[test_idx]
         for name in methods:
-            decided, conflict_mass = KERNELS[name](ds, calib, test_idx, settings)
+            decided, conflict_mass = KERNELS[name](calib, test_idx)
             accs[name].add_trial(truth, decided, conflict_mass)
         source_rates += (ds.labels[test_idx] == truth[:, None]).mean(axis=0)
 

@@ -24,7 +24,7 @@ from evifuse import (
     make_frame,
     vacuous,
 )
-from evifuse.belief import _mean_pairwise_distance
+from evifuse.belief import _mean_pairwise_distance, appriou_decide_batch
 from helpers import (
     brute_belief,
     brute_combine,
@@ -327,6 +327,26 @@ def test_appriou_params_validate_r():
         AppriouParams(
             FRAME3, np.zeros((1, 3)), np.array([1.0]), np.ones((1, 3))
         )
+
+
+def test_appriou_two_to_one_majority_ties_with_unreported_class():
+    # At alpha = 1 a source reporting its best-recognized class (r p = 1)
+    # puts 1/2 on the class and 1/2 on its complement. Two such sources for
+    # a leave 1/4 on {a}, 1/4 on {b, c} and 1/2 on the empty set; the third
+    # source reports b with r p = 1/2, so 1/3 on {b} and 2/3 on {a, c}.
+    params = _params([[0.8, 0.4, 0.4]] * 3)
+    assert params.r.tolist() == [1.25] * 3
+    row = [0, 0, 1]
+    m = combine_all([appriou_mass(j, k, params) for j, k in enumerate(row)])
+    assert m.conflict_mass() == pytest.approx(7 / 12, abs=1e-12)
+    assert m.mass(FRAME3.singleton(0)) == pytest.approx(1 / 6, abs=1e-12)
+    assert m.mass(FRAME3.singleton(2)) == pytest.approx(1 / 6, abs=1e-12)
+    assert m.mass(FRAME3.singleton(1)) == pytest.approx(1 / 12, abs=1e-12)
+    assert m.pignistic() == pytest.approx([0.4, 0.2, 0.4], abs=1e-12)
+    d = decide_pignistic(m)
+    decided, conflict = appriou_decide_batch(np.array([row]), params)
+    assert decided.tolist() == [d.index]
+    assert conflict[0] == pytest.approx(m.conflict_mass(), abs=1e-12)
 
 
 def test_appriou_index_checks():

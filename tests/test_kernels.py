@@ -129,9 +129,9 @@ def assert_kernels_match(ds, calib_idx, test_idx, settings, methods=METHODS):
             want, want_conflict = scalar_outputs(name, ds, calib_idx, test_idx, settings)
         except ValueError:
             with pytest.raises(ValueError):
-                KERNELS[name](ds, calib, test_idx, settings)
+                KERNELS[name](calib, test_idx)
             continue
-        decided, conflict = KERNELS[name](ds, calib, test_idx, settings)
+        decided, conflict = KERNELS[name](calib, test_idx)
         assert decided.dtype == np.int64, name
         assert decided.tolist() == want, name
         np.testing.assert_allclose(
@@ -177,7 +177,7 @@ def protocol_split(size, seed):
     size=st.integers(3, 60),
     scores=st.sampled_from(["continuous", "coarse", "sparse"]),
     k=st.integers(1, 25),
-    alpha=st.sampled_from([0.5, 0.95, 1.0]),
+    alpha=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
     vote_c=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
 )
 def test_kernels_match_scalar_path(seed, n, m, size, scores, k, alpha, vote_c):
@@ -261,7 +261,7 @@ def test_total_conflict_gives_conflict_class():
     calib_idx, test_idx = np.array([2, 3]), np.array([4, 5])
     fusion = FusionSettings(denoeux_k=2, denoeux_alpha=1.0)
     decided, conflict = KERNELS["belief_denoeux"](
-        ds, TrialCalibration(ds, calib_idx, fusion), test_idx, fusion
+        TrialCalibration(ds, calib_idx, fusion), test_idx
     )
     assert decided.tolist() == [-1, -1]
     assert conflict.tolist() == [1.0, 1.0]
@@ -288,7 +288,7 @@ def test_tied_possibility_values():
     assert_kernels_match(ds, calib_idx, test_idx, FusionSettings(), possibility)
     fusion = FusionSettings()
     calib = TrialCalibration(ds, calib_idx, fusion)
-    decided, _ = KERNELS["possibility_max"](ds, calib, test_idx, fusion)
+    decided, _ = KERNELS["possibility_max"](calib, test_idx)
     assert 1 not in decided.tolist()
 
 
@@ -589,6 +589,31 @@ def test_dust_dropped_by_denoeux_combination_is_bounded():
             mass = denoeux_classify_mass(x, ts)
             assert abs(dropped_mass(mass)) < 1e-10
             assert c == pytest.approx(mass.conflict_mass(), abs=CONFLICT_ATOL)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("k", [1, 5, 40])
+def test_denoeux_batch_matches_scalar_at_sixteen_classes(k, alpha):
+    # n = 16 takes the most quadrature nodes (8) in the pignistic share of
+    # the frame.
+    ds = wide_scenario(3, 240, 4)
+    calib_idx, test_idx = np.arange(160), np.arange(160, 240)
+    ts = TrainingSet(
+        ds.frame,
+        ds.scores[calib_idx].reshape(160, -1),
+        ds.truth[calib_idx],
+        k=k,
+        alpha=alpha,
+    )
+    queries = ds.scores[test_idx].reshape(test_idx.shape[0], -1)
+    decided, conflict = denoeux_decide_batch(queries, ts)
+    want = [denoeux_classify_mass(x, ts) for x in queries]
+    assert decided.tolist() == [
+        -1 if d.is_conflict else d.index for d in map(decide_pignistic, want)
+    ]
+    np.testing.assert_allclose(
+        conflict, [m.conflict_mass() for m in want], rtol=0.0, atol=CONFLICT_ATOL
+    )
 
 
 def test_dust_dropped_by_appriou_combination_is_bounded():

@@ -188,9 +188,23 @@ def config_to_dict(config: SimConfig) -> dict[str, Any]:
     return data
 
 
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _typed(value: Any, kind: type, key: str) -> Any:
+    """A scenario JSON value as ``kind``, never truncated or coerced: a
+    boolean is not a number, and an int key takes only integral numbers."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    allowed = (int, float) if kind is float else kind
+    if not isinstance(value, allowed) or isinstance(value, bool) is not (kind is bool):
+        raise ValidationError(f"config key {key} must be {_TYPE_NAMES[kind]}")
+    return kind(value)
+
+
 def _fusion_from_dict(data: dict[str, Any]) -> FusionSettings:
     """FusionSettings from the method blocks; absent keys keep the defaults,
-    and each value is converted to its default's type."""
+    and each value must have its default's type."""
     defaults = FusionSettings()
     values: dict[str, Any] = {}
     for block in dict.fromkeys(b for b, _, _ in _FUSION_KEYS):
@@ -205,9 +219,7 @@ def _fusion_from_dict(data: dict[str, Any]) -> FusionSettings:
             )
         for key, value in given.items():
             kind = type(getattr(defaults, names[key]))
-            if kind is bool and not isinstance(value, bool):
-                raise ValidationError(f"config key {block}.{key} must be a boolean")
-            values[names[key]] = kind(value)
+            values[names[key]] = _typed(value, kind, f"{block}.{key}")
     return FusionSettings(**values)
 
 
@@ -225,17 +237,21 @@ def config_from_dict(data: dict[str, Any]) -> SimConfig:
             SourceProfile(
                 id=str(s["id"]),
                 reliability=tuple(s["reliability"]),
-                temperature=float(s.get("temperature", 0.0)),
+                temperature=_typed(s.get("temperature", 0.0), float, "temperature"),
             )
             for s in data["sources"]
         )
         # n_trials and seed may be left out: SimConfig's defaults apply
-        optional = {key: int(data[key]) for key in ("n_trials", "seed") if key in data}
+        optional = {
+            key: _typed(data[key], int, key)
+            for key in ("n_trials", "seed")
+            if key in data
+        }
         return SimConfig(
             classes=tuple(data["classes"]),
             priors=tuple(data["priors"]),
             sources=sources,
-            n_samples=int(data["n_samples"]),
+            n_samples=_typed(data["n_samples"], int, "n_samples"),
             fusion=_fusion_from_dict(data),
             **optional,
         )

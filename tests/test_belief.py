@@ -460,6 +460,60 @@ def test_default_gamma_degenerate_prototypes():
     assert gamma.tolist() == [1.0, 1.0]
 
 
+def test_default_gamma_zero_spread_class_uses_global_mean():
+    # Class 1 repeats one point exactly: zero spread, so it takes the
+    # reciprocal of the mean distance over all six prototypes.
+    x = np.array([[0, 0], [2, 0], [5, 0], [5, 0], [9, 3], [9, 0]], dtype=float)
+    y = np.array([0, 0, 1, 1, 2, 2])
+    gamma = default_gamma(x, y, 3)
+    all_mean = np.mean(
+        [np.linalg.norm(a - b) for i, a in enumerate(x) for b in x[i + 1 :]]
+    )
+    assert gamma[1] == pytest.approx(1.0 / all_mean)
+    assert gamma.tolist() == [1.0 / 2.0, 1.0 / _mean_pairwise_distance(x), 1.0 / 3.0]
+
+
+def _default_gamma_eager(prototypes, classes, n_classes):
+    """default_gamma as first written: the global mean always comes first."""
+    global_mean = _mean_pairwise_distance(prototypes)
+    fallback = 1.0 / global_mean if global_mean is not None else 1.0
+    gamma = np.full(n_classes, fallback)
+    for i in range(n_classes):
+        mean = _mean_pairwise_distance(prototypes[classes == i])
+        if mean is not None:
+            gamma[i] = 1.0 / mean
+    return gamma
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    shapes=st.lists(
+        st.tuples(st.sampled_from([0, 1, 2, 3, 7]), st.booleans()),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_default_gamma_matches_eager_fit(seed, d, shapes):
+    # Each class has 0, 1 or several prototypes, optionally one point
+    # repeated; points on a coarse grid make whole sets coincide at times.
+    rng = np.random.default_rng(seed)
+    blocks = [
+        np.tile(rng.integers(0, 3, d) / 8.0, (size, 1))
+        if repeated
+        else rng.integers(0, 3, (size, d)) / 8.0 + rng.random((size, d))
+        for size, repeated in shapes
+    ]
+    x = np.vstack([np.zeros((0, d)), *blocks])
+    y = np.repeat(np.arange(len(shapes)), [size for size, _ in shapes])
+    order = rng.permutation(len(y))
+    x, y = x[order], y[order]
+    got = default_gamma(x, y, len(shapes))
+    want = _default_gamma_eager(x, y, len(shapes))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def _mean_pairwise_distance_full(x):
     """The t-by-t formula the blocked sum replaced, kept as its reference."""
     t = x.shape[0]

@@ -1,6 +1,7 @@
 """CLI subcommands, file handling, and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -158,7 +159,7 @@ def test_invalid_dataset_exits_2(runner, tmp_path):
 
 
 def test_non_object_config_block_exits_2(runner, config_path, tmp_path):
-    data = json.loads(open(config_path).read())
+    data = json.loads(Path(config_path).read_text())
     data["vote"] = 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))

@@ -59,6 +59,48 @@ def test_load_dataset_rejects_bad_score(tmp_path):
         load_dataset(str(path))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("nan", "score_b value nan outside [0, 1]"),
+        ("inf", "score_b value inf outside [0, 1]"),
+        ("-0.1", "score_b value -0.1 outside [0, 1]"),
+        ("", "score_b value '' is not a number"),
+    ],
+    ids=["nan", "inf", "negative", "blank"],
+)
+def test_load_dataset_rejects_non_score_values(tmp_path, text, message):
+    path = tmp_path / "data.csv"
+    path.write_text(
+        "sample_id,true_class,source_id,label,score_a,score_b\n"
+        "0,a,s1,a,0.5,0.5\n"
+        f"1,b,s1,b,0.5,{text}\n"
+    )
+    with pytest.raises(ValidationError) as info:
+        load_dataset(str(path))
+    assert str(info.value) == f"{path}: line 3: {message}"
+
+
+def test_load_dataset_non_contiguous_ids_round_trip(tmp_path):
+    # Samples keep their first-appearance order, not the order of their ids.
+    path, again = tmp_path / "data.csv", tmp_path / "again.csv"
+    path.write_text(
+        "sample_id,true_class,source_id,label,score_a,score_b\n"
+        "5,a,s1,a,0.750000000,0.250000000\n"
+        "5,a,s2,b,0.400000000,0.600000000\n"
+        "2,b,s1,b,0.100000000,0.900000000\n"
+        "2,b,s2,b,0.000000000,1.000000000\n"
+        "9,a,s1,a,1.000000000,0.000000000\n"
+        "9,a,s2,a,0.500000000,0.500000000\n"
+    )
+    ds = load_dataset(str(path))
+    assert ds.sample_ids.tolist() == [5, 2, 9]
+    assert ds.truth.tolist() == [0, 1, 0]
+    assert ds.labels.tolist() == [[0, 1], [1, 1], [0, 0]]
+    save_dataset(ds, str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_load_dataset_rejects_unknown_class(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text(
@@ -201,6 +243,42 @@ def test_config_rejects_malformed_blocks(block, value):
     data[block] = value
     with pytest.raises(ValidationError):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("denoeux", "k"), 2.5),
+        (("denoeux", "k"), True),
+        (("n_samples",), 2400.9),
+        (("n_samples",), True),
+        (("n_trials",), 1.5),
+        (("seed",), True),
+        (("seed",), "3"),
+        (("vote", "c"), True),
+        (("vote", "b"), False),
+        (("denoeux", "alpha"), True),
+        (("sources", 0, "temperature"), True),
+    ],
+    ids=lambda v: repr(v) if not isinstance(v, tuple) else ".".join(map(str, v)),
+)
+def test_config_numbers_are_not_truncated_or_coerced(keys, value):
+    data = config_to_dict(default_config())
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    with pytest.raises(ValidationError, match="must be"):
+        config_from_dict(data)
+
+
+def test_config_integral_numbers_are_integers():
+    data = config_to_dict(default_config())
+    data["n_samples"], data["denoeux"]["k"], data["vote"]["c"] = 2400.0, 5.0, 1
+    cfg = config_from_dict(data)
+    assert (cfg.n_samples, cfg.fusion.denoeux_k, cfg.fusion.vote_c) == (2400, 5, 1.0)
+    assert type(cfg.n_samples) is int and type(cfg.fusion.denoeux_k) is int
+    assert type(cfg.fusion.vote_c) is float
 
 
 def test_config_defaults_fill_missing_keys():

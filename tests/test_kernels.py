@@ -8,6 +8,7 @@ scalar combination drops. The batch vote and Appriou functions are also
 checked directly against their scalar forms on random parameters.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -38,6 +39,7 @@ from evifuse import (
     to_possibility,
     vote_weights,
 )
+from evifuse import belief
 from evifuse.belief import appriou_decide_batch, appriou_mass, denoeux_decide_batch
 from evifuse.experiment import KERNELS, METHODS, TrialCalibration
 from evifuse.simulate import SourceProfile
@@ -218,6 +220,47 @@ def test_duplicate_prototypes_tie_on_distance():
         assert_kernels_match(
             ds, calib_idx, test_idx, FusionSettings(denoeux_k=k), ["belief_denoeux"]
         )
+
+
+def test_neighbour_margin_far_from_the_origin(monkeypatch):
+    # Every coordinate is offset by 1e3, so |x|^2 is about 6e6 while the
+    # squared distances are below 1, and the fast ranking errs by about 1e-9.
+    # In even clusters 15 prototypes tie exactly on distance around a query,
+    # and only the margin check can tell that the three lowest indices (the
+    # class-0 ones) may have been left out of the 11 candidates. Odd clusters
+    # have clear gaps, and the fast path must decide them on its own.
+    dim, clusters = 6, 16
+    rng = np.random.default_rng(5)
+    protos, classes, queries = [], [], []
+    for q in range(clusters):
+        centre = np.full(dim, 1e3 + 50.0 * q)
+        centre[0] += rng.random()
+        queries.append(centre)
+        if q % 2 == 0:
+            pairs = itertools.combinations(range(dim), 2)
+            for idx, (i, j) in enumerate(pairs):
+                protos.append(centre + 0.25 * (np.eye(dim)[i] + np.eye(dim)[j]))
+                classes.append(0 if idx < 3 else 1 + idx % 2)
+        else:
+            for idx in range(15):
+                protos.append(centre + 0.1 * (idx + 1) * np.eye(dim)[idx % dim])
+                classes.append(idx % 3)
+    ts = TrainingSet(make_frame(["a", "b", "c"]), np.array(protos), classes, k=3)
+    monkeypatch.setattr(belief, "_BLOCK_FLOATS", 3 * ts.size)  # 3 queries a block
+    scalar_calls = []
+
+    def counted(x, ts):
+        scalar_calls.append(x)
+        return denoeux_classify_mass(x, ts)
+
+    monkeypatch.setattr(belief, "denoeux_classify_mass", counted)
+    decided, conflict = denoeux_decide_batch(np.array(queries), ts)
+    want = [denoeux_classify_mass(x, ts) for x in queries]
+    assert decided.tolist() == [decide_pignistic(m).index for m in want]
+    np.testing.assert_allclose(
+        conflict, [m.conflict_mass() for m in want], rtol=0.0, atol=CONFLICT_ATOL
+    )
+    assert len(scalar_calls) <= clusters // 2
 
 
 def test_pignistic_near_tie_follows_scalar_path():

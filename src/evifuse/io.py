@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import MISSING, fields
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
@@ -17,8 +18,6 @@ import numpy as np
 from .experiment import ExperimentReport, MethodResult
 from .frame import make_frame
 from .simulate import Dataset, FusionSettings, SimConfig, SourceProfile
-
-_SCORE_FORMAT = "{:.9f}"
 
 
 class ValidationError(ValueError):
@@ -31,29 +30,47 @@ class ValidationError(ValueError):
 
 def save_dataset(dataset: Dataset, path: str) -> None:
     labels = dataset.frame.labels
+    # writerow returns what the file's write() returns, here the line itself;
+    # a name is quoted as the second of two fields, as in a data row
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    names = np.array([line(["", c])[1:-1] for c in labels], dtype=object)
+    n, m, k = dataset.n_samples, dataset.m_sources, dataset.frame.n
+    row = "%d,%s,%s,%s," + ",".join(["%.9f"] * k) + "\n"
+    rows = zip(
+        np.repeat(dataset.sample_ids, m).tolist(),
+        names[np.repeat(dataset.truth, m)].tolist(),
+        [line(["", s])[1:-1] for s in dataset.source_ids] * n,
+        names[dataset.labels.ravel()].tolist(),
+        dataset.scores.reshape(n * m, k).tolist(),
+    )
+    header = ["sample_id", "true_class", "source_id", "label"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["sample_id", "true_class", "source_id", "label"]
-            + [f"score_{c}" for c in labels]
-        )
-        for i in range(dataset.n_samples):
-            truth = labels[dataset.truth[i]]
-            for j, sid in enumerate(dataset.source_ids):
-                writer.writerow(
-                    [
-                        int(dataset.sample_ids[i]),
-                        truth,
-                        sid,
-                        labels[dataset.labels[i, j]],
-                        *(_SCORE_FORMAT.format(s) for s in dataset.scores[i, j]),
-                    ]
-                )
+        fh.write(line(header + [f"score_{c}" for c in labels]))
+        fh.write("".join(row % (i, t, s, c, *x) for i, t, s, c, x in rows))
+
+
+def _parse(cells: np.ndarray, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """Strings as ``dtype`` with int()/float() semantics, and per string 0 if
+    it parsed, 1 if it is not a number, 2 if it does not fit (value 0)."""
+    bad = np.zeros(cells.shape, np.int8)
+    try:
+        return cells.astype(dtype), bad
+    except (ValueError, OverflowError):
+        for i, text in np.ndenumerate(cells):
+            try:
+                np.array(text, dtype=object).astype(dtype)
+            except (ValueError, OverflowError) as exc:
+                bad[i] = 1 + isinstance(exc, OverflowError)
+        return np.where(bad > 0, 0, cells).astype(dtype), bad
 
 
 def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValidationError(f"{path}: empty file")
     header = rows[0]
@@ -74,72 +91,66 @@ def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
 
     if len(rows) == 1:
         raise ValidationError(f"{path}: no data rows")
-
-    # keyed by the parsed id, so "0" and "00" name the same sample
-    samples: dict[int, dict[str, Any]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ValidationError(
-                f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
+    # A row with a wrong field count is parsed as a row of zeros; its error
+    # is the first check of its row.
+    width, zeros = len(header), ["0"] * len(header)
+    cells = np.array([r if len(r) == width else zeros for r in rows[1:]], dtype=object)
+    ids, bad_id = _parse(cells[:, 0], np.int64)
+    # class indices, -1 for an unknown name
+    codes = np.frompyfunc(class_index.get, 2, 1)(cells[:, [1, 3]], -1)
+    truth, label = codes.astype(np.int64).T
+    index: dict[str, int] = {}
+    source = np.array([index.setdefault(s, len(index)) for s in cells[:, 2]], np.int64)
+    scores, unparsed = _parse(cells[:, len(prefix) :], np.float64)
+    # each row's sample as the row it first appears on; keyed by the parsed
+    # id, so "0" and "00" name the same sample
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    first = first[inverse]
+    key = first * len(index) + source
+    _, pair_first, pair_inverse = np.unique(key, return_index=True, return_inverse=True)
+    duplicate = pair_first[pair_inverse] != np.arange(len(cells))
+    checks = [  # (rows that fail, message), in the order each row is checked
+        ([len(r) != width for r in rows[1:]], f"expected {width} fields, got {{n}}"),
+        (bad_id == 1, "sample_id {0!r} is not an integer"),
+        (bad_id == 2, "sample_id {0!r} does not fit in 64 bits"),
+        (truth < 0, "unknown class name {1!r}"),
+        (label < 0, "unknown class name {3!r}"),
+        *(
+            (failed, message % (j, j))
+            for j, text, x in zip(range(len(prefix), width), unparsed.T, scores.T)
+            for failed, message in (
+                (text > 0, "{h[%d]} value {%d!r} is not a number"),
+                (~((x >= 0.0) & (x <= 1.0)), "{h[%d]} value {%d} outside [0, 1]"),
             )
-        sid_raw, truth_name, source_id, label_name = row[: len(prefix)]
-        try:
-            sample_id = int(sid_raw)
-        except ValueError:
-            raise ValidationError(
-                f"{path}: line {lineno}: sample_id {sid_raw!r} is not an integer"
-            ) from None
-        for name in (truth_name, label_name):
-            if name not in class_index:
-                raise ValidationError(
-                    f"{path}: line {lineno}: unknown class name {name!r}"
-                )
-        scores = []
-        for col, text in zip(score_cols, row[len(prefix) :]):
-            try:
-                value = float(text)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: line {lineno}: {col} value {text!r} is not a number"
-                ) from None
-            if not np.isfinite(value) or not 0.0 <= value <= 1.0:
-                raise ValidationError(
-                    f"{path}: line {lineno}: {col} value {text} outside [0, 1]"
-                )
-            scores.append(value)
+        ),
+        (truth != truth[first], "sample {id} has inconsistent true class"),
+        (duplicate, "duplicate source {2!r} for sample {id}"),
+    ]
+    failed = np.array([rows_failed for rows_failed, _ in checks], dtype=bool)
+    bad = np.flatnonzero(failed.any(axis=0))
+    if bad.size:
+        r, fields = bad[0], rows[bad[0] + 1]
+        problem = checks[np.argmax(failed[:, r])][1]
+        problem = problem.format(*fields, h=header, id=ids[r], n=len(fields))
+        raise ValidationError(f"{path}: line {r + 2}: {problem}")
 
-        entry = samples.setdefault(sample_id, {"truth": truth_name, "sources": {}})
-        if entry["truth"] != truth_name:
-            raise ValidationError(
-                f"{path}: line {lineno}: sample {sample_id} has inconsistent true class"
-            )
-        if source_id in entry["sources"]:
-            raise ValidationError(
-                f"{path}: line {lineno}: duplicate source {source_id!r} "
-                f"for sample {sample_id}"
-            )
-        entry["sources"][source_id] = (label_name, scores)
-
-    source_ids = tuple(next(iter(samples.values()))["sources"].keys())
-    for key, entry in samples.items():
-        if tuple(entry["sources"].keys()) != source_ids:
-            raise ValidationError(
-                f"{path}: sample {key} does not cover sources {list(source_ids)}"
-            )
-
-    n, m = len(samples), len(source_ids)
-    sample_ids = np.empty(n, dtype=np.int64)
-    truth = np.empty(n, dtype=np.int64)
-    labels = np.empty((n, m), dtype=np.int64)
-    scores = np.empty((n, m, frame.n))
-    for i, (key, entry) in enumerate(samples.items()):
-        sample_ids[i] = key
-        truth[i] = class_index[entry["truth"]]
-        for j, sid in enumerate(source_ids):
-            label_name, score_row = entry["sources"][sid]
-            labels[i, j] = class_index[label_name]
-            scores[i, j] = score_row
-    return Dataset(frame, source_ids, sample_ids, truth, labels, scores)
+    # Samples in first-appearance order, each one's rows in file order. Those
+    # before the first sample with a wrong row count form a grid of row indices.
+    order = np.argsort(first, kind="stable")
+    firsts, counts = np.unique(first, return_counts=True)
+    n, m = len(counts), counts[0]
+    k = np.append(np.flatnonzero(counts != m), n)[0]
+    grid = order[: k * m].reshape(k, m)
+    uncovered = np.append(np.flatnonzero((source[grid] != source[grid[0]]).any(1)), k)
+    source_ids = tuple(cells[grid[0], 2])
+    if uncovered[0] < n:
+        raise ValidationError(
+            f"{path}: sample {ids[firsts[uncovered[0]]]} "
+            f"does not cover sources {list(source_ids)}"
+        )
+    return Dataset(
+        frame, source_ids, ids[firsts], truth[firsts], label[grid], scores[grid]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +199,18 @@ def config_to_dict(config: SimConfig) -> dict[str, Any]:
     return data
 
 
-_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+_TYPE_NAMES = {
+    bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+    list: "an array", dict: "an object",
+}
 
 
-def _typed(value: Any, kind: type, key: str) -> Any:
+def _typed(value: Any, kind: type | list[type], key: str) -> Any:
     """A scenario JSON value as ``kind``, never truncated or coerced: a
-    boolean is not a number, and an int key takes only integral numbers."""
+    boolean is not a number, and an int key takes only integral numbers.
+    ``[kind]`` takes a JSON array of such values and gives a tuple."""
+    if isinstance(kind, list):
+        return tuple(_typed(v, kind[0], key) for v in _typed(value, list, key))
     if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
     allowed = (int, float) if kind is float else kind
@@ -235,25 +252,21 @@ def config_from_dict(data: dict[str, Any]) -> SimConfig:
     try:
         sources = tuple(
             SourceProfile(
-                id=str(s["id"]),
-                reliability=tuple(s["reliability"]),
+                id=_typed(s["id"], str, "sources.id"),
+                reliability=_typed(s["reliability"], [float], "reliability"),
                 temperature=_typed(s.get("temperature", 0.0), float, "temperature"),
             )
-            for s in data["sources"]
+            for s in _typed(data["sources"], [dict], "sources")
         )
-        # n_trials and seed may be left out: SimConfig's defaults apply
-        optional = {
-            key: _typed(data[key], int, key)
-            for key in ("n_trials", "seed")
-            if key in data
-        }
         return SimConfig(
-            classes=tuple(data["classes"]),
-            priors=tuple(data["priors"]),
+            classes=_typed(data["classes"], [str], "classes"),
+            priors=_typed(data["priors"], [float], "priors"),
             sources=sources,
             n_samples=_typed(data["n_samples"], int, "n_samples"),
+            # n_trials and seed may be left out: SimConfig's defaults apply
+            n_trials=_typed(data.get("n_trials", SimConfig.n_trials), int, "n_trials"),
+            seed=_typed(data.get("seed", SimConfig.seed), int, "seed"),
             fusion=_fusion_from_dict(data),
-            **optional,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"invalid config: {exc}") from exc

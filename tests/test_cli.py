@@ -1,5 +1,6 @@
 """CLI subcommands, file handling, and exit codes."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -156,6 +157,33 @@ def test_invalid_dataset_exits_2(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert "error:" in result.output
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "0,a,s1,a," + "1" * (csv.field_size_limit() + 1),
+        "99999999999999999999,a,s1,a,0.5",
+    ],
+    ids=["oversized_field", "id_outside_int64"],
+)
+def test_malformed_dataset_exits_2(runner, tmp_path, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"sample_id,true_class,source_id,label,score_a\n{row}\n")
+    result = runner.invoke(
+        main,
+        [
+            "eval",
+            "--dataset",
+            str(bad),
+            "--methods",
+            "vote_majority",
+            "--out",
+            str(tmp_path / "r.json"),
+        ],
+    )
+    assert result.exit_code == 2
+    assert "error:" in result.output and "line 2" in result.output
 
 
 def test_non_object_config_block_exits_2(runner, config_path, tmp_path):

@@ -1,12 +1,19 @@
 """Dataset CSV and config/report JSON round trips plus validation errors."""
 
+import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evifuse import (
     MAX_CLASSES,
+    Dataset,
     FusionSettings,
     SimConfig,
     ValidationError,
@@ -14,6 +21,7 @@ from evifuse import (
     load_config,
     load_dataset,
     load_report,
+    make_frame,
     run_experiment,
     save_config,
     save_dataset,
@@ -99,6 +107,248 @@ def test_load_dataset_non_contiguous_ids_round_trip(tmp_path):
     assert ds.labels.tolist() == [[0, 1], [1, 1], [0, 0]]
     save_dataset(ds, str(again))
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_load_dataset_interleaved_samples_load_in_first_appearance_order(tmp_path):
+    # A sample's rows need not be adjacent; saving writes them grouped.
+    path, again = tmp_path / "data.csv", tmp_path / "again.csv"
+    header = "sample_id,true_class,source_id,label,score_a,score_b\n"
+    s5_s1 = "5,a,s1,a,0.750000000,0.250000000\n"
+    s5_s2 = "5,a,s2,b,0.400000000,0.600000000\n"
+    s2_s1 = "2,b,s1,b,0.100000000,0.900000000\n"
+    s2_s2 = "2,b,s2,b,0.000000000,1.000000000\n"
+    path.write_text(header + s5_s1 + s2_s1 + s5_s2 + s2_s2)
+    ds = load_dataset(str(path))
+    assert ds.sample_ids.tolist() == [5, 2]
+    assert ds.source_ids == ("s1", "s2")
+    assert ds.truth.tolist() == [0, 1]
+    assert ds.labels.tolist() == [[0, 1], [1, 1]]
+    assert ds.scores[0].tolist() == [[0.75, 0.25], [0.4, 0.6]]
+    save_dataset(ds, str(again))
+    assert again.read_text() == header + s5_s1 + s5_s2 + s2_s1 + s2_s2
+
+
+_HEADER = "sample_id,true_class,source_id,label,score_a,score_b\n"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (
+            "0,a,s1,a,0.5,0.5\n0,a,s2,a,0.5,0.5\n0,a,s1,b,0.5,0.5\n",
+            "line 4: duplicate source 's1' for sample 0",
+        ),
+        (
+            "0,a,s1,a,0.5,0.5\n0,a,s2,a,0.5,0.5\n1,b,s1,b,0.5,0.5\n",
+            "sample 1 does not cover sources ['s1', 's2']",
+        ),
+        (
+            "0,a,s1,a,0.5,0.5\n0,a,s2,a,0.5,0.5\n"
+            "1,b,s2,b,0.5,0.5\n1,b,s1,b,0.5,0.5\n",
+            "sample 1 does not cover sources ['s1', 's2']",
+        ),
+        (
+            "0,a,s1,a,0.5,0.5\n0,a,s2,a,0.5,0.5\n1,b,s1,b,0.5\n",
+            "line 4: expected 6 fields, got 5",
+        ),
+        (
+            "0,a,s1,a,0.5,0.5\n0,a,s2,a,0.5,x\n1,b,s1,b,0.5\n",
+            "line 3: score_b value 'x' is not a number",
+        ),
+        (
+            "0,a,s1,a,0.5,0.5\n1,b,s1,b,0.5,0.5\n1,b,s2,b,0.5,0.5\n0,a,s2,z,0.5,0.5\n",
+            "line 5: unknown class name 'z'",
+        ),
+        ("0,a,s1,a,1.5,x\n", "line 2: score_a value 1.5 outside [0, 1]"),
+    ],
+    ids=[
+        "duplicate_source",
+        "missing_source",
+        "source_order",
+        "later_field_count",
+        "earlier_error_first",
+        "unknown_label_after_other_sample",
+        "score_columns_in_order",
+    ],
+)
+def test_load_dataset_row_errors_exact(tmp_path, body, message):
+    path = tmp_path / "data.csv"
+    path.write_text(_HEADER + body)
+    with pytest.raises(ValidationError) as info:
+        load_dataset(str(path))
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (
+            "0,a,s2,a,0.5," + "1" * (csv.field_size_limit() + 1),
+            f"line 3: field larger than field limit ({csv.field_size_limit()})",
+        ),
+        (
+            "99999999999999999999,a,s2,a,0.5,0.5",
+            "line 3: sample_id '99999999999999999999' does not fit in 64 bits",
+        ),
+        (
+            "-9223372036854775809,a,s2,a,0.5,0.5",
+            "line 3: sample_id '-9223372036854775809' does not fit in 64 bits",
+        ),
+    ],
+    ids=["oversized_field", "id_above_int64", "id_below_int64"],
+)
+def test_load_dataset_malformed_files_raise_validation_error(tmp_path, row, message):
+    path = tmp_path / "data.csv"
+    path.write_text(_HEADER + "0,a,s1,a,0.5,0.5\n" + row + "\n")
+    with pytest.raises(ValidationError) as info:
+        load_dataset(str(path))
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_load_dataset_accepts_int64_extremes(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text(
+        _HEADER + "9223372036854775807,a,s1,a,0.5,0.5\n"
+        "-9223372036854775808,b,s1,b,0.5,0.5\n"
+    )
+    assert load_dataset(str(path)).sample_ids.tolist() == [2**63 - 1, -(2**63)]
+
+
+# class names and source ids that csv.writer must quote, or that hold spaces
+_NAME = st.text(alphabet='ab ,"', min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    classes=st.lists(_NAME, min_size=1, max_size=4, unique=True),
+    sources=st.lists(_NAME | st.just(""), min_size=1, max_size=3, unique=True),
+    sample_ids=st.lists(
+        st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=5, unique=True
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_save_dataset_writes_what_csv_writer_writes(classes, sources, sample_ids, seed):
+    rng = np.random.default_rng(seed)
+    n, m, k = len(sample_ids), len(sources), len(classes)
+    truth, labels = rng.integers(0, k, n), rng.integers(0, k, (n, m))
+    scores = rng.random((n, m, k))
+    ds = Dataset(
+        make_frame(classes), tuple(sources), np.array(sample_ids), truth, labels, scores
+    )
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(
+        ["sample_id", "true_class", "source_id", "label"]
+        + [f"score_{c}" for c in classes]
+    )
+    for i in range(n):
+        for j in range(m):
+            writer.writerow(
+                [sample_ids[i], classes[truth[i]], sources[j], classes[labels[i, j]]]
+                + [f"{x:.9f}" for x in scores[i, j]]
+            )
+    with tempfile.TemporaryDirectory() as tmp:
+        first, again = Path(tmp, "a.csv"), Path(tmp, "b.csv")
+        save_dataset(ds, str(first))
+        assert first.read_bytes() == expected.getvalue().encode()
+        save_dataset(load_dataset(str(first)), str(again))
+        assert again.read_bytes() == first.read_bytes()
+
+
+def _load_row_by_row(path):
+    """Reference loader: the checks of load_dataset one row at a time, in
+    order. Returns the error message, or the loaded arrays."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *body = csv.reader(fh)
+    classes = [c.removeprefix("score_") for c in header[4:]]
+    samples = {}
+    for lineno, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            return f"line {lineno}: expected {len(header)} fields, got {len(row)}"
+        try:
+            sample_id = int(row[0])
+        except ValueError:
+            return f"line {lineno}: sample_id {row[0]!r} is not an integer"
+        if not -(2**63) <= sample_id < 2**63:
+            return f"line {lineno}: sample_id {row[0]!r} does not fit in 64 bits"
+        for name in (row[1], row[3]):
+            if name not in classes:
+                return f"line {lineno}: unknown class name {name!r}"
+        for col, text in zip(header[4:], row[4:]):
+            try:
+                value = float(text)
+            except ValueError:
+                return f"line {lineno}: {col} value {text!r} is not a number"
+            if not 0.0 <= value <= 1.0:
+                return f"line {lineno}: {col} value {text} outside [0, 1]"
+        truth, sources = samples.setdefault(sample_id, (row[1], {}))
+        if truth != row[1]:
+            return f"line {lineno}: sample {sample_id} has inconsistent true class"
+        if row[2] in sources:
+            return f"line {lineno}: duplicate source {row[2]!r} for sample {sample_id}"
+        sources[row[2]] = [classes.index(row[3])] + [float(x) for x in row[4:]]
+    source_ids = list(next(iter(samples.values()))[1])
+    for sample_id, (_, sources) in samples.items():
+        if list(sources) != source_ids:
+            return f"sample {sample_id} does not cover sources {source_ids}"
+    return (
+        source_ids,
+        list(samples),
+        [classes.index(truth) for truth, _ in samples.values()],
+        [[sources[s] for s in source_ids] for _, sources in samples.values()],
+    )
+
+
+_FIELDS = {  # per column kind, valid values first, then ones that fail a check
+    "id": ["0", "1", "00", " 2", "1_0", "-3", "x", "", "1.5", "99999999999999999999"],
+    "class": ["a", "b", "a", "b", "z", ""],
+    "source": ["s1", "s2", "s3"],
+    "score": ["0.5", "0", "1", " 0.25", "nan", "inf", "-0.1", "1e999", "x", ""],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_dataset_matches_row_by_row_reference(tmp_path_factory, data):
+    """Whole-column checks name the same first bad line, with the same
+    message, as checking row by row; valid files load the same arrays."""
+    draw = data.draw
+    k, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    sources = draw(st.permutations(_FIELDS["source"]))[: draw(st.integers(1, 3))]
+    rows = [
+        [str(i), "ab"[i % k], s, "ab"[(i + j) % k]] + ["0.5"] * k
+        for i in range(n)
+        for j, s in enumerate(sources)
+    ]
+    rows = draw(st.permutations(rows)) if draw(st.booleans()) else rows
+    for _ in range(draw(st.integers(0, 3))):
+        r = draw(st.integers(0, len(rows) - 1))
+        c = draw(st.integers(0, 3 + k))
+        kind = ["id", "class", "source", "class"][c] if c < 4 else "score"
+        rows[r][c] = draw(st.sampled_from(_FIELDS[kind]))
+    for _ in range(draw(st.integers(0, 1))):  # a repeated, lost or cut row
+        r = draw(st.integers(0, len(rows) - 1))
+        cut = draw(st.integers(0, 5 + k))
+        rows.insert(draw(st.integers(0, len(rows))), (rows[r] + ["0"])[:cut])
+        if draw(st.booleans()):
+            del rows[r]
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    header = "sample_id,true_class,source_id,label," + ",".join(
+        f"score_{c}" for c in "ab"[:k]
+    )
+    path.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+    expected = _load_row_by_row(path)
+    if isinstance(expected, str):
+        with pytest.raises(ValidationError) as info:
+            load_dataset(str(path))
+        assert str(info.value) == f"{path}: {expected}"
+    else:
+        ds = load_dataset(str(path))
+        source_ids, sample_ids, truth, rest = expected
+        assert (list(ds.source_ids), ds.sample_ids.tolist()) == (source_ids, sample_ids)
+        assert ds.truth.tolist() == truth
+        assert ds.labels.tolist() == [[row[0] for row in sample] for sample in rest]
+        assert ds.scores.tolist() == [[row[1:] for row in sample] for sample in rest]
 
 
 def test_load_dataset_rejects_unknown_class(tmp_path):
@@ -259,6 +509,16 @@ def test_config_rejects_malformed_blocks(block, value):
         (("vote", "b"), False),
         (("denoeux", "alpha"), True),
         (("sources", 0, "temperature"), True),
+        (("sources", 0, "reliability", 0), True),
+        (("sources", 0, "reliability", 0), "0.5"),
+        (("sources", 0, "reliability"), "0.9"),
+        (("sources", 0, "id"), 7),
+        (("sources", 0), ["s1"]),
+        (("sources",), {"id": "s1"}),
+        (("priors", 0), "0.5"),
+        (("priors",), 1.0),
+        (("classes",), "abc"),
+        (("classes", 0), 1),
     ],
     ids=lambda v: repr(v) if not isinstance(v, tuple) else ".".join(map(str, v)),
 )
@@ -268,7 +528,7 @@ def test_config_numbers_are_not_truncated_or_coerced(keys, value):
     for key in keys[:-1]:
         target = target[key]
     target[keys[-1]] = value
-    with pytest.raises(ValidationError, match="must be"):
+    with pytest.raises(ValidationError, match=r"config key \S+ must be"):
         config_from_dict(data)
 
 

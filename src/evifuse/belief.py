@@ -28,7 +28,6 @@ import numpy as np
 from .frame import CONFLICT, Decision, FocalSet, Frame
 
 _SUM_TOL = 1e-9
-_DUST = 1e-12  # combination drops entries below this mass, at most this much in all
 # float64 entries in one block of pairwise distances (512 KB). Blocks this
 # small stay in a core's cache; on a 2-core x86 VM the blocked sums ran 2-4x
 # faster than with 8 MB blocks.
@@ -160,9 +159,7 @@ def conjunctive_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Unnormalized conjunctive rule: intersect focal pairs, multiply masses.
 
     Disagreement lands on the empty set and is kept there; nothing is
-    renormalized. To keep repeated combinations sparse, entries below
-    1e-12 are dropped as dust, smallest first, while their total stays
-    below 1e-12; a chain of k combinations thus loses less than k * 1e-12.
+    renormalized or pruned.
     """
     if m1.frame != m2.frame:
         raise ValueError("mass functions are defined over different frames")
@@ -171,13 +168,9 @@ def conjunctive_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
         for b2, v2 in m2._masses.items():
             k = b1 & b2
             acc[k] = acc.get(k, 0.0) + v1 * v2
-    dropped = 0.0
-    for v, bits in sorted((v, bits) for bits, v in acc.items() if v < _DUST):
-        dropped += v
-        if dropped >= _DUST:
-            break
-        del acc[bits]
-    return MassFunction._from_bits(m1.frame, acc)
+    # Only products that underflow to 0.0 are left out: zero masses are
+    # never stored.
+    return MassFunction._from_bits(m1.frame, {k: v for k, v in acc.items() if v})
 
 
 def combine_all(masses: Sequence[MassFunction]) -> MassFunction:
@@ -459,7 +452,10 @@ _CANDIDATE_SLACK = 8
 # against the exact d^2 by at most (4 d + 6) u (u = 2**-53: dot products, the
 # sub and add, the exact path) of |x|^2 + |p|^2, below 1e-10 for d up to 2e5.
 _FAST_D2_RTOL = 1e-10
-# Top-two pignistic values closer than this (relative) are a near tie.
+# Top-two pignistic values closer than this, in units of the total mass 1,
+# are a near tie. Rounding moves them by a few 1e-16 of that unit however
+# small they are, also where the scalar path rounds an input mass otherwise
+# (np.exp and math.exp can differ in the last bit).
 _TIE_RTOL = 1e-9
 
 
@@ -618,15 +614,10 @@ def _closed_form(
     nonempty = singles.sum(axis=1) + before[:, -1] * big_b[:, -1] - np.prod(gap, axis=1)
     conflict = np.maximum(1.0 - nonempty, 0.0)
     decided = np.where(nonempty > 0.0, np.argmax(bet, axis=1), -1)
-    # Every product conjunctive_combine forms takes one nonzero mass per
-    # source, so none falls below the dust threshold while the product of
-    # each source's smallest nonzero mass stays above it; top-two pignistic
-    # values within _TIE_RTOL may be ordered either way by rounding.
-    smallest = np.where(masses > 0.0, masses, np.inf).min(axis=0)
-    unsure = np.prod(smallest, axis=1) < 2.0 * _DUST
-    if n > 1:
-        top2 = np.sort(bet, axis=1)[:, -2:]
-        unsure |= top2[:, 1] - top2[:, 0] <= _TIE_RTOL * top2[:, 1]
+    # Top-two pignistic values within _TIE_RTOL may be ordered either way by
+    # rounding; with one class there is no second.
+    top2 = np.sort(bet, axis=1)[:, -2:]
+    unsure = (n > 1) & (top2[:, -1] - top2[:, 0] <= _TIE_RTOL)
     return decided, conflict, unsure
 
 

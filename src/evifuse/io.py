@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import MISSING, fields
+from collections.abc import Iterable
+from dataclasses import MISSING, asdict, fields, is_dataclass
 from types import SimpleNamespace
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .experiment import ExperimentReport, MethodResult
+from .experiment import ExperimentReport
 from .frame import make_frame
 from .simulate import Dataset, FusionSettings, SimConfig, SourceProfile
 
@@ -171,6 +172,7 @@ _FUSION_KEYS = (
 _KNOWN_KEYS = {f.name for f in fields(SimConfig)} - {"fusion"} | {
     block for block, _, _ in _FUSION_KEYS
 }
+_SOURCE_KEYS = {f.name for f in fields(SourceProfile)}
 _REQUIRED_KEYS = tuple(
     f.name
     for f in fields(SimConfig)
@@ -205,18 +207,27 @@ _TYPE_NAMES = {
 }
 
 
-def _typed(value: Any, kind: type | list[type], key: str) -> Any:
-    """A scenario JSON value as ``kind``, never truncated or coerced: a
-    boolean is not a number, and an int key takes only integral numbers.
-    ``[kind]`` takes a JSON array of such values and gives a tuple."""
+def _typed(
+    value: Any, kind: type | list[type], key: str, source: str = "config"
+) -> Any:
+    """A scenario (or report) JSON value as ``kind``, never truncated or
+    coerced: a boolean is not a number, and an int key takes only integral
+    numbers. ``[kind]`` takes a JSON array of such values and gives a tuple."""
     if isinstance(kind, list):
-        return tuple(_typed(v, kind[0], key) for v in _typed(value, list, key))
+        items = _typed(value, list, key, source)
+        return tuple(_typed(v, kind[0], key, source) for v in items)
     if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
     allowed = (int, float) if kind is float else kind
     if not isinstance(value, allowed) or isinstance(value, bool) is not (kind is bool):
-        raise ValidationError(f"config key {key} must be {_TYPE_NAMES[kind]}")
+        raise ValidationError(f"{source} key {key} must be {_TYPE_NAMES[kind]}")
     return kind(value)
+
+
+def _reject_unknown(given: dict[str, Any], known: Iterable[str], where: str) -> None:
+    unknown = set(given) - set(known)
+    if unknown:
+        raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
 def _fusion_from_dict(data: dict[str, Any]) -> FusionSettings:
@@ -229,35 +240,32 @@ def _fusion_from_dict(data: dict[str, Any]) -> FusionSettings:
         if not isinstance(given, dict):
             raise ValidationError(f"config block {block!r} must be a JSON object")
         names = {key: name for b, key, name in _FUSION_KEYS if b == block}
-        unknown = set(given) - set(names)
-        if unknown:
-            raise ValidationError(
-                f"unknown keys in config block {block!r}: {sorted(unknown)}"
-            )
+        _reject_unknown(given, names, f"config block {block!r}")
         for key, value in given.items():
             kind = type(getattr(defaults, names[key]))
             values[names[key]] = _typed(value, kind, f"{block}.{key}")
     return FusionSettings(**values)
 
 
+def _source_from_dict(s: dict[str, Any]) -> SourceProfile:
+    _reject_unknown(s, _SOURCE_KEYS, "a config sources entry")
+    return SourceProfile(
+        id=_typed(s["id"], str, "sources.id"),
+        reliability=_typed(s["reliability"], [float], "reliability"),
+        temperature=_typed(s.get("temperature", 0.0), float, "temperature"),
+    )
+
+
 def config_from_dict(data: dict[str, Any]) -> SimConfig:
     if not isinstance(data, dict):
         raise ValidationError("config must be a JSON object")
-    unknown = set(data) - _KNOWN_KEYS
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    _reject_unknown(data, _KNOWN_KEYS, "config")
     for key in _REQUIRED_KEYS:
         if key not in data:
             raise ValidationError(f"config key {key!r} is required")
     try:
-        sources = tuple(
-            SourceProfile(
-                id=_typed(s["id"], str, "sources.id"),
-                reliability=_typed(s["reliability"], [float], "reliability"),
-                temperature=_typed(s.get("temperature", 0.0), float, "temperature"),
-            )
-            for s in _typed(data["sources"], [dict], "sources")
-        )
+        entries = _typed(data["sources"], [dict], "sources")
+        sources = tuple(map(_source_from_dict, entries))
         return SimConfig(
             classes=_typed(data["classes"], [str], "classes"),
             priors=_typed(data["priors"], [float], "priors"),
@@ -291,42 +299,32 @@ def save_config(config: SimConfig, path: str) -> None:
 # report JSON
 
 
+# The report JSON is the ExperimentReport and MethodResult fields, as
+# dataclasses.asdict writes them.
 def report_to_dict(report: ExperimentReport) -> dict[str, Any]:
-    return {
-        "seed": report.seed,
-        "n_trials": report.n_trials,
-        "methods": {
-            name: {
-                "accuracy": res.accuracy,
-                "per_class": dict(res.per_class),
-                "conflict_rate": res.conflict_rate,
-                "mean_conflict_mass": res.mean_conflict_mass,
-            }
-            for name, res in report.methods.items()
-        },
-        "source_accuracy": dict(report.source_accuracy),
-    }
+    return asdict(report)
+
+
+def _from_report(value: Any, kind: Any, key: str) -> Any:
+    """A report JSON value as ``kind``: a dataclass from an object with all
+    of its fields, a dict[str, X] from an object of X values, a scalar
+    checked by _typed, so never coerced. ``key`` is the value's dotted path."""
+    if not (is_dataclass(kind) or get_origin(kind) is dict):
+        return _typed(value, kind, key, "report")
+    value = _typed(value, dict, key, "report")
+    if get_origin(kind) is dict:
+        item = get_args(kind)[1]
+        return {k: _from_report(v, item, f"{key}.{k}") for k, v in value.items()}
+    hints = get_type_hints(kind)
+    paths = {f.name: f"{key}.{f.name}".lstrip(".") for f in fields(kind)}
+    return kind(**{k: _from_report(value[k], hints[k], paths[k]) for k in paths})
 
 
 def report_from_dict(data: dict[str, Any]) -> ExperimentReport:
+    if not isinstance(data, dict):
+        raise ValidationError("report must be a JSON object")
     try:
-        methods = {
-            name: MethodResult(
-                accuracy=float(entry["accuracy"]),
-                per_class={k: float(v) for k, v in entry["per_class"].items()},
-                conflict_rate=float(entry["conflict_rate"]),
-                mean_conflict_mass=float(entry["mean_conflict_mass"]),
-            )
-            for name, entry in data["methods"].items()
-        }
-        return ExperimentReport(
-            seed=int(data["seed"]),
-            n_trials=int(data["n_trials"]),
-            methods=methods,
-            source_accuracy={
-                k: float(v) for k, v in data.get("source_accuracy", {}).items()
-            },
-        )
+        return _from_report(data, ExperimentReport, "")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"invalid report: {exc}") from exc
 

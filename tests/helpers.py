@@ -64,8 +64,8 @@ def random_mass(
 ) -> MassFunction:
     """Random sparse mass: a few focal subsets with Dirichlet-ish weights.
 
-    Weights are kept well above the library's dust threshold so no mass is
-    silently dropped during combination chains.
+    Weights are at least 0.05 before normalization, so no focal set is
+    negligible.
     """
     size = 1 << frame.n
     lo = 0 if allow_empty else 1

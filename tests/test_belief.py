@@ -114,6 +114,34 @@ def test_total_conflict():
         m.pignistic()
 
 
+def test_combine_keeps_tiny_products():
+    # Both singleton products fall below 1e-12; nothing is pruned, and the
+    # pignistic vector, over about 7e-13 of non-empty mass, sums to 1 (up to
+    # the few digits that 1 - m(empty) holds of it).
+    a, b = FRAME2.singleton(0), FRAME2.singleton(1)
+    m1 = MassFunction(FRAME2, {a: 3e-13, b: 1.0 - 3e-13})
+    m2 = MassFunction(FRAME2, {b: 4e-13, a: 1.0 - 4e-13})
+    m = conjunctive_combine(m1, m2)
+    assert m.mass(a) == 3e-13 * (1.0 - 4e-13)
+    assert m.mass(b) == 4e-13 * (1.0 - 3e-13)
+    assert m.pignistic().sum() == pytest.approx(1.0, rel=1e-3)
+    assert m.pignistic() == pytest.approx([3 / 7, 4 / 7], rel=1e-3)
+    assert decide_pignistic(m) == Decision(1)
+
+
+def test_combine_leaves_out_underflowed_products():
+    # Supports of 1e-200 keep their singletons; their product, on the empty
+    # set, underflows to 0.0 and is not stored.
+    ts = TrainingSet(
+        FRAME2, [[0.0], [1.0]], [0, 1], k=2, alpha=1e-200, gamma=np.ones(2)
+    )
+    m = denoeux_classify_mass([0.0], ts)
+    assert sorted(fs.bits for fs in m.focal_sets()) == [1, 2, 3]
+    assert m.mass(FRAME2.singleton(0)) == 1e-200
+    assert m.mass(FRAME2.singleton(1)) == 1e-200 * math.exp(-1.0)
+    assert decide_pignistic(m) == Decision(0)
+
+
 def test_combine_frame_mismatch():
     with pytest.raises(ValueError):
         conjunctive_combine(vacuous(FRAME2), vacuous(FRAME3))

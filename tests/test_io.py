@@ -28,7 +28,12 @@ from evifuse import (
     save_report,
     simulate,
 )
-from evifuse.io import config_from_dict, config_to_dict
+from evifuse.io import (
+    config_from_dict,
+    config_to_dict,
+    report_from_dict,
+    report_to_dict,
+)
 
 
 @pytest.fixture()
@@ -532,6 +537,13 @@ def test_config_numbers_are_not_truncated_or_coerced(keys, value):
         config_from_dict(data)
 
 
+def test_config_rejects_unknown_source_keys():
+    data = config_to_dict(default_config())
+    data["sources"][0]["temprature"] = data["sources"][0].pop("temperature")
+    with pytest.raises(ValidationError, match="temprature"):
+        config_from_dict(data)
+
+
 def test_config_integral_numbers_are_integers():
     data = config_to_dict(default_config())
     data["n_samples"], data["denoeux"]["k"], data["vote"]["c"] = 2400.0, 5.0, 1
@@ -584,3 +596,49 @@ def test_report_json_structure(tmp_path):
         "mean_conflict_mass",
     }
     assert set(entry["per_class"]) == set(cfg.classes)
+
+
+def small_report_dict():
+    cfg = default_config(n_samples=60, n_trials=2)
+    return report_to_dict(run_experiment(cfg, ["vote_majority"]))
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("methods", "vote_majority", "accuracy"), "0.5"),
+        (("methods", "vote_majority", "conflict_rate"), True),
+        (("methods", "vote_majority", "per_class", "c1"), True),
+        (("methods", "vote_majority", "per_class"), [0.5]),
+        (("methods", "vote_majority"), 0.5),
+        (("seed",), True),
+        (("n_trials",), "2"),
+        (("n_trials",), 2.7),
+        (("source_accuracy", "s1"), "0.9"),
+    ],
+    ids=lambda v: repr(v) if not isinstance(v, tuple) else ".".join(map(str, v)),
+)
+def test_report_numbers_are_not_truncated_or_coerced(keys, value):
+    data = small_report_dict()
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    with pytest.raises(ValidationError, match=r"report key \S+ must be"):
+        report_from_dict(data)
+
+
+def test_report_integral_numbers_are_integers():
+    data = small_report_dict()
+    data["n_trials"], data["methods"]["vote_majority"]["accuracy"] = 2.0, 1
+    report = report_from_dict(data)
+    assert type(report.n_trials) is int and report.n_trials == 2
+    assert type(report.methods["vote_majority"].accuracy) is float
+
+
+@pytest.mark.parametrize("key", ["methods", "seed", "source_accuracy"])
+def test_report_rejects_missing_keys(key):
+    data = small_report_dict()
+    del data[key]
+    with pytest.raises(ValidationError, match="invalid report"):
+        report_from_dict(data)

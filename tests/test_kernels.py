@@ -3,9 +3,9 @@
 The reference below is the per-sample loop the protocol used before the
 kernels: it builds every calibration artifact from a list of pairs and
 decides each sample with the public scalar functions. Decisions must be
-identical; conflict masses may differ by rounding and by the dust the
-scalar combination drops. The batch vote and Appriou functions are also
-checked directly against their scalar forms on random parameters.
+identical; conflict masses may differ by rounding. The batch vote and
+Appriou functions are also checked directly against their scalar forms on
+random parameters.
 """
 
 import itertools
@@ -273,14 +273,33 @@ def test_pignistic_near_tie_follows_scalar_path():
     assert_kernels_match(ds, calib_idx, test_idx, fusion, ["belief_denoeux"])
 
 
-def test_dust_pruned_masses_follow_scalar_path():
+def test_tiny_masses_are_kept_by_denoeux_combination():
     # Supports of 1 - 1e-7 and 1 - 2e-7 for two classes leave every
-    # non-empty mass near 1e-14: the scalar combination drops them all as
-    # dust and decides class 0 over an all-zero pignistic vector.
+    # non-empty mass near 1e-14. The scalar combination keeps them, so class
+    # 1, with four times the mass of class 2, wins. Its pignistic vector is
+    # rescaled by 1 - m(empty), which holds only a few digits of 5e-14.
     frame = make_frame(["a", "b", "c"])
     protos = np.sqrt([[1e-7], [2e-7], [1e-7], [2e-7], [1.0], [1.0]])
     ts = TrainingSet(
         frame, protos, np.array([1, 2, 1, 2, 0, 0]), k=4, alpha=1.0, gamma=np.ones(3)
+    )
+    query = np.zeros((1, 1))
+    mass = denoeux_classify_mass(query[0], ts)
+    decided, conflict = denoeux_decide_batch(query, ts)
+    assert decided.tolist() == [decide_pignistic(mass).index] == [1]
+    assert conflict[0] == pytest.approx(mass.conflict_mass(), abs=CONFLICT_ATOL)
+    assert mass.pignistic().sum() == pytest.approx(1.0, rel=1e-3)
+
+
+def test_rounding_level_masses_follow_scalar_path():
+    # Supports within an ulp of 1 leave m({a}) and m({b}) at about 1e-16,
+    # equal in the scalar combination. np.exp and math.exp may round the
+    # supports apart by an ulp, which reorders these masses in the closed
+    # form; a top-two gap far below 1e-9 of the total mass sends the row to
+    # the scalar path (found by search).
+    frame = make_frame(["a", "b"])
+    ts = TrainingSet(
+        frame, [[1.2692e-08], [8.29e-09]], [0, 1], k=2, alpha=1.0, gamma=np.ones(2)
     )
     query = np.zeros((1, 1))
     mass = denoeux_classify_mass(query[0], ts)
@@ -570,15 +589,29 @@ def test_appriou_rounding_tie_follows_scalar_path():
     assert decided.tolist() == [0]
 
 
-def test_appriou_dust_pruned_masses_follow_scalar_path():
+def test_tiny_masses_are_kept_by_appriou_combination():
     # Each source commits about 3e-13 and 4e-13 to the class it reports and
-    # the rest to its complement. The scalar combination drops both
-    # singleton products as dust and decides class 0 over an all-zero
-    # pignistic vector; the closed form alone would pick class 1.
+    # the rest to its complement. The scalar combination keeps both
+    # singleton products, so class 1 wins on a pignistic vector of 3/7, 4/7
+    # (up to the few digits that 1 - m(empty) holds of 7e-13).
     params = appriou_params([[3e-13, 1.0], [1.0, 4e-13]], np.ones((2, 2)))
     decided, conflict = assert_appriou_matches(np.array([[0, 1]]), params)
-    assert decided.tolist() == [0]
+    assert decided.tolist() == [1]
     assert 0.0 < 1.0 - conflict[0] < 1e-12
+    bet = appriou_combined([0, 1], params, False).pignistic()
+    assert bet.sum() == pytest.approx(1.0, rel=1e-3)
+    assert bet == pytest.approx([3 / 7, 4 / 7], rel=1e-3)
+
+
+def test_appriou_evidence_below_conflict_rounding_follows_scalar_path():
+    # m(empty) rounds to 1 in the scalar combination, which decides the
+    # conflict class; the closed form keeps about 1e-16 of non-empty mass and
+    # would pick class 1. A top-two gap below 1e-9 of the total mass sends
+    # the row to the scalar path (found by search).
+    params = appriou_params([[3.1e-17, 1.0], [1.0, 8.1e-17]], np.ones((2, 2)))
+    decided, conflict = assert_appriou_matches(np.array([[0, 1]]), params)
+    assert decided.tolist() == [-1]
+    assert conflict[0] == 1.0
 
 
 def test_appriou_batch_rejects_bad_labels():
@@ -590,7 +623,7 @@ def test_appriou_batch_rejects_bad_labels():
 
 
 # ---------------------------------------------------------------------------
-# Mass dropped as dust by conjunctive_combine
+# Mass lost over long conjunctive_combine chains
 
 
 def dropped_mass(mass):
@@ -618,7 +651,7 @@ def wide_scenario(m, size, seed):
     )
 
 
-def test_dust_dropped_by_denoeux_combination_is_bounded():
+def test_mass_lost_by_denoeux_combination_is_bounded():
     # n = 16, k from 1 up to the whole calibration split.
     ds = wide_scenario(3, 200, 1)
     calib_idx, test_idx = np.arange(160), np.arange(160, 200)
@@ -659,7 +692,7 @@ def test_denoeux_batch_matches_scalar_at_sixteen_classes(k, alpha):
     )
 
 
-def test_dust_dropped_by_appriou_combination_is_bounded():
+def test_mass_lost_by_appriou_combination_is_bounded():
     # m = 16 sources over n = 16 classes, calibrated as in the protocol and
     # with discounts below 1, which give up to 2^16 focal sets.
     ds = wide_scenario(16, 140, 2)
@@ -676,8 +709,8 @@ def test_dust_dropped_by_appriou_combination_is_bounded():
             assert abs(dropped_mass(mass)) < 1e-10
             assert c == pytest.approx(mass.conflict_mass(), abs=CONFLICT_ATOL)
     # Sixteen distinct reported classes: about 8000 products of the last
-    # combination fall just below the dust threshold. Dropping them all lost
-    # 8e-9 of mass, past the 1e-9 sum tolerance, so the combination raised.
+    # combination fall just below 1e-12. Dropping them all once lost 8e-9 of
+    # mass, past the 1e-9 sum tolerance, so the combination raised.
     params = appriou_params(np.full((16, 16), 0.5), np.full((16, 16), 0.9))
     mass = appriou_combined(range(16), params, False)
     assert abs(dropped_mass(mass)) < 1e-10

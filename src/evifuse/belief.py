@@ -25,9 +25,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .frame import CONFLICT, Decision, FocalSet, Frame
+from .frame import CONFLICT, SUM_TOL, Decision, FocalSet, Frame
 
-_SUM_TOL = 1e-9
 # float64 entries in one block of pairwise distances (512 KB). Blocks this
 # small stay in a core's cache; on a 2-core x86 VM the blocked sums ran 2-4x
 # faster than with 8 MB blocks.
@@ -64,7 +63,7 @@ class MassFunction:
 
     def _init_from_bits(self, frame: Frame, acc: dict[int, float]) -> None:
         total = math.fsum(acc.values())
-        if abs(total - 1.0) > _SUM_TOL:
+        if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"masses sum to {total!r}, expected 1")
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "_masses", acc)
@@ -119,8 +118,11 @@ class MassFunction:
         """Pignistic probability vector over the classes.
 
         Each non-empty focal element shares its mass uniformly among its
-        members; the result is rescaled by 1 - m(empty) so it sums to 1.
-        Undefined when all mass sits on the empty set.
+        members; the result is rescaled by 1 - m(empty) so it sums to 1, up
+        to the digits that 1 - m(empty) keeps when m(empty) is close to 1.
+        Raises ValueError when 1 - m(empty) rounds to 0: when all mass sits
+        on the empty set, and also when the non-empty masses are too small
+        to change 1 - m(empty) at all.
         """
         scale = 1.0 - self._masses.get(0, 0.0)
         if scale <= 0.0:
@@ -183,8 +185,9 @@ def combine_all(masses: Sequence[MassFunction]) -> MassFunction:
 def decide_pignistic(m: MassFunction) -> Decision:
     """Pick the class with the highest pignistic probability.
 
-    Ties go to the lowest class index; a fully conflicting mass (all mass
-    on the empty set) yields the conflict decision.
+    Ties go to the lowest class index. The conflict decision comes when
+    1 - m(empty) rounds to 0, where pignistic() is undefined: all mass on
+    the empty set, or non-empty masses too small to change 1 - m(empty).
     """
     if 1.0 - m.conflict_mass() <= 0.0:
         return CONFLICT
@@ -227,7 +230,7 @@ class AppriouParams:
             raise ValueError(
                 "every source needs one class it recognizes with positive probability"
             )
-        if np.max(np.abs(r * maxes - 1.0)) > _SUM_TOL:
+        if np.max(np.abs(r * maxes - 1.0)) > SUM_TOL:
             raise ValueError("r must be the reciprocal of each source's best rate")
         for arr in (cond, r, alpha):
             arr.setflags(write=False)

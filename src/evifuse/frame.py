@@ -15,6 +15,10 @@ import numpy as np
 
 MAX_CLASSES = 16
 
+# How far a value that must be 1 (a sum of masses, weights or priors, or a
+# possibility maximum) may be off.
+SUM_TOL = 1e-9
+
 
 def make_frame(labels: Iterable[str]) -> "Frame":
     """Build a frame from an ordered collection of distinct class names."""

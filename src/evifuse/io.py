@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from collections.abc import Iterable
-from dataclasses import MISSING, asdict, fields, is_dataclass
+from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from types import SimpleNamespace
 from typing import Any, get_args, get_origin, get_type_hints
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .experiment import ExperimentReport
 from .frame import make_frame
-from .simulate import Dataset, FusionSettings, SimConfig, SourceProfile
+from .simulate import Dataset, FusionSettings, SimConfig
 
 
 class ValidationError(ValueError):
@@ -27,6 +27,9 @@ class ValidationError(ValueError):
 
 # ---------------------------------------------------------------------------
 # dataset CSV: one row per (sample, source)
+
+# The leading columns, then one score_<class> column per class.
+_COLUMNS = ("sample_id", "true_class", "source_id", "label")
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
@@ -44,9 +47,8 @@ def save_dataset(dataset: Dataset, path: str) -> None:
         names[dataset.labels.ravel()].tolist(),
         dataset.scores.reshape(n * m, k).tolist(),
     )
-    header = ["sample_id", "true_class", "source_id", "label"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(line(header + [f"score_{c}" for c in labels]))
+        fh.write(line([*_COLUMNS, *(f"score_{c}" for c in labels)]))
         fh.write("".join(row % (i, t, s, c, *x) for i, t, s, c, x in rows))
 
 
@@ -75,7 +77,7 @@ def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
     if not rows:
         raise ValidationError(f"{path}: empty file")
     header = rows[0]
-    prefix = ["sample_id", truth_col, "source_id", "label"]
+    prefix = [_COLUMNS[0], truth_col, *_COLUMNS[2:]]
     if header[: len(prefix)] != prefix:
         raise ValidationError(
             f"{path}: line 1: header must start with {','.join(prefix)}"
@@ -155,50 +157,22 @@ def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# scenario config JSON
+# scenario and report JSON: dataclass fields, written by asdict and read back
+# by _from_json from the same fields and their type hints
 
 
-# Method parameters in the scenario JSON: (block, key, FusionSettings field).
-# Both directions read this table; absent keys take FusionSettings' defaults.
-_FUSION_KEYS = (
-    ("vote", "c", "vote_c"),
-    ("vote", "b", "vote_b"),
-    ("possibility", "operator", "possibility_operator"),
-    ("denoeux", "k", "denoeux_k"),
-    ("denoeux", "alpha", "denoeux_alpha"),
-    ("appriou", "as_printed", "appriou_as_printed"),
-)
-# Top-level keys: SimConfig's fields, with "fusion" spread over the blocks.
-_KNOWN_KEYS = {f.name for f in fields(SimConfig)} - {"fusion"} | {
-    block for block, _, _ in _FUSION_KEYS
-}
-_SOURCE_KEYS = {f.name for f in fields(SourceProfile)}
-_REQUIRED_KEYS = tuple(
-    f.name
-    for f in fields(SimConfig)
-    if f.default is MISSING and f.default_factory is MISSING
-)
+def _save_json(data: dict[str, Any], path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def config_to_dict(config: SimConfig) -> dict[str, Any]:
-    data: dict[str, Any] = {
-        "classes": list(config.classes),
-        "priors": list(config.priors),
-        "sources": [
-            {
-                "id": s.id,
-                "reliability": list(s.reliability),
-                "temperature": s.temperature,
-            }
-            for s in config.sources
-        ],
-        "n_samples": config.n_samples,
-        "n_trials": config.n_trials,
-        "seed": config.seed,
-    }
-    for block, key, name in _FUSION_KEYS:
-        data.setdefault(block, {})[key] = getattr(config.fusion, name)
-    return data
+def _load_json(path: str) -> Any:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
 
 
 _TYPE_NAMES = {
@@ -207,138 +181,116 @@ _TYPE_NAMES = {
 }
 
 
-def _typed(
-    value: Any, kind: type | list[type], key: str, source: str = "config"
-) -> Any:
-    """A scenario (or report) JSON value as ``kind``, never truncated or
+def _name(key: str, source: str) -> str:
+    """The value at dotted path ``key`` of a ``source`` file, in messages."""
+    return f"{source} key {key}" if key else source
+
+
+def _at(key: str, child: Any) -> str:
+    return f"{key}.{child}" if key else str(child)
+
+
+def _typed(value: Any, kind: type, key: str, source: str) -> Any:
+    """A JSON value as the scalar, list or dict ``kind``, never truncated or
     coerced: a boolean is not a number, and an int key takes only integral
-    numbers. ``[kind]`` takes a JSON array of such values and gives a tuple."""
-    if isinstance(kind, list):
-        items = _typed(value, list, key, source)
-        return tuple(_typed(v, kind[0], key, source) for v in items)
+    numbers."""
     if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
     allowed = (int, float) if kind is float else kind
     if not isinstance(value, allowed) or isinstance(value, bool) is not (kind is bool):
-        raise ValidationError(f"{source} key {key} must be {_TYPE_NAMES[kind]}")
+        raise ValidationError(f"{_name(key, source)} must be {_TYPE_NAMES[kind]}")
     return kind(value)
 
 
-def _reject_unknown(given: dict[str, Any], known: Iterable[str], where: str) -> None:
+def _reject_unknown(
+    given: dict[str, Any], known: Iterable[str], key: str, source: str
+) -> None:
     unknown = set(given) - set(known)
     if unknown:
+        where = _name(key, source)
         raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _fusion_from_dict(data: dict[str, Any]) -> FusionSettings:
-    """FusionSettings from the method blocks; absent keys keep the defaults,
-    and each value must have its default's type."""
-    defaults = FusionSettings()
-    values: dict[str, Any] = {}
-    for block in dict.fromkeys(b for b, _, _ in _FUSION_KEYS):
-        given = data.get(block, {})
-        if not isinstance(given, dict):
-            raise ValidationError(f"config block {block!r} must be a JSON object")
-        names = {key: name for b, key, name in _FUSION_KEYS if b == block}
-        _reject_unknown(given, names, f"config block {block!r}")
-        for key, value in given.items():
-            kind = type(getattr(defaults, names[key]))
-            values[names[key]] = _typed(value, kind, f"{block}.{key}")
-    return FusionSettings(**values)
+def _from_json(value: Any, kind: Any, key: str, source: str) -> Any:
+    """A scenario or report JSON value as ``kind``; ``key`` is its dotted path.
+    A tuple[X, ...] is read from an array, a dict[str, X] from an object, and
+    a dataclass from an object of its fields: unknown keys are rejected, a
+    field without a default is required, and an absent one takes its
+    default. Scalars are checked by _typed."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is tuple:
+        items = enumerate(_typed(value, list, key, source))
+        return tuple(_from_json(v, args[0], _at(key, i), source) for i, v in items)
+    if origin is not dict and not is_dataclass(kind):
+        return _typed(value, kind, key, source)
+    value = _typed(value, dict, key, source)
+    if origin is dict:
+        items = value.items()
+        return {k: _from_json(v, args[1], _at(key, k), source) for k, v in items}
+    hints = get_type_hints(kind)
+    _reject_unknown(value, hints, key, source)
+    for f in fields(kind):
+        if f.name not in value and f.default is f.default_factory is MISSING:
+            raise ValidationError(f"{_name(_at(key, f.name), source)} is required")
+    items = value.items()
+    return kind(**{k: _from_json(v, hints[k], _at(key, k), source) for k, v in items})
 
 
-def _source_from_dict(s: dict[str, Any]) -> SourceProfile:
-    _reject_unknown(s, _SOURCE_KEYS, "a config sources entry")
-    return SourceProfile(
-        id=_typed(s["id"], str, "sources.id"),
-        reliability=_typed(s["reliability"], [float], "reliability"),
-        temperature=_typed(s.get("temperature", 0.0), float, "temperature"),
-    )
+# The scenario JSON is SimConfig's fields with "fusion" spread over one object
+# per method: FusionSettings field <block>_<key> is key <key> of the object
+# <block>, so vote_c is vote.c and appriou_as_printed is appriou.as_printed.
+def config_to_dict(config: SimConfig) -> dict[str, Any]:
+    data = json.loads(json.dumps(asdict(config)))  # tuples as lists
+    for name, value in data.pop("fusion").items():
+        block, _, key = name.partition("_")
+        data.setdefault(block, {})[key] = value
+    return data
 
 
 def config_from_dict(data: dict[str, Any]) -> SimConfig:
-    if not isinstance(data, dict):
-        raise ValidationError("config must be a JSON object")
-    _reject_unknown(data, _KNOWN_KEYS, "config")
-    for key in _REQUIRED_KEYS:
-        if key not in data:
-            raise ValidationError(f"config key {key!r} is required")
     try:
-        entries = _typed(data["sources"], [dict], "sources")
-        sources = tuple(map(_source_from_dict, entries))
-        return SimConfig(
-            classes=_typed(data["classes"], [str], "classes"),
-            priors=_typed(data["priors"], [float], "priors"),
-            sources=sources,
-            n_samples=_typed(data["n_samples"], int, "n_samples"),
-            # n_trials and seed may be left out: SimConfig's defaults apply
-            n_trials=_typed(data.get("n_trials", SimConfig.n_trials), int, "n_trials"),
-            seed=_typed(data.get("seed", SimConfig.seed), int, "seed"),
-            fusion=_fusion_from_dict(data),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        data = _typed(data, dict, "", "config")
+        hints, fusion = get_type_hints(FusionSettings), {}
+        spread = [name.partition("_")[::2] for name in hints]
+        blocks = {block for block, _ in spread}
+        top = set(get_type_hints(SimConfig)) - {"fusion"} | blocks
+        _reject_unknown(data, top, "", "config")
+        for block in sorted(blocks & data.keys()):
+            given = _typed(data.pop(block), dict, block, "config")
+            keys = [k for b, k in spread if b == block]
+            _reject_unknown(given, keys, block, "config")
+            for key, value in given.items():
+                name, path = f"{block}_{key}", _at(block, key)
+                fusion[name] = _from_json(value, hints[name], path, "config")
+        config = _from_json(data, SimConfig, "", "config")
+        return replace(config, fusion=FusionSettings(**fusion))
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"invalid config: {exc}") from exc
 
 
 def load_config(path: str) -> SimConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(_load_json(path))
 
 
 def save_config(config: SimConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _save_json(config_to_dict(config), path)
 
 
-# ---------------------------------------------------------------------------
-# report JSON
-
-
-# The report JSON is the ExperimentReport and MethodResult fields, as
-# dataclasses.asdict writes them.
+# The report JSON is the ExperimentReport and MethodResult fields.
 def report_to_dict(report: ExperimentReport) -> dict[str, Any]:
     return asdict(report)
 
 
-def _from_report(value: Any, kind: Any, key: str) -> Any:
-    """A report JSON value as ``kind``: a dataclass from an object with all
-    of its fields, a dict[str, X] from an object of X values, a scalar
-    checked by _typed, so never coerced. ``key`` is the value's dotted path."""
-    if not (is_dataclass(kind) or get_origin(kind) is dict):
-        return _typed(value, kind, key, "report")
-    value = _typed(value, dict, key, "report")
-    if get_origin(kind) is dict:
-        item = get_args(kind)[1]
-        return {k: _from_report(v, item, f"{key}.{k}") for k, v in value.items()}
-    hints = get_type_hints(kind)
-    paths = {f.name: f"{key}.{f.name}".lstrip(".") for f in fields(kind)}
-    return kind(**{k: _from_report(value[k], hints[k], paths[k]) for k in paths})
-
-
 def report_from_dict(data: dict[str, Any]) -> ExperimentReport:
-    if not isinstance(data, dict):
-        raise ValidationError("report must be a JSON object")
     try:
-        return _from_report(data, ExperimentReport, "")
-    except (KeyError, TypeError, ValueError) as exc:
+        return _from_json(data, ExperimentReport, "", "report")
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"invalid report: {exc}") from exc
 
 
 def save_report(report: ExperimentReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _save_json(report_to_dict(report), path)
 
 
 def load_report(path: str) -> ExperimentReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    return report_from_dict(data)
+    return report_from_dict(_load_json(path))

@@ -14,9 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .frame import Decision, FocalSet
-
-_NORM_TOL = 1e-9
+from .frame import SUM_TOL, Decision, FocalSet
 
 # Elementwise merge operators: each reduces its argument over ``axis``.
 OPERATORS = {"min": np.min, "max": np.max, "mean": np.mean, "median": np.median}
@@ -36,7 +34,7 @@ class PossibilityDistribution:
             raise ValueError("membership degrees must be finite")
         if pi.min() < 0.0 or pi.max() > 1.0:
             raise ValueError("membership degrees must lie in [0, 1]")
-        if abs(float(pi.max()) - 1.0) > _NORM_TOL:
+        if abs(float(pi.max()) - 1.0) > SUM_TOL:
             raise ValueError("distribution must be normalized: max membership 1")
         pi.setflags(write=False)
         object.__setattr__(self, "pi", pi)

@@ -13,10 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .frame import Frame, make_frame
+from .frame import SUM_TOL, Frame, make_frame
 from .possibility import OPERATORS
-
-_PRIOR_SUM_TOL = 1e-9
 
 # Long-tailed six-class mix used by the default benchmark scenario.
 _DEFAULT_PRIOR_SHARES = (54.52, 21.35, 8.80, 5.50, 0.77, 2.40)
@@ -89,7 +87,7 @@ class SimConfig:
             raise ValueError("one prior per class is required")
         if any(p < 0.0 for p in priors):
             raise ValueError("priors must be non-negative")
-        if abs(sum(priors) - 1.0) > _PRIOR_SUM_TOL:
+        if abs(sum(priors) - 1.0) > SUM_TOL:
             raise ValueError("priors must sum to 1")
         if not sources:
             raise ValueError("at least one source is required")

@@ -14,9 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .frame import CONFLICT, Decision, Frame
-
-_WEIGHT_SUM_TOL = 1e-9
+from .frame import CONFLICT, SUM_TOL, Decision, Frame
 
 
 @dataclass(frozen=True)
@@ -33,7 +31,7 @@ class VoteWeights:
             raise ValueError("weights must be finite")
         if alpha.min() < 0.0 or alpha.max() > 1.0:
             raise ValueError("weights must lie in [0, 1]")
-        if abs(float(alpha.sum()) - 1.0) > _WEIGHT_SUM_TOL:
+        if abs(float(alpha.sum()) - 1.0) > SUM_TOL:
             raise ValueError("weights must sum to 1 over all sources and classes")
         alpha.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)

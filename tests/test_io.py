@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import re
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -563,6 +565,55 @@ def test_config_defaults_fill_missing_keys():
     assert cfg.fusion == FusionSettings(denoeux_k=5)
 
 
+@pytest.mark.parametrize("name", [f.name for f in fields(FusionSettings)])
+def test_config_fusion_field_is_a_key_of_its_block(name):
+    # FusionSettings field <block>_<key> is key <key> of the object <block>.
+    block, _, key = name.partition("_")
+    cfg = default_config()
+    data = config_to_dict(cfg)
+    assert data[block][key] == getattr(cfg.fusion, name)
+    assert config_from_dict(data) == cfg
+    data[block][key] = []
+    with pytest.raises(ValidationError, match=rf"config key {block}\.{key} must be"):
+        config_from_dict(data)
+    del data[block][key]
+    default = FusionSettings()
+    assert getattr(config_from_dict(data).fusion, name) == getattr(default, name)
+
+
+def test_config_rejects_top_level_fusion_key():
+    # SimConfig.fusion is spread over the method blocks, so it is not a key.
+    data = config_to_dict(default_config())
+    data["fusion"] = {"vote_c": 0.5}
+    with pytest.raises(ValidationError, match=r"unknown keys in config: \['fusion'\]"):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        (("sources", 0, "id"), None, "config key sources.0.id is required"),
+        (
+            ("sources", 0, "reliability", 2),
+            "0.9",
+            "config key sources.0.reliability.2 must be a number",
+        ),
+    ],
+    ids=["missing", "nested"],
+)
+def test_config_errors_name_the_dotted_path(keys, value, message):
+    data = config_to_dict(default_config())
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    if value is None:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        config_from_dict(data)
+
+
 def test_config_rejects_bad_json(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{not json")
@@ -641,4 +692,31 @@ def test_report_rejects_missing_keys(key):
     data = small_report_dict()
     del data[key]
     with pytest.raises(ValidationError, match="invalid report"):
+        report_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "keys", [("seed",), ("methods", "vote_majority", "accuracy")], ids=".".join
+)
+def test_report_missing_key_names_its_path(keys):
+    data = small_report_dict()
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    del target[keys[-1]]
+    message = f"report key {'.'.join(keys)} is required"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        report_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "keys", [(), ("methods", "vote_majority")], ids=["top", "method"]
+)
+def test_report_rejects_unknown_keys(keys):
+    data = small_report_dict()
+    target = data
+    for key in keys:
+        target = target[key]
+    target["bogus"] = 1
+    with pytest.raises(ValidationError, match=r"unknown keys in report.*'bogus'"):
         report_from_dict(data)

@@ -20,6 +20,7 @@ from evifuse import (
     AppriouParams,
     Dataset,
     FusionSettings,
+    MassFunction,
     SimConfig,
     TrainingSet,
     build_confusion,
@@ -609,6 +610,25 @@ def test_appriou_evidence_below_conflict_rounding_follows_scalar_path():
     # would pick class 1. A top-two gap below 1e-9 of the total mass sends
     # the row to the scalar path (found by search).
     params = appriou_params([[3.1e-17, 1.0], [1.0, 8.1e-17]], np.ones((2, 2)))
+    decided, conflict = assert_appriou_matches(np.array([[0, 1]]), params)
+    assert decided.tolist() == [-1]
+    assert conflict[0] == 1.0
+
+
+def test_conflict_class_when_one_minus_empty_mass_rounds_to_zero():
+    # {c0} and {c1} hold mass, but 1 - m(empty) rounds to 0: the conflict class
+    # is decided and pignistic() raises, as when all mass is on the empty set.
+    frame = make_frame(["c0", "c1"])
+    m = MassFunction(
+        frame,
+        {frame.empty(): 1.0, frame.singleton(0): 1e-17, frame.singleton(1): 2e-17},
+    )
+    assert decide_pignistic(m).is_conflict
+    with pytest.raises(ValueError, match="total conflict"):
+        m.pignistic()
+    # Appriou masses that combine to this m; the batch path agrees.
+    params = appriou_params([[1e-17, 1.0], [1.0, 2e-17]], np.ones((2, 2)))
+    assert dict(appriou_combined([0, 1], params, False).items()) == dict(m.items())
     decided, conflict = assert_appriou_matches(np.array([[0, 1]]), params)
     assert decided.tolist() == [-1]
     assert conflict[0] == 1.0

@@ -21,15 +21,17 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, reduce
+from numbers import Integral
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .frame import CONFLICT, SUM_TOL, Decision, FocalSet, Frame
 
-# float64 entries in one block of pairwise distances (512 KB). Blocks this
-# small stay in a core's cache; on a 2-core x86 VM the blocked sums ran 2-4x
-# faster than with 8 MB blocks.
+# float64 entries in one block of pairwise distances (512 KB). Each blocked
+# loop reuses buffers allocated once per call: a fresh temporary this large is
+# new zeroed pages from glibc, and those page faults, not the arithmetic, took
+# most of the k-NN time.
 _BLOCK_FLOATS = 1 << 16
 
 
@@ -342,15 +344,15 @@ class TrainingSet:
 
     def __post_init__(self) -> None:
         protos = np.array(self.prototypes, dtype=float)
-        classes = np.array(self.classes, dtype=int)
+        classes = self.frame.check_classes(self.classes)
         if protos.ndim != 2 or protos.shape[0] == 0:
             raise ValueError("prototypes must form a non-empty (t, d) matrix")
         if not np.all(np.isfinite(protos)):
             raise ValueError("prototypes must be finite")
         if classes.shape != (protos.shape[0],):
             raise ValueError("one class per prototype is required")
-        if classes.min() < 0 or classes.max() >= self.frame.n:
-            raise ValueError("prototype classes must index the frame")
+        if isinstance(self.k, bool) or not isinstance(self.k, Integral):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if not 1 <= self.k <= protos.shape[0]:
             raise ValueError("k must lie between 1 and the number of prototypes")
         if not 0.0 <= self.alpha <= 1.0:
@@ -377,22 +379,37 @@ class TrainingSet:
 def _mean_pairwise_distance(x: np.ndarray) -> float | None:
     """Mean Euclidean distance over all point pairs; None if degenerate.
 
-    Pairs are summed one block of rows at a time, so memory stays bounded
-    by _BLOCK_FLOATS whatever the number of points.
+    Pairs are summed one block of rows at a time, in two buffers allocated
+    once per call, so memory stays bounded by _BLOCK_FLOATS whatever the
+    number of points.
     """
     t = x.shape[0]
     if t < 2:
         return None
     sq = np.sum(x * x, axis=1)
-    rows = max(1, _BLOCK_FLOATS // t)
+    rows = max(1, min(t, _BLOCK_FLOATS // t))
+    gram, dist = np.empty(rows * t), np.empty(rows * t)
+    lower = np.tri(rows, dtype=bool)
     total = 0.0
     for a in range(0, t - 1, rows):
         b = min(a + rows, t)
-        # Row i of the block against points a.. ; triu keeps the pairs j > i.
-        d2 = sq[a:b, None] + sq[None, a:] - 2.0 * (x[a:b] @ x[a:].T)
-        total += float(np.triu(np.sqrt(np.maximum(d2, 0.0)), k=1).sum())
+        # Row i of the block against points a.. : sq_i + sq_j - 2 x_i.x_j,
+        # with the pairs j <= i (the block's lower triangle) zeroed.
+        g = np.matmul(x[a:b], x[a:].T, out=_head(gram, b - a, t - a))
+        g *= 2.0
+        d = np.add(sq[a:b, None], sq[None, a:], out=_head(dist, b - a, t - a))
+        d -= g
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        np.copyto(d[:, : b - a], 0.0, where=lower[: b - a, : b - a])
+        total += float(d.sum())
     mean = total / (t * (t - 1) / 2)
     return mean if mean > 0.0 else None
+
+
+def _head(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading entries of a flat buffer, viewed with the given shape."""
+    return buf[: math.prod(shape)].reshape(shape)
 
 
 def default_gamma(
@@ -485,19 +502,7 @@ def denoeux_decide_batch(
         )
     if not np.all(np.isfinite(queries)):
         raise ValueError("queries must be finite")
-    protos = ts.prototypes
-    t, dim = protos.shape
-    width = min(ts.k + _CANDIDATE_SLACK, t)
-    rows = max(1, _BLOCK_FLOATS // max(t, width * dim))
-    psq = np.einsum("td,td->t", protos, protos)
-    nearest = np.empty((queries.shape[0], ts.k), dtype=np.intp)
-    d2 = np.empty((queries.shape[0], ts.k))
-    unsafe = np.empty(queries.shape[0], dtype=bool)
-    for a in range(0, queries.shape[0], rows):
-        block = slice(a, a + rows)
-        nearest[block], d2[block], unsafe[block] = _k_nearest(
-            queries[block], protos, psq, ts.k, width
-        )
+    nearest, d2, unsafe = _k_nearest(queries, ts.prototypes, ts.k)
     classes = ts.classes[nearest]
     support = ts.alpha * np.exp(-ts.gamma[classes] * d2)
     masses = np.stack([support, np.zeros_like(support), 1.0 - support])
@@ -510,38 +515,62 @@ def denoeux_decide_batch(
 
 
 def _k_nearest(
-    x: np.ndarray, protos: np.ndarray, psq: np.ndarray, k: int, width: int
+    x: np.ndarray, protos: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The k nearest prototypes of each query row, with their squared distances.
 
-    ``width`` candidates per row come from the fast distance; their exact
-    distances use the diff-and-einsum expression of denoeux_classify_mass
-    and are ordered by (distance, index) like its stable sort. A row is
-    flagged unsafe when a non-candidate may come within rounding of its
-    k-th distance.
+    Query rows are taken one block at a time, and each block writes into
+    buffers allocated once per call. The width = k + _CANDIDATE_SLACK
+    prototypes of least fast distance are each row's candidates; their exact
+    distances use the diff-and-einsum expression of denoeux_classify_mass and
+    are ordered by (distance, index) like its stable sort. A row is flagged
+    unsafe when a non-candidate may come within rounding of its k-th distance.
     """
-    t = protos.shape[0]
+    t, dim = protos.shape
+    width = min(k + _CANDIDATE_SLACK, t)
+    rows = max(1, _BLOCK_FLOATS // max(t, width * dim))
+    nearest = np.empty((x.shape[0], k), dtype=np.intp)
+    d2 = np.empty((x.shape[0], k))
+    diffs = np.empty(rows * width * dim)
     if width < t:
-        rank = x @ protos.T
-        rank *= -2.0
-        rank += psq
-        part = np.argpartition(rank, width, axis=1)
-        cand = part[:, :width]
-        xsq = np.einsum("bd,bd->b", x, x)
-        outside = np.take_along_axis(rank, part[:, width, None], axis=1)[:, 0] + xsq
+        # -2 p is exact, so x.(-2 p) + |p|^2 ranks as |p|^2 - 2 x.p.
+        scaled = np.ascontiguousarray(-2.0 * protos.T)
+        psq = np.einsum("td,td->t", protos, protos)
+        ranks, parted = np.empty(rows * t), np.empty(rows * t)
+        inside = np.empty(rows * t, dtype=bool)
+        outside = np.empty(x.shape[0])
     else:
-        cand = np.broadcast_to(np.arange(t), (x.shape[0], t))
-    diff = protos[cand] - x[:, None, :]
-    d2 = np.einsum("bcd,bcd->bc", diff, diff)
-    order = np.lexsort((cand, d2), axis=1)[:, :k]
-    nearest = np.take_along_axis(cand, order, axis=1)
-    d2 = np.take_along_axis(d2, order, axis=1)
-    if width < t:
-        slack = _FAST_D2_RTOL * (xsq + psq.max())
-        unsafe = outside - slack <= d2[:, -1]
-    else:
-        unsafe = np.zeros(x.shape[0], dtype=bool)
-    return nearest, d2, unsafe
+        cand = np.broadcast_to(np.arange(t), (rows, t))
+    for a in range(0, x.shape[0], rows):
+        block = x[a : a + rows]
+        n = block.shape[0]
+        if width < t:
+            rank = np.matmul(block, scaled, out=_head(ranks, n, t))
+            rank += psq
+            part = _head(parted, n, t)
+            np.copyto(part, rank)
+            part.partition(width, axis=1)
+            outside[a : a + n] = part[:, width]
+            # The candidates rank below the first value outside, unless a row
+            # ties across the boundary; then argpartition picks among the tied.
+            below = np.less(rank, part[:, width, None], out=_head(inside, n, t))
+            if np.count_nonzero(below) == n * width:
+                cand = np.flatnonzero(below).reshape(n, width) % t
+            else:
+                cand = np.argpartition(rank, width, axis=1)[:, :width]
+        # mode="clip" writes straight into out; every index is in range.
+        diff = _head(diffs, n, width, dim)
+        np.take(protos, cand[:n], axis=0, out=diff, mode="clip")
+        diff -= block[:, None, :]
+        dist = np.einsum("bcd,bcd->bc", diff, diff)
+        order = np.lexsort((cand[:n], dist), axis=1)[:, :k]
+        nearest[a : a + n] = np.take_along_axis(cand[:n], order, axis=1)
+        d2[a : a + n] = np.take_along_axis(dist, order, axis=1)
+    if width == t:
+        return nearest, d2, np.zeros(x.shape[0], dtype=bool)
+    xsq = np.einsum("bd,bd->b", x, x)
+    slack = _FAST_D2_RTOL * (xsq + psq.max())
+    return nearest, d2, outside + xsq - slack <= d2[:, -1]
 
 
 # ---------------------------------------------------------------------------

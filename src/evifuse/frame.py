@@ -57,6 +57,9 @@ class Frame:
             raise ValueError(f"unknown class label {label!r}") from None
 
     def check_class(self, k: int) -> int:
+        """k as an int; ValueError unless it is a whole number in range."""
+        if not float(k).is_integer():
+            raise ValueError(f"class index {k} is not an integer")
         k = int(k)
         if not 0 <= k < self.n:
             raise ValueError(f"class index {k} out of range for {self.n} classes")
@@ -64,12 +67,12 @@ class Frame:
 
     def check_classes(self, k) -> np.ndarray:
         """Array form of check_class: an int64 copy, or its error for the
-        first index out of range."""
-        k = np.asarray(k, dtype=np.int64)
-        bad = (k < 0) | (k >= self.n)
+        first bad index."""
+        k = np.asarray(k)
+        bad = (k < 0) | (k >= self.n) | (k != np.trunc(k))
         if bad.any():
             self.check_class(k[bad][0])
-        return k
+        return k.astype(np.int64)
 
     def empty(self) -> "FocalSet":
         return FocalSet(self, 0)

@@ -24,7 +24,12 @@ from evifuse import (
     make_frame,
     vacuous,
 )
-from evifuse.belief import _mean_pairwise_distance, appriou_decide_batch
+from evifuse import belief
+from evifuse.belief import (
+    _mean_pairwise_distance,
+    appriou_decide_batch,
+    denoeux_decide_batch,
+)
 from helpers import (
     brute_belief,
     brute_combine,
@@ -383,6 +388,11 @@ def test_appriou_index_checks():
         appriou_mass(1, 0, params)
     with pytest.raises(ValueError):
         appriou_mass(0, 3, params)
+    # Fractional labels are rejected, not truncated to a class.
+    with pytest.raises(ValueError, match="class index 1.5 is not an integer"):
+        appriou_mass(0, 1.5, params)
+    with pytest.raises(ValueError, match="class index 1.5 is not an integer"):
+        appriou_decide_batch(np.array([[1.5]]), params)
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +595,52 @@ def test_mean_pairwise_distance_two_points_and_blocks(monkeypatch):
     assert _mean_pairwise_distance(np.ones((4, 2))) is None
 
 
+def _mean_pairwise_distance_allocating(x, block_floats):
+    """The blocked sum as it was before its buffers, with fresh temporaries
+    in every block: the reference that the buffered loop must equal."""
+    t = x.shape[0]
+    if t < 2:
+        return None
+    sq = np.sum(x * x, axis=1)
+    rows = max(1, block_floats // t)
+    total = 0.0
+    for a in range(0, t - 1, rows):
+        b = min(a + rows, t)
+        d2 = sq[a:b, None] + sq[None, a:] - 2.0 * (x[a:b] @ x[a:].T)
+        total += float(np.triu(np.sqrt(np.maximum(d2, 0.0)), k=1).sum())
+    mean = total / (t * (t - 1) / 2)
+    return mean if mean > 0.0 else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(1, 70),
+    d=st.integers(1, 6),
+    duplicates=st.sampled_from(["none", "some", "all"]),
+    block_floats=st.sampled_from([1, 7, 64, 150, 1 << 16]),
+)
+def test_mean_pairwise_distance_is_the_allocating_loop(
+    seed, t, d, duplicates, block_floats
+):
+    # Small blocks give many blocks of a few rows and a ragged last block;
+    # the buffered loop must sum the same values in the same shapes.
+    rng = np.random.default_rng(seed)
+    x = rng.random((t, d))
+    if duplicates == "some":
+        x[rng.integers(0, t, t // 2)] = x[0]
+    elif duplicates == "all":
+        x[:] = rng.integers(0, 9, d) / 8.0
+    want = _mean_pairwise_distance_allocating(x, block_floats)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(belief, "_BLOCK_FLOATS", block_floats)
+        got = _mean_pairwise_distance(x)
+    if want is None:
+        assert got is None
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_training_set_validation():
     x = np.zeros((2, 2))
     with pytest.raises(ValueError):
@@ -593,6 +649,21 @@ def test_training_set_validation():
         TrainingSet(FRAME3, x, np.array([0, 1]), k=3)
     with pytest.raises(ValueError):
         TrainingSet(FRAME3, x, np.array([0, 1]), gamma=np.zeros(3))
+
+
+def test_training_set_rejects_non_integer_classes_and_k():
+    x = np.arange(6.0).reshape(3, 2)
+    with pytest.raises(ValueError, match="class index 0.5 is not an integer"):
+        TrainingSet(FRAME3, x, [0.5, 1.7, 2.9])
+    with pytest.raises(ValueError, match="not an integer"):
+        TrainingSet(FRAME3, x, [0, 1, np.nan])
+    for k in (2.5, 2.0, True, np.True_, "2"):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            TrainingSet(FRAME3, x, [0, 1, 2], k=k)
+    ts = TrainingSet(FRAME3, x, [0.0, 1.0, 2.0], k=np.int64(2))
+    assert ts.classes.dtype == np.int64 and ts.classes.tolist() == [0, 1, 2]
+    decided, _ = denoeux_decide_batch(x, ts)
+    assert decided.tolist() == [0, 1, 2]
 
 
 def test_combine_all_requires_input():

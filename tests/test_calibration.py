@@ -58,6 +58,13 @@ def test_build_confusion_reports_first_bad_class(pairs):
         build_confusion(np.array(pairs), FRAME2)
 
 
+def test_build_confusion_rejects_fractional_classes():
+    with pytest.raises(ValueError, match="class index 0.5 is not an integer"):
+        build_confusion([(0, 1), (1, 0.5)], FRAME2)
+    counts = build_confusion(np.array([[0.0, 1.0], [1.0, 1.0]]), FRAME2).counts
+    assert counts.tolist() == [[0, 1], [0, 1]]
+
+
 def test_vote_weights_single_diagonal_source():
     cm = build_confusion([(i, i) for i in range(3)], FRAME3)
     weights = vote_weights([cm])

@@ -1,5 +1,6 @@
 """Frame construction and focal-set algebra."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,6 +39,29 @@ def test_set_operations():
     assert frame.singleton(0).complement().indices() == (1, 2)
     assert len(frame.subset([0, 2])) == 2
     assert frame.subset(["a", "c"]) == frame.subset([0, 2])
+
+
+def test_class_indices_must_be_whole_numbers():
+    frame = make_frame(["a", "b", "c"])
+    assert frame.check_class(2.0) == 2 and frame.check_class(np.int8(1)) == 1
+    for bad in (0.5, 2.9, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="is not an integer"):
+            frame.check_class(bad)
+    with pytest.raises(ValueError, match="class index 3 out of range"):
+        frame.check_class(3)
+    got = frame.check_classes([[0.0, 2.0], [1.0, 1.0]])
+    assert got.dtype == np.int64 and got.tolist() == [[0, 2], [1, 1]]
+    assert frame.check_classes(np.array([2, 0], dtype=np.uint8)).tolist() == [2, 0]
+    # The first bad index is reported, whether out of range or fractional.
+    for bad, message in (
+        ([0.5, 1.7, 2.9], "class index 0.5 is not an integer"),
+        ([1, np.nan], "class index nan is not an integer"),
+        ([1.0, 3.0, 0.5], "class index 3 out of range"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            frame.check_classes(bad)
+    with pytest.raises(ValueError, match="is not an integer"):
+        frame.singleton(1.5)
 
 
 def test_frame_mismatch_rejected():

@@ -52,6 +52,7 @@ from evifuse.voting import (
 )
 
 CONFLICT_ATOL = 1e-10
+FRAME_ABC = make_frame(["a", "b", "c"])
 
 
 def scalar_method(name, ds, calib_idx, settings):
@@ -221,6 +222,61 @@ def test_duplicate_prototypes_tie_on_distance():
         assert_kernels_match(
             ds, calib_idx, test_idx, FusionSettings(denoeux_k=k), ["belief_denoeux"]
         )
+
+
+def _denoeux_bytes(queries, ts, block_floats):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(belief, "_BLOCK_FLOATS", block_floats)
+        decided, conflict = denoeux_decide_batch(queries, ts)
+    return decided.tobytes(), conflict.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(1, 60),
+    dim=st.integers(1, 3),
+    k=st.integers(1, 60),
+    size=st.integers(1, 30),
+    block_floats=st.sampled_from([1, 17, 200]),
+)
+def test_denoeux_batch_does_not_depend_on_block_size(
+    seed, t, dim, k, size, block_floats
+):
+    # Grid coordinates repeat prototypes and tie distances, also across the
+    # k + 8 candidates; with k + 8 >= t every prototype is a candidate.
+    rng = np.random.default_rng(seed)
+    protos = rng.integers(0, 3, (t, dim)) / 2.0
+    ts = TrainingSet(FRAME_ABC, protos, rng.integers(0, 3, t), k=min(k, t))
+    queries = rng.integers(0, 5, (size, dim)) / 4.0
+    whole = _denoeux_bytes(queries, ts, 1 << 16)
+    assert _denoeux_bytes(queries, ts, block_floats) == whole
+
+
+def test_duplicate_prototypes_tied_across_the_candidate_boundary():
+    # Fourteen copies of one prototype at squared distance 1 from the first
+    # query tie across its k + 8 = 10 candidates, and its second neighbour,
+    # at 0.36, has a higher index than all of them: the first ten indices
+    # that rank at most as far as the tenth candidate would leave it out.
+    # The second query, in the same block, has no tie, and the third has its
+    # k nearest inside the tie.
+    protos = np.vstack(
+        [[[0.5, 0.0], [0.7, 0.0]], np.tile([1.0, 0.0], (14, 1)), [[0.0, 0.6], [9, 9]]]
+    )
+    classes = [0] * 16 + [1, 2]
+    queries = np.array([[0.0, 0.0], [9.0, 8.0], [1.0, 0.0]])
+    ts = TrainingSet(FRAME_ABC, protos, classes, k=2, alpha=1.0, gamma=np.ones(3))
+    want = [denoeux_classify_mass(x, ts) for x in queries]
+    assert [decide_pignistic(m).index for m in want] == [0, 2, 0]
+    assert want[0].conflict_mass() > 0.5
+    decided, conflict = denoeux_decide_batch(queries, ts)
+    assert decided.tolist() == [0, 2, 0]
+    np.testing.assert_allclose(
+        conflict, [m.conflict_mass() for m in want], rtol=0.0, atol=CONFLICT_ATOL
+    )
+    whole = _denoeux_bytes(queries, ts, 1 << 16)
+    for block_floats in (1, 2 * ts.size):
+        assert _denoeux_bytes(queries, ts, block_floats) == whole
 
 
 def test_neighbour_margin_far_from_the_origin(monkeypatch):

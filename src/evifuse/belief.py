@@ -536,8 +536,7 @@ def _k_nearest(
         # -2 p is exact, so x.(-2 p) + |p|^2 ranks as |p|^2 - 2 x.p.
         scaled = np.ascontiguousarray(-2.0 * protos.T)
         psq = np.einsum("td,td->t", protos, protos)
-        ranks, parted = np.empty(rows * t), np.empty(rows * t)
-        inside = np.empty(rows * t, dtype=bool)
+        ranks = np.empty(rows * t)
         outside = np.empty(x.shape[0])
     else:
         cand = np.broadcast_to(np.arange(t), (rows, t))
@@ -547,17 +546,9 @@ def _k_nearest(
         if width < t:
             rank = np.matmul(block, scaled, out=_head(ranks, n, t))
             rank += psq
-            part = _head(parted, n, t)
-            np.copyto(part, rank)
-            part.partition(width, axis=1)
-            outside[a : a + n] = part[:, width]
-            # The candidates rank below the first value outside, unless a row
-            # ties across the boundary; then argpartition picks among the tied.
-            below = np.less(rank, part[:, width, None], out=_head(inside, n, t))
-            if np.count_nonzero(below) == n * width:
-                cand = np.flatnonzero(below).reshape(n, width) % t
-            else:
-                cand = np.argpartition(rank, width, axis=1)[:, :width]
+            part = np.argpartition(rank, width, axis=1)
+            cand = part[:, :width]
+            outside[a : a + n] = np.take_along_axis(rank, part[:, width, None], 1)[:, 0]
         # mode="clip" writes straight into out; every index is in range.
         diff = _head(diffs, n, width, dim)
         np.take(protos, cand[:n], axis=0, out=diff, mode="clip")

@@ -9,6 +9,7 @@ supported frame widths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -58,7 +59,7 @@ class Frame:
 
     def check_class(self, k: int) -> int:
         """k as an int; ValueError unless it is a whole number in range."""
-        if not float(k).is_integer():
+        if not isinstance(k, Integral) and not float(k).is_integer():
             raise ValueError(f"class index {k} is not an integer")
         k = int(k)
         if not 0 <= k < self.n:

@@ -47,8 +47,9 @@ def test_class_indices_must_be_whole_numbers():
     for bad in (0.5, 2.9, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="is not an integer"):
             frame.check_class(bad)
-    with pytest.raises(ValueError, match="class index 3 out of range"):
-        frame.check_class(3)
+    for big in (3, 10**400, -(10**400)):
+        with pytest.raises(ValueError, match=f"class index {big} out of range"):
+            frame.check_class(big)
     got = frame.check_classes([[0.0, 2.0], [1.0, 1.0]])
     assert got.dtype == np.int64 and got.tolist() == [[0, 2], [1, 1]]
     assert frame.check_classes(np.array([2, 0], dtype=np.uint8)).tolist() == [2, 0]
@@ -57,6 +58,7 @@ def test_class_indices_must_be_whole_numbers():
         ([0.5, 1.7, 2.9], "class index 0.5 is not an integer"),
         ([1, np.nan], "class index nan is not an integer"),
         ([1.0, 3.0, 0.5], "class index 3 out of range"),
+        ([1, 10**400], f"class index {10**400} out of range"),
     ):
         with pytest.raises(ValueError, match=message):
             frame.check_classes(bad)

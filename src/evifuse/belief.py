@@ -376,19 +376,21 @@ class TrainingSet:
         return self.prototypes.shape[0]
 
 
-def _mean_pairwise_distance(x: np.ndarray) -> float | None:
+def _mean_pairwise_distance(
+    x: np.ndarray, buffers: tuple[np.ndarray, np.ndarray] | None = None
+) -> float | None:
     """Mean Euclidean distance over all point pairs; None if degenerate.
 
-    Pairs are summed one block of rows at a time, in two buffers allocated
-    once per call, so memory stays bounded by _BLOCK_FLOATS whatever the
-    number of points.
+    Pairs are summed one block of rows at a time, in two flat buffers of at
+    least max(_BLOCK_FLOATS, t) entries, allocated here unless the caller
+    passes them, so memory stays bounded whatever the number of points.
     """
     t = x.shape[0]
     if t < 2:
         return None
     sq = np.sum(x * x, axis=1)
     rows = max(1, min(t, _BLOCK_FLOATS // t))
-    gram, dist = np.empty(rows * t), np.empty(rows * t)
+    gram, dist = buffers or (np.empty(rows * t), np.empty(rows * t))
     lower = np.tri(rows, dtype=bool)
     total = 0.0
     for a in range(0, t - 1, rows):
@@ -415,11 +417,18 @@ def _head(buf: np.ndarray, *shape: int) -> np.ndarray:
 def default_gamma(
     prototypes: np.ndarray, classes: np.ndarray, n_classes: int
 ) -> np.ndarray:
-    """Per-class distance scales from mean within-class pairwise distances."""
+    """Per-class distance scales from mean within-class pairwise distances.
+
+    All classes, and the global fallback, sum their pairs in one pair of
+    block buffers.
+    """
+    floats = max(_BLOCK_FLOATS, prototypes.shape[0])
+    bufs = np.empty(floats), np.empty(floats)
     means = [
-        _mean_pairwise_distance(prototypes[classes == c]) for c in range(n_classes)
+        _mean_pairwise_distance(prototypes[classes == c], bufs)
+        for c in range(n_classes)
     ]
-    global_mean = _mean_pairwise_distance(prototypes) if None in means else None
+    global_mean = _mean_pairwise_distance(prototypes, bufs) if None in means else None
     fallback = 1.0 / global_mean if global_mean is not None else 1.0
     return np.array([fallback if mean is None else 1.0 / mean for mean in means])
 
@@ -465,12 +474,22 @@ def denoeux_classify_mass(x: Sequence[float], ts: TrainingSet) -> MassFunction:
     return combine_all([denoeux_mass(x, int(t), ts) for t in nearest])
 
 
-# Candidates taken per query beyond k by the fast distance; with a margin
-# check, they make the exact (distance, index) order of the k nearest safe.
-_CANDIDATE_SLACK = 8
-# Candidates rank by |p|^2 - 2 x.p; the outside value adds |x|^2 back. It errs
-# against the exact d^2 by at most (4 d + 6) u (u = 2**-53: dot products, the
-# sub and add, the exact path) of |x|^2 + |p|^2, below 1e-10 for d up to 2e5.
+# Prototypes per group in the k-NN search, which makes at least k groups. A
+# query compares the group minima first, and searches in full only the groups
+# that may hold one of its k nearest.
+_GROUP = 16
+# Prototypes rank by |p|^2 - 2 x.p, which leaves out the |x|^2 shared by all
+# prototypes of one query. With |x|^2 added back, this fast value errs against
+# the exact d^2 by at most (4 d + 6) u (u = 2**-53: dot products, the sub and
+# add, the exact path) of |x|^2 + |p|^2, so by at most s = _FAST_D2_RTOL
+# (|x|^2 + max |p|^2) for d up to 2e5; the few roundings in s itself are far
+# inside that margin. Let g_k be a query's k-th smallest group minimum. Every
+# group holds a prototype and padding ranks +inf, so k distinct prototypes rank
+# at most g_k: the exact k-th distance is at most g_k + |x|^2 + s, and every
+# prototype at that distance or nearer (the k nearest, and all that tie with
+# the k-th) ranks at most g_k + 2 s. Adding g_k and 2 s rounds once, and cannot
+# leave such a prototype out: rounding is monotone and a rank is a float, so
+# rank <= g_k + 2 s gives rank <= fl(g_k + 2 s).
 _FAST_D2_RTOL = 1e-10
 # Top-two pignistic values closer than this, in units of the total mass 1,
 # are a near tie. Rounding moves them by a few 1e-16 of that unit however
@@ -486,13 +505,13 @@ def denoeux_decide_batch(
 
     Row by row this agrees with ``decide_pignistic(denoeux_classify_mass(x,
     ts))``: the same decision (-1 for the conflict class) and the same
-    conflict mass up to rounding. The k nearest prototypes are found by
-    matrix products and ordered by (exact squared distance, index). Each
+    conflict mass up to rounding. ``_k_nearest`` finds the same k nearest
+    prototypes as the scalar stable sort, distance ties included. Each
     neighbour's simple support s is the mass triple (s, 0, 1 - s), combined
     by the closed form of ``_decide_triples`` (with it, m({i}) = S_i
     prod_{j != i} (1 - S_j) for S_i = 1 - prod(1 - s) over the neighbours of
-    class i, as in Denoeux 1995). Rows where a prototype outside the
-    candidates may tie with the k-th neighbour go to the scalar path too.
+    class i, as in Denoeux 1995); rows it hands to the scalar path are
+    combined once per distinct query.
     """
     queries = np.asarray(queries, dtype=float)
     if queries.ndim != 2 or queries.shape[1:] != ts.prototypes.shape[1:]:
@@ -502,66 +521,71 @@ def denoeux_decide_batch(
         )
     if not np.all(np.isfinite(queries)):
         raise ValueError("queries must be finite")
-    nearest, d2, unsafe = _k_nearest(queries, ts.prototypes, ts.k)
+    nearest, d2 = _k_nearest(queries, ts.prototypes, ts.k)
     classes = ts.classes[nearest]
     support = ts.alpha * np.exp(-ts.gamma[classes] * d2)
     masses = np.stack([support, np.zeros_like(support), 1.0 - support])
 
-    def scalar(r: int) -> MassFunction:
-        return denoeux_classify_mass(queries[r], ts)
+    def scalar(x: np.ndarray) -> MassFunction:
+        return denoeux_classify_mass(x, ts)
 
-    keys = np.arange(queries.shape[0])
-    return _decide_triples(classes, masses, ts.frame.n, keys, scalar, unsafe)
+    return _decide_triples(classes, masses, ts.frame.n, queries, scalar)
 
 
 def _k_nearest(
     x: np.ndarray, protos: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The k nearest prototypes of each query row, with their squared distances.
 
-    Query rows are taken one block at a time, and each block writes into
-    buffers allocated once per call. The width = k + _CANDIDATE_SLACK
-    prototypes of least fast distance are each row's candidates; their exact
-    distances use the diff-and-einsum expression of denoeux_classify_mass and
-    are ordered by (distance, index) like its stable sort. A row is flagged
-    unsafe when a non-candidate may come within rounding of its k-th distance.
+    The order is by (exact squared distance, index), like the stable sort of
+    denoeux_classify_mass. Query rows are taken one block at a time, and each
+    block ranks all prototypes by the fast distance into a buffer allocated
+    once per call. Group g holds the prototypes g, g + groups, ..., so the
+    block's ranks viewed as (rows, size, groups) give the group minima by one
+    min over contiguous slabs. The groups whose minimum is within the bound of
+    _FAST_D2_RTOL, and in them the prototypes within it, are the candidates:
+    every prototype among the k nearest or tied with the k-th is one. Their
+    exact distances use the diff-and-einsum expression of
+    denoeux_classify_mass.
     """
     t, dim = protos.shape
-    width = min(k + _CANDIDATE_SLACK, t)
-    rows = max(1, _BLOCK_FLOATS // max(t, width * dim))
+    groups = max(k, -(-t // _GROUP))
+    size = -(-t // groups)
+    width = groups * size
+    # -2 p is exact, so x.(-2 p) + |p|^2 ranks as |p|^2 - 2 x.p; the padding
+    # columns rank +inf, and group g always holds the prototype g.
+    scaled = np.zeros((dim, width))
+    scaled[:, :t] = -2.0 * protos.T
+    psq = np.full(width, np.inf)
+    psq[:t] = np.einsum("td,td->t", protos, protos)
+    slack = 2.0 * _FAST_D2_RTOL * (np.einsum("bd,bd->b", x, x) + psq[:t].max())
+    rows = max(1, _BLOCK_FLOATS // max(width, k * dim))
+    ranks = np.empty(rows * width)
     nearest = np.empty((x.shape[0], k), dtype=np.intp)
     d2 = np.empty((x.shape[0], k))
-    diffs = np.empty(rows * width * dim)
-    if width < t:
-        # -2 p is exact, so x.(-2 p) + |p|^2 ranks as |p|^2 - 2 x.p.
-        scaled = np.ascontiguousarray(-2.0 * protos.T)
-        psq = np.einsum("td,td->t", protos, protos)
-        ranks = np.empty(rows * t)
-        outside = np.empty(x.shape[0])
-    else:
-        cand = np.broadcast_to(np.arange(t), (rows, t))
     for a in range(0, x.shape[0], rows):
         block = x[a : a + rows]
         n = block.shape[0]
-        if width < t:
-            rank = np.matmul(block, scaled, out=_head(ranks, n, t))
-            rank += psq
-            part = np.argpartition(rank, width, axis=1)
-            cand = part[:, :width]
-            outside[a : a + n] = np.take_along_axis(rank, part[:, width, None], 1)[:, 0]
-        # mode="clip" writes straight into out; every index is in range.
-        diff = _head(diffs, n, width, dim)
-        np.take(protos, cand[:n], axis=0, out=diff, mode="clip")
-        diff -= block[:, None, :]
-        dist = np.einsum("bcd,bcd->bc", diff, diff)
-        order = np.lexsort((cand[:n], dist), axis=1)[:, :k]
-        nearest[a : a + n] = np.take_along_axis(cand[:n], order, axis=1)
-        d2[a : a + n] = np.take_along_axis(dist, order, axis=1)
-    if width == t:
-        return nearest, d2, np.zeros(x.shape[0], dtype=bool)
-    xsq = np.einsum("bd,bd->b", x, x)
-    slack = _FAST_D2_RTOL * (xsq + psq.max())
-    return nearest, d2, outside + xsq - slack <= d2[:, -1]
+        rank = np.matmul(block, scaled, out=_head(ranks, n, width))
+        rank += psq
+        slabs = rank.reshape(n, size, groups)
+        least = slabs.min(axis=1)
+        bound = np.partition(least, k - 1, axis=1)[:, k - 1] + slack[a : a + n]
+        row, group = np.divmod(np.flatnonzero(least <= bound[:, None]), groups)
+        kept = slabs[row, :, group] <= bound[row, None]
+        pick, member = np.divmod(np.flatnonzero(kept), size)
+        row, col = row[pick], member * groups + group[pick]
+        diff = protos[col]
+        diff -= block[row]
+        dist = np.einsum("cd,cd->c", diff, diff)
+        # Rows stay in order, and each has at least k candidates.
+        order = np.lexsort((col, dist, row))
+        counts = np.bincount(row, minlength=n)
+        first = (np.cumsum(counts) - counts)[:, None] + np.arange(k)
+        take = order[first]
+        nearest[a : a + n] = col[take]
+        d2[a : a + n] = dist[take]
+    return nearest, d2
 
 
 # ---------------------------------------------------------------------------
@@ -573,16 +597,15 @@ def _decide_triples(
     masses: np.ndarray,
     n: int,
     keys: np.ndarray,
-    scalar: Callable[..., MassFunction],
-    unsure: np.ndarray | bool = False,
+    scalar: Callable[[np.ndarray], MassFunction],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decisions and conflict masses for rows of mass triples, one per source.
 
     In row r, source j puts masses[:, r, j] = (a, b, g) on {classes[r, j]},
     its complement and the frame; a Denoeux neighbour's simple support s is
-    the triple (s, 0, 1 - s). Rows flagged ``unsure`` by the caller, or by
-    the closed form, are decided by ``scalar(keys[r])`` instead, once per
-    distinct key.
+    the triple (s, 0, 1 - s). Rows whose top two pignistic values the closed
+    form flags as a near tie are decided by ``scalar(keys[r])`` instead, once
+    per distinct key.
     """
     decided = np.empty(classes.shape[0], dtype=np.int64)
     conflict = np.empty(classes.shape[0])
@@ -594,21 +617,21 @@ def _decide_triples(
         decided[block], conflict[block], flagged[block] = _closed_form(
             classes[block], masses[:, block], n
         )
-    unsure = np.flatnonzero(unsure | flagged)
-    distinct, inverse = np.unique(keys[unsure], axis=0, return_inverse=True)
+    tied = np.flatnonzero(flagged)
+    distinct, inverse = np.unique(keys[tied], axis=0, return_inverse=True)
     outcomes = np.empty((distinct.shape[0], 2))
     for p, key in enumerate(distinct):
         m = scalar(key)
         d = decide_pignistic(m)
         outcomes[p] = -1 if d.is_conflict else d.index, m.conflict_mass()
-    decided[unsure], conflict[unsure] = outcomes[inverse.reshape(-1)].T
+    decided[tied], conflict[tied] = outcomes[inverse.reshape(-1)].T
     return decided, conflict
 
 
 def _closed_form(
     classes: np.ndarray, masses: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decision, conflict mass and an unsure flag per row of mass triples.
+    """Decision, conflict mass and a near-tie flag per row of mass triples.
 
     Over the sources that report class c let A_c = prod(a + g), B_c =
     prod(b + g) and U_c = prod(g), each 1 when no source reports c. The
@@ -640,8 +663,8 @@ def _closed_form(
     # Top-two pignistic values within _TIE_RTOL may be ordered either way by
     # rounding; with one class there is no second.
     top2 = np.sort(bet, axis=1)[:, -2:]
-    unsure = (n > 1) & (top2[:, -1] - top2[:, 0] <= _TIE_RTOL)
-    return decided, conflict, unsure
+    tie = (n > 1) & (top2[:, -1] - top2[:, 0] <= _TIE_RTOL)
+    return decided, conflict, tie
 
 
 @cache

@@ -10,6 +10,7 @@ amount of uniform noise. Everything is a pure function of the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -57,7 +58,10 @@ class FusionSettings:
             raise ValueError(
                 f"unknown possibility operator {self.possibility_operator!r}"
             )
-        if self.denoeux_k < 1:
+        k = self.denoeux_k
+        if isinstance(k, bool) or not isinstance(k, Integral):
+            raise ValueError(f"k must be an integer, got {k!r}")
+        if k < 1:
             raise ValueError("neighbor count must be at least 1")
         if not 0.0 <= self.denoeux_alpha <= 1.0:
             raise ValueError("denoeux discount must lie in [0, 1]")

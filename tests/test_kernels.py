@@ -10,10 +10,11 @@ random parameters.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evifuse import (
@@ -215,7 +216,7 @@ def test_k_at_least_calibration_size():
 
 def test_duplicate_prototypes_tie_on_distance():
     # Coarse scores repeat whole prototypes, so the k-th neighbour ties with
-    # the candidates beyond it and the (distance, index) order decides.
+    # prototypes beyond it and the (distance, index) order decides.
     ds = make_dataset(2, n=2, m=2, size=300, scores="coarse")
     calib_idx, test_idx = protocol_split(300, 2)
     for k in (1, 3, 7):
@@ -243,8 +244,9 @@ def _denoeux_bytes(queries, ts, block_floats):
 def test_denoeux_batch_does_not_depend_on_block_size(
     seed, t, dim, k, size, block_floats
 ):
-    # Grid coordinates repeat prototypes and tie distances, also across the
-    # k + 8 candidates; with k + 8 >= t every prototype is a candidate.
+    # Grid coordinates repeat prototypes and tie distances, also at the k-th
+    # neighbour; k above t / 16 makes one group per neighbour, and k = t
+    # makes every prototype a neighbour.
     rng = np.random.default_rng(seed)
     protos = rng.integers(0, 3, (t, dim)) / 2.0
     ts = TrainingSet(FRAME_ABC, protos, rng.integers(0, 3, t), k=min(k, t))
@@ -254,12 +256,11 @@ def test_denoeux_batch_does_not_depend_on_block_size(
 
 
 def test_duplicate_prototypes_tied_across_the_candidate_boundary():
-    # Fourteen copies of one prototype at squared distance 1 from the first
-    # query tie across its k + 8 = 10 candidates, and its second neighbour,
-    # at 0.36, has a higher index than all of them: the first ten indices
-    # that rank at most as far as the tenth candidate would leave it out.
-    # The second query, in the same block, has no tie, and the third has its
-    # k nearest inside the tie.
+    # Fourteen copies of one prototype tie at squared distance 1 from the
+    # first query, beyond its second neighbour at 0.36, whose index is higher
+    # than all of theirs: a search that took the first indices up to the tied
+    # distance would leave it out. The second query, in the same block, has
+    # no tie, and the third has its k nearest inside the tie.
     protos = np.vstack(
         [[[0.5, 0.0], [0.7, 0.0]], np.tile([1.0, 0.0], (14, 1)), [[0.0, 0.6], [9, 9]]]
     )
@@ -283,9 +284,10 @@ def test_neighbour_margin_far_from_the_origin(monkeypatch):
     # Every coordinate is offset by 1e3, so |x|^2 is about 6e6 while the
     # squared distances are below 1, and the fast ranking errs by about 1e-9.
     # In even clusters 15 prototypes tie exactly on distance around a query,
-    # and only the margin check can tell that the three lowest indices (the
-    # class-0 ones) may have been left out of the 11 candidates. Odd clusters
-    # have clear gaps, and the fast path must decide them on its own.
+    # and the rounding bound must keep all of them, so that the three lowest
+    # indices (the class-0 ones) are the neighbours. Odd clusters have clear
+    # gaps. No row has a pignistic near tie, so none may reach the scalar
+    # path: distance ties are decided by the closed form.
     dim, clusters = 6, 16
     rng = np.random.default_rng(5)
     protos, classes, queries = [], [], []
@@ -317,7 +319,83 @@ def test_neighbour_margin_far_from_the_origin(monkeypatch):
     np.testing.assert_allclose(
         conflict, [m.conflict_mass() for m in want], rtol=0.0, atol=CONFLICT_ATOL
     )
-    assert len(scalar_calls) <= clusters // 2
+    assert scalar_calls == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(1, 80),
+    k=st.integers(1, 80),
+    layout=st.sampled_from(["grid", "crisp", "one point"]),
+    offset=st.sampled_from([0.0, 1.0 / 3.0, 1e3, 1e3 / 3.0]),
+    size=st.integers(1, 12),
+    block_floats=st.sampled_from([1, 17, 200]),
+)
+@example(0, 40, 5, "one point", 0.0, 3, 200)
+def test_k_nearest_is_the_stable_sort(seed, t, k, layout, offset, size, block_floats):
+    # Grid and one-hot prototypes repeat, so many distances tie exactly, also
+    # at the k-th neighbour; at one point all of them tie, and with no offset
+    # the rounding margin is 0, so every prototype ranks exactly at the
+    # bound. t below 16 gives one group per neighbour, and k = t makes every
+    # prototype a neighbour. The offset moves the rounding of the fast ranks
+    # far above the gaps between distances.
+    rng = np.random.default_rng(seed)
+    k = min(k, t)
+    if layout == "one point":
+        protos, queries = np.zeros((t, 2)), np.zeros((size, 2))
+    elif layout == "grid":
+        protos = rng.integers(0, 3, (t, 2)) / 2.0
+        queries = rng.integers(0, 5, (size, 2)) / 4.0
+    else:
+        protos = np.eye(3)[rng.integers(0, 3, (t, 2))].reshape(t, 6)
+        queries = np.eye(3)[rng.integers(0, 3, (size, 2))].reshape(size, 6)
+    protos, queries = protos + offset, queries + offset
+    want_nearest, want_d2 = [], []
+    for x in queries:  # the search of denoeux_classify_mass
+        diff = protos - x
+        d2 = np.einsum("td,td->t", diff, diff)
+        nearest = np.argsort(d2, kind="stable")[:k]
+        want_nearest.append(nearest)
+        want_d2.append(d2[nearest])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(belief, "_BLOCK_FLOATS", block_floats)
+        nearest, d2 = belief._k_nearest(queries, protos, k)
+    assert nearest.tobytes() == np.array(want_nearest).tobytes()
+    assert d2.tobytes() == np.array(want_d2).tobytes()
+
+
+def test_crisp_scores_decide_distance_ties_in_the_closed_form(monkeypatch):
+    # Every source at temperature 0 gives one-hot scores: prototypes repeat,
+    # and most queries tie with prototypes beyond their k-th neighbour. The
+    # batch must match the scalar path, and a query may reach that path only
+    # when the closed form flags its top two pignistic values, once at most.
+    cfg = default_config(seed=4, n_samples=900)
+    cfg = replace(cfg, sources=tuple(replace(s, temperature=0.0) for s in cfg.sources))
+    ds = simulate(cfg)
+    calib_idx, test_idx = protocol_split(ds.n_samples, 4)
+    protos = ds.scores[calib_idx].reshape(calib_idx.shape[0], -1)
+    queries = ds.scores[test_idx].reshape(test_idx.shape[0], -1)
+    d2 = np.sort(((queries[:, None, :] - protos) ** 2).sum(axis=2), axis=1)
+    k = cfg.fusion.denoeux_k
+    assert np.mean(d2[:, k - 1] == d2[:, k]) > 0.5
+    calls, flagged = [], []
+    closed_form = belief._closed_form
+
+    def counted(x, ts):
+        calls.append(x.tobytes())
+        return denoeux_classify_mass(x, ts)
+
+    def recorded(classes, masses, n):
+        out = closed_form(classes, masses, n)
+        flagged.append(out[2])
+        return out
+
+    monkeypatch.setattr(belief, "denoeux_classify_mass", counted)
+    monkeypatch.setattr(belief, "_closed_form", recorded)
+    assert_kernels_match(ds, calib_idx, test_idx, cfg.fusion, ["belief_denoeux"])
+    distinct = np.unique(queries[np.concatenate(flagged)], axis=0)
+    assert len(set(calls)) == len(calls) <= distinct.shape[0]
 
 
 def test_pignistic_near_tie_follows_scalar_path():
@@ -328,6 +406,27 @@ def test_pignistic_near_tie_follows_scalar_path():
     calib_idx, test_idx = protocol_split(143, 2917408430)
     fusion = FusionSettings(denoeux_k=4)
     assert_kernels_match(ds, calib_idx, test_idx, fusion, ["belief_denoeux"])
+
+
+def test_near_tied_queries_take_the_scalar_path_once_each(monkeypatch):
+    # Each query sits midway between a class-0 and a class-1 prototype, so
+    # its two neighbours tie on BetP and the closed form flags it; a query
+    # that repeats is combined on the scalar path once.
+    protos = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 5.0], [2.0, 5.0]])
+    ts = TrainingSet(make_frame(["a", "b"]), protos, [0, 1, 0, 1], k=2)
+    queries = np.array([[1.0, 0.0], [1.0, 5.0], [1.0, 0.0], [1.0, 0.0]])
+    want = [denoeux_classify_mass(x, ts) for x in queries]
+    calls = []
+
+    def counted(x, ts):
+        calls.append(x.tolist())
+        return denoeux_classify_mass(x, ts)
+
+    monkeypatch.setattr(belief, "denoeux_classify_mass", counted)
+    decided, conflict = denoeux_decide_batch(queries, ts)
+    assert sorted(calls) == [[1.0, 0.0], [1.0, 5.0]]
+    assert decided.tolist() == [decide_pignistic(m).index for m in want]
+    assert conflict.tolist() == [m.conflict_mass() for m in want]
 
 
 def test_tiny_masses_are_kept_by_denoeux_combination():

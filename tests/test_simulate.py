@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from evifuse import SimConfig, SourceProfile, default_config, default_priors, simulate
+from evifuse import (
+    FusionSettings,
+    SimConfig,
+    SourceProfile,
+    default_config,
+    default_priors,
+    simulate,
+)
 
 
 def _config(**kwargs):
@@ -119,3 +126,14 @@ def test_config_validation():
         _config(n_samples=0)
     with pytest.raises(ValueError):
         SourceProfile("s1", (0.5, 1.2, 0.5))
+
+
+def test_fusion_settings_reject_non_integer_k():
+    # The same check and message as TrainingSet, so a bad k fails when the
+    # settings are made, not when the first trial fits its prototypes.
+    for k in (2.5, 2.0, True, np.True_, "2"):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            FusionSettings(denoeux_k=k)
+    with pytest.raises(ValueError, match="at least 1"):
+        FusionSettings(denoeux_k=0)
+    assert FusionSettings(denoeux_k=np.int64(4)).denoeux_k == 4

@@ -21,12 +21,11 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, reduce
-from numbers import Integral
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .frame import CONFLICT, SUM_TOL, Decision, FocalSet, Frame
+from .frame import CONFLICT, SUM_TOL, Decision, FocalSet, Frame, check_integer
 
 # float64 entries in one block of pairwise distances (512 KB). Each blocked
 # loop reuses buffers allocated once per call: a fresh temporary this large is
@@ -351,8 +350,7 @@ class TrainingSet:
             raise ValueError("prototypes must be finite")
         if classes.shape != (protos.shape[0],):
             raise ValueError("one class per prototype is required")
-        if isinstance(self.k, bool) or not isinstance(self.k, Integral):
-            raise ValueError(f"k must be an integer, got {self.k!r}")
+        check_integer("k", self.k)
         if not 1 <= self.k <= protos.shape[0]:
             raise ValueError("k must lie between 1 and the number of prototypes")
         if not 0.0 <= self.alpha <= 1.0:
@@ -618,6 +616,8 @@ def _decide_triples(
             classes[block], masses[:, block], n
         )
     tied = np.flatnonzero(flagged)
+    if tied.size == 0:
+        return decided, conflict
     distinct, inverse = np.unique(keys[tied], axis=0, return_inverse=True)
     outcomes = np.empty((distinct.shape[0], 2))
     for p, key in enumerate(distinct):

@@ -22,7 +22,7 @@ from .calibration import (
     conditional_probs,
     vote_weights,
 )
-from .frame import Frame
+from .frame import Frame, check_integer
 from .simulate import Dataset, FusionSettings, SimConfig, simulate, trial_stream
 
 
@@ -118,6 +118,13 @@ KERNELS: dict[str, Kernel] = {
 
 METHODS = tuple(KERNELS)
 
+# Methods whose kernels read only calib.ds and calib.settings: a row's
+# decision does not depend on the trial, so each row is decided once per run.
+ROW_WISE = frozenset(
+    {"vote_majority", "vote_absolute"}
+    | {f"possibility_{op}" for op in possibility.OPERATORS}
+)
+
 
 def normalize_methods(methods: Sequence[str], settings: FusionSettings) -> list[str]:
     """Validate method names; bare "possibility" picks up the configured operator."""
@@ -162,23 +169,22 @@ class _Accumulator:
         self.trial_accuracy: list[float] = []
         self.trial_conflict_rate: list[float] = []
         self.trial_conflict_mass: list[float] = []
-        self.class_correct = np.zeros(n_classes)
-        self.class_total = np.zeros(n_classes)
+        self.class_correct = np.zeros(n_classes, dtype=np.int64)
 
     def add_trial(
-        self, truth: np.ndarray, decided: np.ndarray, conflict_mass: np.ndarray
+        self, truth: np.ndarray, decided: np.ndarray, mean_conflict_mass: float
     ) -> None:
         correct = decided == truth
-        self.trial_accuracy.append(float(correct.mean()))
-        self.trial_conflict_rate.append(float((decided < 0).mean()))
-        self.trial_conflict_mass.append(float(conflict_mass.mean()))
-        np.add.at(self.class_total, truth, 1.0)
-        np.add.at(self.class_correct, truth, correct.astype(float))
+        self.trial_accuracy.append(np.count_nonzero(correct) / truth.shape[0])
+        self.trial_conflict_rate.append(np.count_nonzero(decided < 0) / truth.shape[0])
+        self.trial_conflict_mass.append(mean_conflict_mass)
+        n = self.class_correct.size
+        self.class_correct += np.bincount(truth[correct], minlength=n)
 
-    def result(self, frame: Frame) -> MethodResult:
+    def result(self, frame: Frame, class_total: np.ndarray) -> MethodResult:
         per_class = {}
         for i, label in enumerate(frame.labels):
-            total = self.class_total[i]
+            total = class_total[i]
             per_class[label] = float(self.class_correct[i] / total) if total else 0.0
         return MethodResult(
             accuracy=float(np.mean(self.trial_accuracy)),
@@ -188,6 +194,29 @@ class _Accumulator:
         )
 
 
+def _decide_row_wise(
+    ds: Dataset,
+    methods: list[str],
+    settings: FusionSettings,
+    tested: np.ndarray,
+    chunk: int,
+) -> dict[str, np.ndarray]:
+    """For each ROW_WISE method in ``methods``, a lookup of length N
+    holding each tested row's decision.
+
+    Rows are decided in chunks of at most ``chunk`` rows, so no call holds
+    larger temporaries than one trial's call; untested rows stay unset.
+    """
+    calib = TrialCalibration(ds, tested[:0], settings)  # no split is read
+    row_wise = [name for name in methods if name in ROW_WISE]
+    lookups = {name: np.empty(ds.n_samples, dtype=np.int64) for name in row_wise}
+    for name, lookup in lookups.items():
+        for a in range(0, tested.shape[0], chunk):
+            rows = tested[a : a + chunk]
+            lookup[rows] = KERNELS[name](calib, rows)[0]
+    return lookups
+
+
 def evaluate_dataset(
     ds: Dataset,
     methods: Sequence[str],
@@ -195,26 +224,39 @@ def evaluate_dataset(
     n_trials: int = SimConfig.n_trials,
     seed: int = SimConfig.seed,
 ) -> ExperimentReport:
-    """Run the repeated split protocol over an existing dataset."""
+    """Run the repeated split protocol over an existing dataset.
+
+    The ROW_WISE methods are decided once over every row that some trial
+    tests; each trial reads its test rows' decisions from that lookup.
+    """
     settings = settings or FusionSettings()
     methods = normalize_methods(methods, settings)
+    n_trials = check_integer("n_trials", n_trials)
+    seed = check_integer("seed", seed)
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     third = ds.n_samples // 3
     if third < 1:
         raise ValueError("dataset too small to split into three non-empty parts")
 
+    perms = [trial_stream(seed, t).permutation(ds.n_samples) for t in range(n_trials)]
+    tested = np.unique(np.concatenate([p[2 * third : 3 * third] for p in perms]))
+    lookups = _decide_row_wise(ds, methods, settings, tested, third)
+
     accs = {name: _Accumulator(ds.frame.n) for name in methods}
+    class_total = np.zeros(ds.frame.n, dtype=np.int64)
     source_rates = np.zeros(ds.m_sources)
-    for trial in range(n_trials):
-        rng = trial_stream(seed, trial)
-        perm = rng.permutation(ds.n_samples)
+    for perm in perms:
         calib = TrialCalibration(ds, perm[third : 2 * third], settings)
         test_idx = perm[2 * third : 3 * third]
         truth = ds.truth[test_idx]
+        class_total += np.bincount(truth, minlength=ds.frame.n)
         for name in methods:
-            decided, conflict_mass = KERNELS[name](calib, test_idx)
-            accs[name].add_trial(truth, decided, conflict_mass)
+            if name in lookups:
+                accs[name].add_trial(truth, lookups[name][test_idx], 0.0)
+            else:
+                decided, conflict_mass = KERNELS[name](calib, test_idx)
+                accs[name].add_trial(truth, decided, float(conflict_mass.mean()))
         source_rates += (ds.labels[test_idx] == truth[:, None]).mean(axis=0)
 
     source_accuracy = {
@@ -223,7 +265,7 @@ def evaluate_dataset(
     return ExperimentReport(
         seed=seed,
         n_trials=n_trials,
-        methods={name: accs[name].result(ds.frame) for name in methods},
+        methods={name: accs[name].result(ds.frame, class_total) for name in methods},
         source_accuracy=source_accuracy,
     )
 

@@ -21,6 +21,13 @@ MAX_CLASSES = 16
 SUM_TOL = 1e-9
 
 
+def check_integer(name: str, value) -> int:
+    """value as an int; ValueError unless it is an integer other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def make_frame(labels: Iterable[str]) -> "Frame":
     """Build a frame from an ordered collection of distinct class names."""
     return Frame(tuple(labels))

@@ -10,11 +10,10 @@ amount of uniform noise. Everything is a pure function of the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 
-from .frame import SUM_TOL, Frame, make_frame
+from .frame import SUM_TOL, Frame, check_integer, make_frame
 from .possibility import OPERATORS
 
 # Long-tailed six-class mix used by the default benchmark scenario.
@@ -58,10 +57,8 @@ class FusionSettings:
             raise ValueError(
                 f"unknown possibility operator {self.possibility_operator!r}"
             )
-        k = self.denoeux_k
-        if isinstance(k, bool) or not isinstance(k, Integral):
-            raise ValueError(f"k must be an integer, got {k!r}")
-        if k < 1:
+        object.__setattr__(self, "denoeux_k", check_integer("k", self.denoeux_k))
+        if self.denoeux_k < 1:
             raise ValueError("neighbor count must be at least 1")
         if not 0.0 <= self.denoeux_alpha <= 1.0:
             raise ValueError("denoeux discount must lie in [0, 1]")
@@ -102,6 +99,8 @@ class SimConfig:
                 raise ValueError(
                     f"source {s.id!r} needs one reliability per class"
                 )
+        for name in ("n_samples", "n_trials", "seed"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
         if self.n_trials < 1:

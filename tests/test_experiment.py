@@ -1,19 +1,35 @@
 """Repeated split protocol: determinism, metrics, method behavior."""
 
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from evifuse import (
+    Dataset,
     FusionSettings,
     SimConfig,
     SourceProfile,
     default_config,
     evaluate_dataset,
+    load_report,
     run_experiment,
+    save_report,
     simulate,
 )
-from evifuse.experiment import normalize_methods
+from evifuse import possibility, voting
+from evifuse.experiment import (
+    KERNELS,
+    METHODS,
+    ROW_WISE,
+    ExperimentReport,
+    MethodResult,
+    TrialCalibration,
+    normalize_methods,
+)
+from evifuse.io import report_to_dict
+from evifuse.simulate import trial_stream
 
 
 def _small_config(**kwargs):
@@ -160,3 +176,168 @@ def test_degenerate_single_class_frame():
     report = run_experiment(cfg, ["vote_majority", "belief_denoeux"])
     assert report.methods["vote_majority"].accuracy == 1.0
     assert report.methods["belief_denoeux"].accuracy == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The run-level pass for ROW_WISE methods against a per-trial loop
+
+CALIBRATED = [name for name in METHODS if name not in ROW_WISE]
+MIXED = (
+    ["vote_majority", "belief_denoeux", "possibility_min"],
+    ["possibility_median", "vote_weighted", "vote_absolute"],
+)
+
+
+def _reference_report(ds, methods, settings, n_trials, seed):
+    """The protocol as a per-trial loop: every kernel decides every trial's
+    test third, and the metrics are accumulated trial by trial."""
+    names = normalize_methods(methods, settings)
+    third, n = ds.n_samples // 3, ds.frame.n
+    sums = {name: ([], [], [], np.zeros(n)) for name in names}
+    class_total = np.zeros(n)
+    source_rates = np.zeros(ds.m_sources)
+    for trial in range(n_trials):
+        perm = trial_stream(seed, trial).permutation(ds.n_samples)
+        calib = TrialCalibration(ds, perm[third : 2 * third], settings)
+        test_idx = perm[2 * third : 3 * third]
+        truth = ds.truth[test_idx]
+        np.add.at(class_total, truth, 1.0)
+        for name in names:
+            decided, conflict_mass = KERNELS[name](calib, test_idx)
+            accuracy, rate, mass, class_correct = sums[name]
+            correct = decided == truth
+            accuracy.append(float(correct.mean()))
+            rate.append(float((decided < 0).mean()))
+            mass.append(float(conflict_mass.mean()))
+            np.add.at(class_correct, truth, correct.astype(float))
+        source_rates += (ds.labels[test_idx] == truth[:, None]).mean(axis=0)
+    results = {}
+    for name, (accuracy, rate, mass, class_correct) in sums.items():
+        per_class = {
+            label: float(class_correct[i] / class_total[i]) if class_total[i] else 0.0
+            for i, label in enumerate(ds.frame.labels)
+        }
+        results[name] = MethodResult(
+            float(np.mean(accuracy)),
+            per_class,
+            float(np.mean(rate)),
+            float(np.mean(mass)),
+        )
+    source_accuracy = {
+        sid: float(source_rates[j] / n_trials) for j, sid in enumerate(ds.source_ids)
+    }
+    return ExperimentReport(seed, n_trials, results, source_accuracy)
+
+
+@pytest.mark.parametrize(
+    "config, methods",
+    [
+        (default_config(seed=0), METHODS),
+        (default_config(seed=7, n_trials=3), sorted(ROW_WISE)),
+        (default_config(seed=2, n_trials=3), CALIBRATED),
+        # 31 samples: each trial leaves a remainder row out of all three parts.
+        (_small_config(n_samples=31, n_trials=7), METHODS),
+        (_small_config(n_trials=1), MIXED[0]),
+        (_small_config(n_trials=7), MIXED[1]),
+        (
+            _small_config(fusion=FusionSettings(possibility_operator="median")),
+            ["possibility", "belief_appriou", "possibility_max"],
+        ),
+    ],
+    ids=[
+        "default", "row-wise", "calibrated", "31-samples", "one-trial", "seven-trials",
+        "alias",
+    ],
+)
+def test_report_equals_the_per_trial_loop(config, methods):
+    ds = simulate(config)
+    args = (ds, methods, config.fusion, config.n_trials, config.seed)
+    want = report_to_dict(_reference_report(*args))
+    assert report_to_dict(evaluate_dataset(*args)) == want
+
+
+@pytest.mark.parametrize("n_trials", [1, 4, 12])
+def test_row_wise_methods_are_decided_once_per_run(monkeypatch, n_trials):
+    # Each ROW_WISE method decides the union of the test thirds in chunks of
+    # at most one third, however many trials test those rows; vote_weighted
+    # depends on the trial's calibration and still tallies once per trial.
+    calls = []
+    decide_batch, tally_batch = possibility.decide_batch, voting.tally_batch
+
+    def counted_decide(scores, op):
+        calls.append((f"possibility_{op}", scores.shape[0]))
+        return decide_batch(scores, op)
+
+    def counted_tally(labels, frame, weights=None):
+        calls.append(("weighted" if weights is not None else "plain", labels.shape[0]))
+        return tally_batch(labels, frame, weights)
+
+    monkeypatch.setattr(possibility, "decide_batch", counted_decide)
+    monkeypatch.setattr(voting, "tally_batch", counted_tally)
+    config = _small_config(n_samples=100, n_trials=n_trials)
+    evaluate_dataset(simulate(config), METHODS, n_trials=n_trials, seed=config.seed)
+
+    third = 100 // 3
+    perms = [trial_stream(config.seed, t).permutation(100) for t in range(n_trials)]
+    tested = np.unique([perm[2 * third : 3 * third] for perm in perms])
+    chunks = math.ceil(tested.size / third)
+    for key, per_run in [
+        *((f"possibility_{op}", 1) for op in possibility.OPERATORS),
+        ("plain", 2),  # vote_majority and vote_absolute
+    ]:
+        sizes = [rows for name, rows in calls if name == key]
+        assert len(sizes) == per_run * chunks, key
+        assert sum(sizes) == per_run * tested.size, key
+        assert max(sizes) <= third, key
+    assert [rows for name, rows in calls if name == "weighted"] == [third] * n_trials
+
+
+def _with_score(ds, row, value):
+    scores = np.array(ds.scores)
+    scores[row, 0, 1] = value
+    return Dataset(ds.frame, ds.source_ids, ds.sample_ids, ds.truth, ds.labels, scores)
+
+
+NUMERIC = [n for n in METHODS if n.startswith("possibility_")] + ["belief_denoeux"]
+
+
+@pytest.mark.parametrize("name", NUMERIC)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_score_in_a_tested_row_raises(name, bad):
+    config = _small_config(n_samples=31, n_trials=3)
+    ds = simulate(config)
+    # A row only the last trial tests.
+    tests = [trial_stream(config.seed, t).permutation(31)[20:30] for t in range(3)]
+    row = np.setdiff1d(tests[2], np.concatenate(tests[:2]))[0]
+    with pytest.raises(ValueError, match="must be finite"):
+        evaluate_dataset(_with_score(ds, row, bad), [name], None, 3, config.seed)
+
+
+def test_score_of_a_row_no_trial_reads_does_not_matter():
+    # With one trial, the reserved third is never calibrated or tested, so a
+    # non-finite score there changes nothing: only tested rows are decided.
+    config = _small_config(n_samples=31, n_trials=1)
+    ds = simulate(config)
+    reserved = trial_stream(config.seed, 0).permutation(31)[:10]
+    want = evaluate_dataset(ds, METHODS, n_trials=1, seed=config.seed)
+    bad = _with_score(ds, reserved[0], float("nan"))
+    assert evaluate_dataset(bad, METHODS, n_trials=1, seed=config.seed) == want
+
+
+@pytest.mark.parametrize("field", ["n_trials", "seed"])
+@pytest.mark.parametrize("value", [True, 2.5, 1.0])
+def test_evaluate_rejects_non_integer_trials_and_seed(field, value):
+    ds = simulate(_small_config())
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        evaluate_dataset(ds, ["vote_majority"], **{field: value})
+
+
+def test_evaluate_reports_numpy_integers_as_int(tmp_path):
+    # The report must load back: JSON has no numpy integers or booleans.
+    ds = simulate(_small_config())
+    report = evaluate_dataset(
+        ds, ["vote_majority"], n_trials=np.int64(2), seed=np.uint64(5)
+    )
+    assert type(report.n_trials) is int and type(report.seed) is int
+    save_report(report, str(tmp_path / "report.json"))
+    assert load_report(str(tmp_path / "report.json")) == report

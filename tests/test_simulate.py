@@ -9,6 +9,8 @@ from evifuse import (
     SourceProfile,
     default_config,
     default_priors,
+    load_config,
+    save_config,
     simulate,
 )
 
@@ -137,3 +139,27 @@ def test_fusion_settings_reject_non_integer_k():
     with pytest.raises(ValueError, match="at least 1"):
         FusionSettings(denoeux_k=0)
     assert FusionSettings(denoeux_k=np.int64(4)).denoeux_k == 4
+
+
+@pytest.mark.parametrize("field", ["n_samples", "n_trials", "seed"])
+@pytest.mark.parametrize("value", [True, np.True_, 2.5, 30.5, 2.0, "2"])
+def test_config_rejects_non_integer_sizes_and_seed(field, value):
+    # A bool would be saved as JSON true, which load_report rejects; a float
+    # would fail only later, in range() or SeedSequence.
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        _config(**{field: value})
+
+
+def test_config_stores_numpy_integers_as_int(tmp_path):
+    # JSON has no numpy integers, so the config must hold Python ints.
+    cfg = _config(
+        n_samples=np.int64(500),
+        n_trials=np.int32(2),
+        seed=np.uint64(42),
+        fusion=FusionSettings(denoeux_k=np.int64(4)),
+    )
+    values = (cfg.n_samples, cfg.n_trials, cfg.seed, cfg.fusion.denoeux_k)
+    assert values == (500, 2, 42, 4)
+    assert all(type(v) is int for v in values)
+    save_config(cfg, str(tmp_path / "config.json"))
+    assert load_config(str(tmp_path / "config.json")) == cfg

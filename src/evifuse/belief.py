@@ -222,6 +222,9 @@ class AppriouParams:
         m = cond.shape[0]
         if r.shape != (m,) or alpha.shape != (m, self.frame.n):
             raise ValueError("r and alpha shapes must match cond_prob")
+        for name, arr in (("cond_prob", cond), ("r", r), ("alpha", alpha)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
         if cond.min() < 0.0 or cond.max() > 1.0:
             raise ValueError("conditional probabilities must lie in [0, 1]")
         if alpha.min() < 0.0 or alpha.max() > 1.0:

@@ -9,6 +9,7 @@ import click
 
 from . import __version__
 from .experiment import evaluate_dataset, normalize_methods, run_experiment
+from .frame import MAX_SEED
 from .io import load_config, load_dataset, save_dataset, save_report
 from .simulate import FusionSettings, SimConfig, simulate as simulate_dataset
 
@@ -41,7 +42,7 @@ def main() -> None:
 @main.command()
 @click.option("--config", "config_path", required=True, metavar="<json>")
 @click.option("--out", "out_path", required=True, metavar="<csv>")
-@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None)
+@click.option("--seed", type=click.IntRange(0, MAX_SEED), default=None)
 @_guarded
 def simulate(config_path: str, out_path: str, seed: int | None) -> None:
     """Generate a synthetic multi-source dataset CSV."""
@@ -56,7 +57,7 @@ def simulate(config_path: str, out_path: str, seed: int | None) -> None:
 @click.option("--config", "config_path", required=True, metavar="<json>")
 @click.option("--methods", required=True, metavar="<list>", help="comma-separated")
 @click.option("--out", "out_path", required=True, metavar="<json>")
-@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None)
+@click.option("--seed", type=click.IntRange(0, MAX_SEED), default=None)
 @_guarded
 def run(config_path: str, methods: str, out_path: str, seed: int | None) -> None:
     """Simulate the scenario and run the repeated split protocol."""
@@ -81,7 +82,7 @@ def run(config_path: str, methods: str, out_path: str, seed: int | None) -> None
     help="optional scenario file supplying method parameters",
 )
 @click.option("--trials", type=click.IntRange(min=1), default=None)
-@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None)
+@click.option("--seed", type=click.IntRange(0, MAX_SEED), default=None)
 @_guarded
 def eval_cmd(
     dataset_path: str,

@@ -10,8 +10,8 @@ pooled over trials so rare classes with empty trial slices stay defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable, Sequence
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -22,92 +22,69 @@ from .calibration import (
     conditional_probs,
     vote_weights,
 )
-from .frame import Frame, check_integer
+from .frame import Frame, check_integer, check_seed
 from .simulate import Dataset, FusionSettings, SimConfig, simulate, trial_stream
 
+# A kernel: (ds, settings, calib_idx, rows) -> (decided, conflict_mass), one
+# entry per row, -1 = conflict class. It fits what it needs from the
+# calibration rows calib_idx.
 
-class TrialCalibration:
-    """One trial's calibration artifacts, each built from the calibration
-    split on first use, so a trial builds only what its methods need."""
 
-    def __init__(
-        self, ds: Dataset, calib_idx: np.ndarray, settings: FusionSettings
-    ) -> None:
-        self.ds = ds
-        self.calib_idx = calib_idx
-        self.settings = settings
-
-    @cached_property
-    def confusion(self) -> list[ConfusionMatrix]:
-        ds, idx = self.ds, self.calib_idx
-        return [
-            build_confusion(
-                np.column_stack((ds.truth[idx], ds.labels[idx, j])),
-                ds.frame,
-                source_id=ds.source_ids[j],
-            )
-            for j in range(ds.m_sources)
-        ]
-
-    @cached_property
-    def weights(self) -> voting.VoteWeights:
-        return vote_weights(self.confusion)
-
-    @cached_property
-    def appriou(self) -> belief.AppriouParams:
-        return conditional_probs(self.confusion)
-
-    @cached_property
-    def training_set(self) -> belief.TrainingSet:
-        ds, idx = self.ds, self.calib_idx
-        return belief.TrainingSet(
+def _confusion(ds: Dataset, calib_idx: np.ndarray) -> list[ConfusionMatrix]:
+    """Each source's confusion matrix over the calibration rows."""
+    return [
+        build_confusion(
+            np.column_stack((ds.truth[calib_idx], ds.labels[calib_idx, j])),
             ds.frame,
-            ds.scores[idx].reshape(idx.shape[0], -1),
-            ds.truth[idx],
-            k=min(self.settings.denoeux_k, idx.shape[0]),
-            alpha=self.settings.denoeux_alpha,
+            source_id=ds.source_ids[j],
         )
+        for j in range(ds.m_sources)
+    ]
 
 
-# A kernel: (calib, test_idx) -> (decided, conflict_mass); -1 = conflict class.
-Kernel = Callable[[TrialCalibration, np.ndarray], tuple[np.ndarray, np.ndarray]]
+def _vote_majority(ds, settings, calib_idx, rows):
+    counts = voting.tally_batch(ds.labels[rows], ds.frame)
+    return voting.decide_threshold_batch(counts, 0.0), np.zeros(rows.shape[0])
 
 
-def _vote_majority(calib, test_idx):
-    counts = voting.tally_batch(calib.ds.labels[test_idx], calib.ds.frame)
-    return voting.decide_threshold_batch(counts, 0.0), np.zeros(test_idx.shape[0])
+def _vote_absolute(ds, settings, calib_idx, rows):
+    counts = voting.tally_batch(ds.labels[rows], ds.frame)
+    decided = voting.decide_absolute_majority_batch(counts, ds.m_sources)
+    return decided, np.zeros(rows.shape[0])
 
 
-def _vote_absolute(calib, test_idx):
-    counts = voting.tally_batch(calib.ds.labels[test_idx], calib.ds.frame)
-    decided = voting.decide_absolute_majority_batch(counts, calib.ds.m_sources)
-    return decided, np.zeros(test_idx.shape[0])
-
-
-def _vote_weighted(calib, test_idx):
-    ds, settings = calib.ds, calib.settings
-    counts = voting.tally_batch(ds.labels[test_idx], ds.frame, calib.weights)
+def _vote_weighted(ds, settings, calib_idx, rows):
+    weights = vote_weights(_confusion(ds, calib_idx))
+    counts = voting.tally_batch(ds.labels[rows], ds.frame, weights)
     decided = voting.decide_threshold_batch(counts, settings.vote_c, settings.vote_b)
-    return decided, np.zeros(test_idx.shape[0])
+    return decided, np.zeros(rows.shape[0])
 
 
-def _belief_appriou(calib, test_idx):
+def _belief_appriou(ds, settings, calib_idx, rows):
+    params = conditional_probs(_confusion(ds, calib_idx))
     return belief.appriou_decide_batch(
-        calib.ds.labels[test_idx], calib.appriou, calib.settings.appriou_as_printed
+        ds.labels[rows], params, settings.appriou_as_printed
     )
 
 
-def _possibility(op, calib, test_idx):
-    decided = possibility.decide_batch(calib.ds.scores[test_idx], op)
-    return decided, np.zeros(test_idx.shape[0])
+def _possibility(op, ds, settings, calib_idx, rows):
+    decided = possibility.decide_batch(ds.scores[rows], op)
+    return decided, np.zeros(rows.shape[0])
 
 
-def _belief_denoeux(calib, test_idx):
-    queries = calib.ds.scores[test_idx].reshape(test_idx.shape[0], -1)
-    return belief.denoeux_decide_batch(queries, calib.training_set)
+def _belief_denoeux(ds, settings, calib_idx, rows):
+    flat = ds.scores.reshape(ds.n_samples, -1)
+    training_set = belief.TrainingSet(
+        ds.frame,
+        flat[calib_idx],
+        ds.truth[calib_idx],
+        k=min(settings.denoeux_k, len(calib_idx)),
+        alpha=settings.denoeux_alpha,
+    )
+    return belief.denoeux_decide_batch(flat[rows], training_set)
 
 
-KERNELS: dict[str, Kernel] = {
+KERNELS = {
     "vote_majority": _vote_majority,
     "vote_absolute": _vote_absolute,
     "vote_weighted": _vote_weighted,
@@ -118,8 +95,8 @@ KERNELS: dict[str, Kernel] = {
 
 METHODS = tuple(KERNELS)
 
-# Methods whose kernels read only calib.ds and calib.settings: a row's
-# decision does not depend on the trial, so each row is decided once per run.
+# Methods whose kernels read only the row, never calib_idx: a row's decision
+# does not depend on the trial, so each row is decided once per run.
 ROW_WISE = frozenset(
     {"vote_majority", "vote_absolute"}
     | {f"possibility_{op}" for op in possibility.OPERATORS}
@@ -207,13 +184,12 @@ def _decide_row_wise(
     Rows are decided in chunks of at most ``chunk`` rows, so no call holds
     larger temporaries than one trial's call; untested rows stay unset.
     """
-    calib = TrialCalibration(ds, tested[:0], settings)  # no split is read
     row_wise = [name for name in methods if name in ROW_WISE]
     lookups = {name: np.empty(ds.n_samples, dtype=np.int64) for name in row_wise}
     for name, lookup in lookups.items():
         for a in range(0, tested.shape[0], chunk):
             rows = tested[a : a + chunk]
-            lookup[rows] = KERNELS[name](calib, rows)[0]
+            lookup[rows] = KERNELS[name](ds, settings, None, rows)[0]
     return lookups
 
 
@@ -232,7 +208,7 @@ def evaluate_dataset(
     settings = settings or FusionSettings()
     methods = normalize_methods(methods, settings)
     n_trials = check_integer("n_trials", n_trials)
-    seed = check_integer("seed", seed)
+    seed = check_seed(seed)
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     third = ds.n_samples // 3
@@ -247,7 +223,7 @@ def evaluate_dataset(
     class_total = np.zeros(ds.frame.n, dtype=np.int64)
     source_rates = np.zeros(ds.m_sources)
     for perm in perms:
-        calib = TrialCalibration(ds, perm[third : 2 * third], settings)
+        calib_idx = perm[third : 2 * third]
         test_idx = perm[2 * third : 3 * third]
         truth = ds.truth[test_idx]
         class_total += np.bincount(truth, minlength=ds.frame.n)
@@ -255,7 +231,8 @@ def evaluate_dataset(
             if name in lookups:
                 accs[name].add_trial(truth, lookups[name][test_idx], 0.0)
             else:
-                decided, conflict_mass = KERNELS[name](calib, test_idx)
+                kernel = KERNELS[name]
+                decided, conflict_mass = kernel(ds, settings, calib_idx, test_idx)
                 accs[name].add_trial(truth, decided, float(conflict_mass.mean()))
         source_rates += (ds.labels[test_idx] == truth[:, None]).mean(axis=0)
 

@@ -20,12 +20,23 @@ MAX_CLASSES = 16
 # possibility maximum) may be off.
 SUM_TOL = 1e-9
 
+# Largest seed numpy's SeedSequence takes as one unsigned 64-bit word.
+MAX_SEED = 2**64 - 1
+
 
 def check_integer(name: str, value) -> int:
     """value as an int; ValueError unless it is an integer other than a bool."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_seed(value) -> int:
+    """value as an int; ValueError unless it is an integer in [0, MAX_SEED]."""
+    seed = check_integer("seed", value)
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    return seed
 
 
 def make_frame(labels: Iterable[str]) -> "Frame":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections.abc import Iterable
 from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from types import SimpleNamespace
@@ -168,9 +169,18 @@ def _save_json(data: dict[str, Any], path: str) -> None:
 
 
 def _load_json(path: str) -> Any:
+    def finite(text: str) -> float:
+        """A JSON number, or Python's NaN/Infinity literals, as a finite float."""
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"{path}: invalid JSON: {text} is not a finite number"
+            )
+        return value
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_float=finite, parse_constant=finite)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
 

@@ -9,11 +9,12 @@ amount of uniform noise. Everything is a pure function of the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .frame import SUM_TOL, Frame, check_integer, make_frame
+from .frame import SUM_TOL, Frame, check_integer, check_seed, make_frame
 from .possibility import OPERATORS
 
 # Long-tailed six-class mix used by the default benchmark scenario.
@@ -53,6 +54,8 @@ class FusionSettings:
     def __post_init__(self) -> None:
         if not 0.0 <= self.vote_c <= 1.0:
             raise ValueError("vote threshold coefficient must lie in [0, 1]")
+        if not math.isfinite(self.vote_b):
+            raise ValueError("vote threshold offset must be finite")
         if self.possibility_operator not in OPERATORS:
             raise ValueError(
                 f"unknown possibility operator {self.possibility_operator!r}"
@@ -86,6 +89,8 @@ class SimConfig:
         frame = make_frame(classes)  # validates labels
         if len(priors) != frame.n:
             raise ValueError("one prior per class is required")
+        if not all(math.isfinite(p) for p in priors):
+            raise ValueError("priors must be finite")
         if any(p < 0.0 for p in priors):
             raise ValueError("priors must be non-negative")
         if abs(sum(priors) - 1.0) > SUM_TOL:
@@ -99,14 +104,13 @@ class SimConfig:
                 raise ValueError(
                     f"source {s.id!r} needs one reliability per class"
                 )
-        for name in ("n_samples", "n_trials", "seed"):
+        for name in ("n_samples", "n_trials"):
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
 
     @property
     def frame(self) -> Frame:

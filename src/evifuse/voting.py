@@ -57,10 +57,25 @@ class VoteTally:
         counts = np.array(self.counts, dtype=float)
         if counts.ndim != 1 or counts.size == 0:
             raise ValueError("counts must be a non-empty vector")
+        if not np.isfinite(counts).all():
+            raise ValueError("counts must be finite")
         if counts.min() < 0.0:
             raise ValueError("counts must be non-negative")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
+
+
+def _check_weights(weights: VoteWeights | None, m: int, frame: Frame) -> None:
+    if weights is not None and weights.alpha.shape != (m, frame.n):
+        raise ValueError(
+            f"weight matrix of shape {weights.alpha.shape} does not match "
+            f"{m} sources over {frame.n} classes"
+        )
+
+
+def _check_c(c: float) -> None:
+    if not 0.0 <= c <= 1.0:
+        raise ValueError("threshold coefficient c must lie in [0, 1]")
 
 
 def tally(
@@ -69,16 +84,12 @@ def tally(
     """Accumulate the sources' votes, optionally weighted per source and class."""
     idx = [frame.check_class(k) for k in labels]
     m = len(idx)
+    _check_weights(weights, m, frame)
     counts = np.zeros(frame.n)
     if weights is None:
         for k in idx:
             counts[k] += 1.0
     else:
-        if weights.alpha.shape != (m, frame.n):
-            raise ValueError(
-                f"weight matrix of shape {weights.alpha.shape} does not match "
-                f"{m} sources over {frame.n} classes"
-            )
         for j, k in enumerate(idx):
             counts[k] += weights.alpha[j, k]
     return VoteTally(counts, m, weighted=weights is not None)
@@ -115,8 +126,7 @@ def decide_threshold(t: VoteTally, c: float, b: float = 0.0) -> Decision:
     A tally with no votes decides the conflict class regardless of the
     threshold.
     """
-    if not 0.0 <= c <= 1.0:
-        raise ValueError("threshold coefficient c must lie in [0, 1]")
+    _check_c(c)
     counts = t.counts
     k = int(np.argmax(counts))
     top = counts[k]
@@ -139,11 +149,7 @@ def tally_batch(
     if labels.ndim != 2:
         raise ValueError("labels must form a (samples, sources) matrix")
     b, m = labels.shape
-    if weights is not None and weights.alpha.shape != (m, frame.n):
-        raise ValueError(
-            f"weight matrix of shape {weights.alpha.shape} does not match "
-            f"{m} sources over {frame.n} classes"
-        )
+    _check_weights(weights, m, frame)
     counts = np.zeros((b, frame.n))
     rows = np.arange(b)
     for j in range(m):
@@ -160,8 +166,7 @@ def decide_absolute_majority_batch(counts: np.ndarray, m_sources: int) -> np.nda
 
 def decide_threshold_batch(counts: np.ndarray, c: float, b: float = 0.0) -> np.ndarray:
     """``decide_threshold`` per row of counts; -1 is conflict."""
-    if not 0.0 <= c <= 1.0:
-        raise ValueError("threshold coefficient c must lie in [0, 1]")
+    _check_c(c)
     top = counts.max(axis=1)
     unique = np.count_nonzero(counts == top[:, None], axis=1) == 1
     wins = (top > 0.0) & unique & (top >= c * counts.sum(axis=1) + b)

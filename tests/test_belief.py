@@ -362,6 +362,19 @@ def test_appriou_params_validate_r():
         )
 
 
+@pytest.mark.parametrize("field", ["cond_prob", "r", "alpha"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_appriou_params_reject_non_finite(field, bad):
+    # NaN passes every range and reciprocal check, so it is rejected by name.
+    values = dict(
+        cond_prob=np.array([[0.5, 0.25, 0.1]]), r=np.array([2.0]), alpha=np.ones((1, 3))
+    )
+    values[field] = values[field].copy()
+    values[field].flat[0] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        AppriouParams(FRAME3, **values)
+
+
 def test_appriou_two_to_one_majority_ties_with_unreported_class():
     # At alpha = 1 a source reporting its best-recognized class (r p = 1)
     # puts 1/2 on the class and 1/2 on its complement. Two such sources for

@@ -25,7 +25,6 @@ from evifuse.experiment import (
     ROW_WISE,
     ExperimentReport,
     MethodResult,
-    TrialCalibration,
     normalize_methods,
 )
 from evifuse.io import report_to_dict
@@ -198,12 +197,12 @@ def _reference_report(ds, methods, settings, n_trials, seed):
     source_rates = np.zeros(ds.m_sources)
     for trial in range(n_trials):
         perm = trial_stream(seed, trial).permutation(ds.n_samples)
-        calib = TrialCalibration(ds, perm[third : 2 * third], settings)
+        calib_idx = perm[third : 2 * third]
         test_idx = perm[2 * third : 3 * third]
         truth = ds.truth[test_idx]
         np.add.at(class_total, truth, 1.0)
         for name in names:
-            decided, conflict_mass = KERNELS[name](calib, test_idx)
+            decided, conflict_mass = KERNELS[name](ds, settings, calib_idx, test_idx)
             accuracy, rate, mass, class_correct = sums[name]
             correct = decided == truth
             accuracy.append(float(correct.mean()))
@@ -330,6 +329,23 @@ def test_evaluate_rejects_non_integer_trials_and_seed(field, value):
     ds = simulate(_small_config())
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         evaluate_dataset(ds, ["vote_majority"], **{field: value})
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_evaluate_rejects_seed_out_of_range(seed):
+    # SimConfig and the CLI's --seed take the same range, so a report's seed
+    # always names a scenario SimConfig can rebuild.
+    ds = simulate(_small_config())
+    with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit"):
+        evaluate_dataset(ds, ["vote_majority"], seed=seed)
+
+
+def test_evaluate_accepts_largest_seed(tmp_path):
+    ds = simulate(_small_config())
+    report = evaluate_dataset(ds, ["vote_majority"], seed=2**64 - 1)
+    assert report.seed == 2**64 - 1
+    save_report(report, str(tmp_path / "report.json"))
+    assert load_report(str(tmp_path / "report.json")) == report
 
 
 def test_evaluate_reports_numpy_integers_as_int(tmp_path):

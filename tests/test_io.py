@@ -621,6 +621,35 @@ def test_config_rejects_bad_json(tmp_path):
         load_config(str(path))
 
 
+def _report_dict():
+    cfg = default_config(n_samples=60, n_trials=1)
+    return report_to_dict(run_experiment(cfg, ["vote_majority"]))
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize(
+    "make, keys, load",
+    [
+        (lambda: config_to_dict(default_config()), ("priors", 0), load_config),
+        (lambda: config_to_dict(default_config()), ("vote", "b"), load_config),
+        (_report_dict, ("methods", "vote_majority", "accuracy"), load_report),
+    ],
+)
+def test_json_rejects_non_finite_numbers(tmp_path, literal, make, keys, load):
+    # Python's json reads NaN and Infinity, and 1e999 overflows to inf.
+    data = make()
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = 0.125  # a number that appears nowhere else
+    text = json.dumps(data)
+    assert text.count("0.125") == 1
+    path = tmp_path / "file.json"
+    path.write_text(text.replace("0.125", literal))
+    with pytest.raises(ValidationError, match=f"{re.escape(literal)} is not a finite"):
+        load(str(path))
+
+
 def test_report_round_trip(tmp_path):
     cfg = default_config(n_samples=120, n_trials=2)
     report = run_experiment(cfg, ["vote_majority", "belief_appriou"])

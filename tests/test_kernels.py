@@ -43,7 +43,7 @@ from evifuse import (
 )
 from evifuse import belief
 from evifuse.belief import appriou_decide_batch, appriou_mass, denoeux_decide_batch
-from evifuse.experiment import KERNELS, METHODS, TrialCalibration
+from evifuse.experiment import KERNELS, METHODS, ROW_WISE
 from evifuse.simulate import SourceProfile
 from evifuse.voting import (
     VoteWeights,
@@ -128,15 +128,14 @@ def scalar_outputs(name, ds, calib_idx, test_idx, settings):
 
 def assert_kernels_match(ds, calib_idx, test_idx, settings, methods=METHODS):
     """Each kernel equals the scalar path, or both raise ValueError."""
-    calib = TrialCalibration(ds, calib_idx, settings)
     for name in methods:
         try:
             want, want_conflict = scalar_outputs(name, ds, calib_idx, test_idx, settings)
         except ValueError:
             with pytest.raises(ValueError):
-                KERNELS[name](calib, test_idx)
+                KERNELS[name](ds, settings, calib_idx, test_idx)
             continue
-        decided, conflict = KERNELS[name](calib, test_idx)
+        decided, conflict = KERNELS[name](ds, settings, calib_idx, test_idx)
         assert decided.dtype == np.int64, name
         assert decided.tolist() == want, name
         np.testing.assert_allclose(
@@ -478,9 +477,7 @@ def test_total_conflict_gives_conflict_class():
     )
     calib_idx, test_idx = np.array([2, 3]), np.array([4, 5])
     fusion = FusionSettings(denoeux_k=2, denoeux_alpha=1.0)
-    decided, conflict = KERNELS["belief_denoeux"](
-        TrialCalibration(ds, calib_idx, fusion), test_idx
-    )
+    decided, conflict = KERNELS["belief_denoeux"](ds, fusion, calib_idx, test_idx)
     assert decided.tolist() == [-1, -1]
     assert conflict.tolist() == [1.0, 1.0]
     assert_kernels_match(ds, calib_idx, test_idx, fusion)
@@ -505,8 +502,7 @@ def test_tied_possibility_values():
     possibility = [name for name in METHODS if name.startswith("possibility_")]
     assert_kernels_match(ds, calib_idx, test_idx, FusionSettings(), possibility)
     fusion = FusionSettings()
-    calib = TrialCalibration(ds, calib_idx, fusion)
-    decided, _ = KERNELS["possibility_max"](calib, test_idx)
+    decided, _ = KERNELS["possibility_max"](ds, fusion, calib_idx, test_idx)
     assert 1 not in decided.tolist()
 
 
@@ -891,3 +887,39 @@ def test_mass_lost_by_appriou_combination_is_bounded():
     assert abs(dropped_mass(mass)) < 1e-10
     _, conflict = appriou_decide_batch(np.arange(16)[None, :], params)
     assert conflict[0] == pytest.approx(mass.conflict_mass(), abs=CONFLICT_ATOL)
+
+
+# ---------------------------------------------------------------------------
+# The kernel contract the protocol relies on: a kernel reads the dataset only
+# at calib_idx and at its rows, and a ROW_WISE kernel not even at calib_idx.
+
+
+@pytest.mark.parametrize("scores", ["continuous", "coarse"])
+@pytest.mark.parametrize("name", METHODS)
+def test_kernel_reads_only_calibration_rows_and_its_rows(name, scores):
+    ds = make_dataset(12, n=4, m=3, size=90, scores=scores)
+    perm = np.random.default_rng(12).permutation(90)
+    calib_idx, rows = perm[30:60], perm[60:75]
+    other = perm[np.r_[0:30, 75:90]]
+    rng = np.random.default_rng(13)
+    truth, labels, values = (np.array(a) for a in (ds.truth, ds.labels, ds.scores))
+    truth[other] = (truth[other] + 1) % 4
+    labels[other] = (labels[other] + rng.integers(1, 4, labels[other].shape)) % 4
+    values[other] = rng.random(values[other].shape)
+    changed = Dataset(ds.frame, ds.source_ids, ds.sample_ids, truth, labels, values)
+    settings = FusionSettings(denoeux_k=4)
+    want = KERNELS[name](ds, settings, calib_idx, rows)
+    got = KERNELS[name](changed, settings, calib_idx, rows)
+    for w, g in zip(want, got):
+        assert w.dtype == g.dtype and w.tobytes() == g.tobytes(), name
+
+
+@pytest.mark.parametrize("name", sorted(ROW_WISE))
+def test_row_wise_kernel_does_not_need_a_calibration_split(name):
+    ds = make_dataset(14, n=3, m=4, size=60)
+    calib_idx, rows = protocol_split(60, 14)
+    settings = FusionSettings()
+    want = KERNELS[name](ds, settings, calib_idx, rows)
+    got = KERNELS[name](ds, settings, None, rows)
+    for w, g in zip(want, got):
+        assert w.dtype == g.dtype and w.tobytes() == g.tobytes(), name

@@ -150,6 +150,33 @@ def test_config_rejects_non_integer_sizes_and_seed(field, value):
         _config(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_config_rejects_seed_out_of_range(seed):
+    with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit"):
+        _config(seed=seed)
+
+
+def test_config_accepts_largest_seed():
+    cfg = _config(seed=2**64 - 1, n_samples=30)
+    assert cfg.seed == 2**64 - 1
+    assert simulate(cfg).n_samples == 30
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_priors(bad):
+    # NaN passes both the sign and the sum check, and would fail only in
+    # simulate's draw of the classes.
+    with pytest.raises(ValueError, match="priors must be finite"):
+        _config(priors=(bad, 0.5, 0.5))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_fusion_settings_reject_non_finite_vote_b(bad):
+    # With b = NaN every weighted vote would decide the conflict class.
+    with pytest.raises(ValueError, match="offset must be finite"):
+        FusionSettings(vote_b=bad)
+
+
 def test_config_stores_numpy_integers_as_int(tmp_path):
     # JSON has no numpy integers, so the config must hold Python ints.
     cfg = _config(

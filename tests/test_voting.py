@@ -50,6 +50,12 @@ def test_tally_weight_shape_mismatch():
         tally([0, 1, 2], FRAME3, weights)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_vote_tally_rejects_non_finite_counts(bad):
+    with pytest.raises(ValueError, match="counts must be finite"):
+        VoteTally(np.array([1.0, bad, 0.0]), 2)
+
+
 def test_weights_must_normalize():
     with pytest.raises(ValueError):
         VoteWeights(np.full((2, 3), 0.5))

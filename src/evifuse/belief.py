@@ -300,7 +300,8 @@ def appriou_decide_batch(
     for the conflict class) and the same conflict mass up to rounding.
     Source j's masses (a, b, g) sit on {l_j}, its complement and the frame,
     and are combined by the closed form of ``_decide_triples``; rows it
-    hands to the scalar path are combined once per distinct label row.
+    hands to the scalar path are combined once per distinct label row, from
+    source masses built once per (source, label).
     """
     frame = params.frame
     labels = frame.check_classes(labels)
@@ -315,10 +316,12 @@ def appriou_decide_batch(
         tables /= tables.sum(axis=0)
     masses = tables[:, np.arange(params.m_sources), labels]
 
+    @cache
+    def source_mass(j: int, k: int) -> MassFunction:
+        return appriou_mass(j, k, params, as_printed)
+
     def scalar(row: np.ndarray) -> MassFunction:
-        return combine_all(
-            [appriou_mass(j, k, params, as_printed) for j, k in enumerate(row)]
-        )
+        return combine_all([source_mass(j, int(k)) for j, k in enumerate(row)])
 
     return _decide_triples(labels, masses, frame.n, labels, scalar)
 
@@ -349,8 +352,7 @@ class TrainingSet:
         classes = self.frame.check_classes(self.classes)
         if protos.ndim != 2 or protos.shape[0] == 0:
             raise ValueError("prototypes must form a non-empty (t, d) matrix")
-        if not np.all(np.isfinite(protos)):
-            raise ValueError("prototypes must be finite")
+        _check_coordinates("prototypes", protos)
         if classes.shape != (protos.shape[0],):
             raise ValueError("one class per prototype is required")
         check_integer("k", self.k)
@@ -377,35 +379,78 @@ class TrainingSet:
         return self.prototypes.shape[0]
 
 
+def _check_coordinates(name: str, points: np.ndarray) -> None:
+    """ValueError unless every coordinate is finite and at most 2**510 /
+    sqrt(d) in magnitude, d the length of the last axis: two such points then
+    differ by at most 2**511 / sqrt(d) per coordinate, and their squared
+    distance, at most 2**1022, cannot overflow."""
+    top = _magnitude(points)
+    if not math.isfinite(top):
+        raise ValueError(f"{name} must be finite")
+    dim = points.shape[-1]
+    limit = math.ldexp(1.0, 510) / math.sqrt(max(dim, 1))
+    if top > limit:
+        raise ValueError(
+            f"{name} must have every coordinate within 2**510 / sqrt(d) = "
+            f"{limit:.6g} of 0 (d = {dim}), so that no squared distance overflows"
+        )
+
+
+def _magnitude(points: np.ndarray) -> float:
+    """The largest |coordinate| of the points (0 if there are none), or NaN if
+    one is NaN, without a temporary array."""
+    return float(max(-points.min(initial=0.0), points.max(initial=0.0)))
+
+
 def _mean_pairwise_distance(
     x: np.ndarray, buffers: tuple[np.ndarray, np.ndarray] | None = None
 ) -> float | None:
     """Mean Euclidean distance over all point pairs; None if degenerate.
 
-    Pairs are summed one block of rows at a time, in two flat buffers of at
-    least max(_BLOCK_FLOATS, t) entries, allocated here unless the caller
-    passes them, so memory stays bounded whatever the number of points.
+    Pairs are summed one block of rows at a time, each row against the points
+    from the block's first on. One matrix product,
+    [x_i, |x_i|^2, 1] . [-2 x_j, 1, |x_j|^2], gives the block's squared
+    distances in a flat buffer of at least max(_BLOCK_FLOATS, t) floats, with
+    a boolean buffer of the same size; the caller may pass them, so memory
+    stays bounded whatever the number of points. The product errs by at most
+    4 (d + 2) u (|x_i|^2 + |x_j|^2 + tiny), u = 2**-53 and tiny the least
+    normal float (the d + 2 terms of the product, the d of each |x|^2, and
+    their underflow), and a squared distance within that bound counts as 0,
+    so repeated points have zero spread, real-valued or not. The block's
+    leading square holds each of its pairs twice, and counts half.
     """
-    t = x.shape[0]
+    t, dim = x.shape
     if t < 2:
         return None
-    sq = np.sum(x * x, axis=1)
+    sq = np.einsum("td,td->t", x, x)
+    left = np.empty((t, dim + 2))
+    left[:, :dim], left[:, dim], left[:, dim + 1] = x, sq, 1.0
+    right = np.empty((dim + 2, t))
+    right[:dim], right[dim], right[dim + 1] = -2.0 * x.T, 1.0, sq
+    rtol, tiny = 4 * (dim + 2) * 2.0**-53, np.finfo(float).tiny
+    # Per row, the largest bound of its pairs: only rows with an entry at or
+    # below it are searched for the entries within their own bound.
+    row_bound = rtol * (sq + sq.max() + tiny)
     rows = max(1, min(t, _BLOCK_FLOATS // t))
-    gram, dist = buffers or (np.empty(rows * t), np.empty(rows * t))
-    lower = np.tri(rows, dtype=bool)
+    if buffers is None:
+        buffers = np.empty(rows * t), np.empty(rows * t, dtype=bool)
     total = 0.0
     for a in range(0, t - 1, rows):
-        b = min(a + rows, t)
-        # Row i of the block against points a.. : sq_i + sq_j - 2 x_i.x_j,
-        # with the pairs j <= i (the block's lower triangle) zeroed.
-        g = np.matmul(x[a:b], x[a:].T, out=_head(gram, b - a, t - a))
-        g *= 2.0
-        d = np.add(sq[a:b, None], sq[None, a:], out=_head(dist, b - a, t - a))
-        d -= g
-        np.maximum(d, 0.0, out=d)
-        np.sqrt(d, out=d)
-        np.copyto(d[:, : b - a], 0.0, where=lower[: b - a, : b - a])
-        total += float(d.sum())
+        n = min(rows, t - a)
+        d2 = np.matmul(left[a : a + n], right[:, a:], out=_head(buffers[0], n, t - a))
+        # A point and itself, entry (i, a + i), is left out of the search.
+        diagonal = d2.reshape(-1)[:: t - a + 1][:n]
+        diagonal[:] = np.inf
+        if np.any(d2.min(axis=1) <= row_bound[a : a + n]):
+            low = np.less_equal(
+                d2, row_bound[a : a + n, None], out=_head(buffers[1], n, t - a)
+            )
+            i, j = np.divmod(np.flatnonzero(low), t - a)
+            zero = d2[i, j] <= rtol * (sq[a + i] + sq[a + j] + tiny)
+            d2[i[zero], j[zero]] = 0.0
+        diagonal[:] = 0.0
+        np.sqrt(d2, out=d2)
+        total += float(d2.sum()) - 0.5 * float(d2[:, :n].sum())
     mean = total / (t * (t - 1) / 2)
     return mean if mean > 0.0 else None
 
@@ -424,7 +469,7 @@ def default_gamma(
     block buffers.
     """
     floats = max(_BLOCK_FLOATS, prototypes.shape[0])
-    bufs = np.empty(floats), np.empty(floats)
+    bufs = np.empty(floats), np.empty(floats, dtype=bool)
     means = [
         _mean_pairwise_distance(prototypes[classes == c], bufs)
         for c in range(n_classes)
@@ -467,8 +512,7 @@ def denoeux_classify_mass(x: Sequence[float], ts: TrainingSet) -> MassFunction:
         raise ValueError(
             f"query of shape {x.shape} does not match {ts.prototypes.shape[1:]}"
         )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("query must be finite")
+    _check_coordinates("query", x)
     diff = ts.prototypes - x
     d2 = np.einsum("td,td->t", diff, diff)
     nearest = np.argsort(d2, kind="stable")[: ts.k]
@@ -479,19 +523,6 @@ def denoeux_classify_mass(x: Sequence[float], ts: TrainingSet) -> MassFunction:
 # query compares the group minima first, and searches in full only the groups
 # that may hold one of its k nearest.
 _GROUP = 16
-# Prototypes rank by |p|^2 - 2 x.p, which leaves out the |x|^2 shared by all
-# prototypes of one query. With |x|^2 added back, this fast value errs against
-# the exact d^2 by at most (4 d + 6) u (u = 2**-53: dot products, the sub and
-# add, the exact path) of |x|^2 + |p|^2, so by at most s = _FAST_D2_RTOL
-# (|x|^2 + max |p|^2) for d up to 2e5; the few roundings in s itself are far
-# inside that margin. Let g_k be a query's k-th smallest group minimum. Every
-# group holds a prototype and padding ranks +inf, so k distinct prototypes rank
-# at most g_k: the exact k-th distance is at most g_k + |x|^2 + s, and every
-# prototype at that distance or nearer (the k nearest, and all that tie with
-# the k-th) ranks at most g_k + 2 s. Adding g_k and 2 s rounds once, and cannot
-# leave such a prototype out: rounding is monotone and a rank is a float, so
-# rank <= g_k + 2 s gives rank <= fl(g_k + 2 s).
-_FAST_D2_RTOL = 1e-10
 # Top-two pignistic values closer than this, in units of the total mass 1,
 # are a near tie. Rounding moves them by a few 1e-16 of that unit however
 # small they are, also where the scalar path rounds an input mass otherwise
@@ -520,8 +551,7 @@ def denoeux_decide_batch(
             f"queries of shape {queries.shape} do not match prototypes of "
             f"shape {ts.prototypes.shape}"
         )
-    if not np.all(np.isfinite(queries)):
-        raise ValueError("queries must be finite")
+    _check_coordinates("queries", queries)
     nearest, d2 = _k_nearest(queries, ts.prototypes, ts.k)
     classes = ts.classes[nearest]
     support = ts.alpha * np.exp(-ts.gamma[classes] * d2)
@@ -540,41 +570,81 @@ def _k_nearest(
 
     The order is by (exact squared distance, index), like the stable sort of
     denoeux_classify_mass. Query rows are taken one block at a time, and each
-    block ranks all prototypes by the fast distance into a buffer allocated
-    once per call. Group g holds the prototypes g, g + groups, ..., so the
-    block's ranks viewed as (rows, size, groups) give the group minima by one
-    min over contiguous slabs. The groups whose minimum is within the bound of
-    _FAST_D2_RTOL, and in them the prototypes within it, are the candidates:
-    every prototype among the k nearest or tied with the k-th is one. Their
-    exact distances use the diff-and-einsum expression of
-    denoeux_classify_mass.
+    block ranks all prototypes in float32, by one matrix product into a
+    buffer allocated once per call. Group g holds the prototypes g, g +
+    groups, ..., so the block's ranks viewed as (size, groups, rows) give the
+    group minima as the elementwise minimum of size contiguous slabs. The
+    groups whose minimum is within the margin derived below, and in them the
+    prototypes within it, are the candidates: every prototype among the k
+    nearest or tied with the k-th is one. Their exact distances use the
+    diff-and-einsum expression of denoeux_classify_mass.
     """
     t, dim = protos.shape
     groups = max(k, -(-t // _GROUP))
     size = -(-t // groups)
     width = groups * size
-    # -2 p is exact, so x.(-2 p) + |p|^2 ranks as |p|^2 - 2 x.p; the padding
-    # columns rank +inf, and group g always holds the prototype g.
-    scaled = np.zeros((dim, width))
-    scaled[:, :t] = -2.0 * protos.T
-    psq = np.full(width, np.inf)
-    psq[:t] = np.einsum("td,td->t", protos, protos)
-    slack = 2.0 * _FAST_D2_RTOL * (np.einsum("bd,bd->b", x, x) + psq[:t].max())
-    rows = max(1, _BLOCK_FLOATS // max(width, k * dim))
-    ranks = np.empty(rows * width)
+    # Queries and prototypes are scaled by 2**s, which maps the largest
+    # magnitude m 2**-s (m in [0.5, 1)) to m, exactly but for values far below
+    # float32's range; s stays below 1024 for subnormal data. X and P denote
+    # the scaled float64 values.
+    s = min(-math.frexp(max(_magnitude(protos), _magnitude(x)))[1], 1023)
+    queries, scaled = x * math.ldexp(1.0, s), protos * math.ldexp(1.0, s)
+    psq = np.einsum("td,td->t", scaled, scaled)
+    # One float32 product of [-2 P, |P|^2] and [X, 1] ranks each prototype by
+    # |P|^2 - 2 X.P, leaving out the |X|^2 shared by all prototypes of one
+    # query. Padding ranks at the largest float32, above every bound below
+    # (+inf there met zeros inside the product, and inf * 0 is NaN), and
+    # group g always holds the prototype g.
+    left = np.empty((dim + 1, x.shape[0]), dtype=np.float32)
+    left[:dim], left[dim] = queries.T, 1.0
+    right = np.zeros((width, dim + 1), dtype=np.float32)
+    right[:t, :dim], right[:t, dim] = -2.0 * scaled, psq
+    right[t:, dim] = np.finfo(np.float32).max
+    # The margin. With u = 2**-24 and tau = 2**-126, the least normal float32,
+    # below which any value may be flushed to 0:
+    # * rounding X, P and |P|^2 (summed in float64) to float32 moves a rank by
+    #   at most (3 u + O(u^2)) (|X|^2 + |P|^2) + (5 d + 1) tau;
+    # * the product, d + 1 terms summed in any order, errs by at most
+    #   gamma_{d+1} = (d + 1) u / (1 - (d + 1) u) times the sum of the terms'
+    #   magnitudes, which is at most (2 + 4 u) (|X|^2 + |P|^2) + (5 d + 1) tau,
+    #   plus (3 d + 2) tau for products and sums flushed to 0.
+    # For d + 1 <= 2**22, gamma_{d+1} <= 4/3 (d + 1) u, and as |P|^2 <= max
+    # |P|^2 a rank errs by at most r = rtol (|X|^2 + max |P|^2) + atol, with
+    # rtol = (3 d + 8) u and atol = (12 d + 8) tau. That leaves (0.3 d + 2) u
+    # for the float64 roundings of the exact d^2 (relative (d + 3) 2**-53) and
+    # of the bound below. Where its squares underflow, the exact d^2 of the
+    # diff-and-einsum expression also loses up to d 2**-1022, d 2**(2 s - 1022)
+    # once scaled; let e be twice that. Let g_k be a query's k-th smallest
+    # group minimum. Every group holds a prototype, which ranks below padding,
+    # so k distinct prototypes rank at most g_k: their true d^2 are at most g_k
+    # + |X|^2 + r, and the computed k-th distance at most that plus e / 2.
+    # Every prototype computed at that distance or nearer (the k nearest, and
+    # all that tie with the k-th) has a true d^2 of at most g_k + |X|^2 + r +
+    # e, and ranks at most g_k + 2 r + e <= g_k + 2 s_x, s_x = r + e. Adding
+    # g_k and 2 s_x rounds once, and cannot leave such a prototype out:
+    # rounding is monotone and a rank is a float, so rank <= g_k + 2 s_x gives
+    # rank <= fl(g_k + 2 s_x). Prototypes rank in [-d, 3 d], so e is capped at
+    # 8 d, where g_k + 2 s_x already exceeds them all.
+    rtol = (3 * dim + 8) * 2.0**-24
+    atol = (12 * dim + 8) * 2.0**-126 + math.ldexp(dim, min(2 * s - 1021, 3))
+    xsq = np.einsum("bd,bd->b", queries, queries)
+    slack = 2.0 * (rtol * (xsq + psq.max()) + atol)
+    # A block holds 2 _BLOCK_FLOATS float32 ranks, the bytes of _BLOCK_FLOATS
+    # float64s, and k d candidate differences a row fit in _BLOCK_FLOATS too.
+    rows = max(1, 2 * _BLOCK_FLOATS // max(width, 2 * k * dim))
+    ranks = np.empty(rows * width, dtype=np.float32)
     nearest = np.empty((x.shape[0], k), dtype=np.intp)
     d2 = np.empty((x.shape[0], k))
     for a in range(0, x.shape[0], rows):
         block = x[a : a + rows]
         n = block.shape[0]
-        rank = np.matmul(block, scaled, out=_head(ranks, n, width))
-        rank += psq
-        slabs = rank.reshape(n, size, groups)
-        least = slabs.min(axis=1)
-        bound = np.partition(least, k - 1, axis=1)[:, k - 1] + slack[a : a + n]
-        row, group = np.divmod(np.flatnonzero(least <= bound[:, None]), groups)
-        kept = slabs[row, :, group] <= bound[row, None]
-        pick, member = np.divmod(np.flatnonzero(kept), size)
+        rank = np.matmul(right, left[:, a : a + n], out=_head(ranks, width, n))
+        slabs = rank.reshape(size, groups, n)
+        least = slabs.min(axis=0)
+        bound = np.partition(least, k - 1, axis=0)[k - 1] + slack[a : a + n]
+        group, row = np.divmod(np.flatnonzero(least <= bound), n)
+        kept = slabs[:, group, row] <= bound[row]
+        member, pick = np.divmod(np.flatnonzero(kept), group.size)
         row, col = row[pick], member * groups + group[pick]
         diff = protos[col]
         diff -= block[row]

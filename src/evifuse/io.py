@@ -18,7 +18,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .experiment import ExperimentReport
-from .frame import make_frame
+from .frame import check_seed, make_frame
 from .simulate import Dataset, FusionSettings, SimConfig
 
 
@@ -163,9 +163,16 @@ def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
 
 
 def _save_json(data: dict[str, Any], path: str) -> None:
+    """Write data as JSON; a non-finite number, which _load_json would
+    reject, is refused before the file is opened."""
+    try:
+        text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(
+            f"{path}: cannot write a non-finite number: {exc}"
+        ) from None
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _load_json(path: str) -> Any:
@@ -292,10 +299,31 @@ def report_to_dict(report: ExperimentReport) -> dict[str, Any]:
 
 
 def report_from_dict(data: dict[str, Any]) -> ExperimentReport:
+    """The report, typed by _from_json; its seed must pass check_seed,
+    n_trials be at least 1, and every rate and mass lie in [0, 1]."""
     try:
-        return _from_json(data, ExperimentReport, "", "report")
+        report = _from_json(data, ExperimentReport, "", "report")
+        check_seed(report.seed)
+        if report.n_trials < 1:
+            raise ValueError("report key n_trials must be at least 1")
+        fractions = asdict(report)
+        for key in ("seed", "n_trials"):
+            del fractions[key]
+        for key, value in _leaves(fractions, ""):
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"report key {key} must lie in [0, 1], got {value}")
+        return report
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"invalid report: {exc}") from exc
+
+
+def _leaves(value: Any, key: str) -> Iterable[tuple[str, Any]]:
+    """(dotted path, value) of each non-object value in nested objects."""
+    if not isinstance(value, dict):
+        yield key, value
+        return
+    for child, item in value.items():
+        yield from _leaves(item, _at(key, child))
 
 
 def save_report(report: ExperimentReport, path: str) -> None:

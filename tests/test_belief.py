@@ -1,5 +1,6 @@
 """Mass functions, evidence models, combination, and pignistic decisions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -609,18 +610,28 @@ def test_mean_pairwise_distance_two_points_and_blocks(monkeypatch):
 
 
 def _mean_pairwise_distance_allocating(x, block_floats):
-    """The blocked sum as it was before its buffers, with fresh temporaries
-    in every block: the reference that the buffered loop must equal."""
-    t = x.shape[0]
+    """The blocked one-product sum with fresh temporaries in every block,
+    holding every entry to its own zero bound: the reference that the
+    buffered loop, which checks only the entries below a row's largest
+    bound, must equal."""
+    t, dim = x.shape
     if t < 2:
         return None
-    sq = np.sum(x * x, axis=1)
-    rows = max(1, block_floats // t)
+    sq = np.einsum("td,td->t", x, x)
+    left = np.column_stack([x, sq, np.ones(t)])
+    # In C order like the loop's: a one-row block is a matrix-vector
+    # product, whose rounding depends on the layout.
+    right = np.ascontiguousarray(np.vstack([-2.0 * x.T, np.ones(t), sq]))
+    rtol, tiny = 4 * (dim + 2) * 2.0**-53, np.finfo(float).tiny
+    rows = max(1, min(t, block_floats // t))
     total = 0.0
     for a in range(0, t - 1, rows):
-        b = min(a + rows, t)
-        d2 = sq[a:b, None] + sq[None, a:] - 2.0 * (x[a:b] @ x[a:].T)
-        total += float(np.triu(np.sqrt(np.maximum(d2, 0.0)), k=1).sum())
+        n = min(rows, t - a)
+        d2 = left[a : a + n] @ right[:, a:]
+        d2[np.arange(n), np.arange(n)] = 0.0
+        d2[d2 <= rtol * (sq[a : a + n, None] + sq[None, a:] + tiny)] = 0.0
+        dist = np.sqrt(d2)
+        total += float(dist.sum()) - 0.5 * float(dist[:, :n].sum())
     mean = total / (t * (t - 1) / 2)
     return mean if mean > 0.0 else None
 
@@ -652,6 +663,63 @@ def test_mean_pairwise_distance_is_the_allocating_loop(
         assert got is None
     else:
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_repeated_real_valued_points_have_zero_spread():
+    # 0.1, 0.7 and 1/3 are not dyadic: |x|^2 + |y|^2 - 2 x.y of two copies
+    # of such a point cancels to rounding noise, not to 0, and this class of
+    # three copies got gamma = 33554432 from that noise instead of the
+    # global fallback (0.93 here).
+    point = np.array([0.1, 0.7, 1.0 / 3.0, 0.9, 0.3, 0.6])
+    x = np.vstack([np.tile(point, (3, 1)), [[0.0] * 6, [1.0] * 6]])
+    assert _mean_pairwise_distance(x[:3]) is None
+    gamma = default_gamma(x, np.array([0, 0, 0, 1, 1]), 2)
+    assert gamma[0] == 1.0 / _mean_pairwise_distance(x)
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        point = rng.random(rng.integers(1, 9)) * 10.0 ** rng.uniform(-3, 3)
+        copies = np.tile(point, (rng.integers(2, 8), 1))
+        assert _mean_pairwise_distance(copies) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(2, 40),
+    d=st.integers(1, 8),
+    offset=st.sampled_from([0.0, 1.0 / 3.0, 1e3]),
+    duplicates=st.sampled_from(["none", "some", "all"]),
+)
+def test_mean_pairwise_distance_is_within_its_bound_of_fsum(
+    seed, t, d, offset, duplicates
+):
+    # Each d^2 of the one-product formula errs by at most E = 4 (d + 2) u
+    # (|x_i|^2 + |x_j|^2 + tiny), u = 2**-53, and by at most 2 E where it is
+    # counted as 0, so a distance errs by at most min(sqrt(2 E), 2 E / dist).
+    # Summing the t (t - 1) / 2 non-negative distances in blocks, and the
+    # rounding of math.dist and of the division, add less than (t^2 + 16) u
+    # of the mean. The offset makes E large against the distances.
+    rng = np.random.default_rng(seed)
+    x = rng.random((t, d)) + offset
+    if duplicates == "some":
+        x[rng.integers(0, t, t // 2)] = x[0]
+    elif duplicates == "all":
+        x[:] = x[0]
+    pairs = list(itertools.combinations(range(t), 2))
+    exact = [math.dist(x[i], x[j]) for i, j in pairs]
+    want = math.fsum(exact) / len(pairs)
+    u, tiny = 2.0**-53, np.finfo(float).tiny
+    sq = [math.fsum(v * v for v in row) for row in x]
+    bound = []
+    for (i, j), dist in zip(pairs, exact):
+        e = 4 * (d + 2) * u * (sq[i] + sq[j] + tiny)
+        bound.append(min(math.sqrt(2 * e), 2 * e / dist) if dist else math.sqrt(2 * e))
+    allowed = math.fsum(bound) / len(pairs) + (t * t + 16) * u * want
+    got = _mean_pairwise_distance(x)
+    if want == 0.0:
+        assert got is None
+    else:
+        assert abs(got - want) <= allowed
 
 
 def test_training_set_validation():

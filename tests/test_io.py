@@ -3,9 +3,10 @@
 import csv
 import io
 import json
+import math
 import re
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -749,3 +750,56 @@ def test_report_rejects_unknown_keys(keys):
     target["bogus"] = 1
     with pytest.raises(ValidationError, match=r"unknown keys in report.*'bogus'"):
         report_from_dict(data)
+
+
+def test_save_report_refuses_non_finite_numbers_before_opening(tmp_path):
+    # load_report rejects NaN and the infinities, so save_report must not
+    # write them; the file is not even created.
+    report = report_from_dict(small_report_dict())
+    path = tmp_path / "report.json"
+    for bad in (math.nan, math.inf, -math.inf):
+        broken = replace(report, source_accuracy={"s1": bad})
+        with pytest.raises(ValidationError, match="cannot write a non-finite number"):
+            save_report(broken, str(path))
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("seed", [-5, 2**64])
+def test_report_seed_must_be_a_valid_seed(seed):
+    data = small_report_dict()
+    data["seed"] = seed
+    with pytest.raises(ValidationError, match="invalid report: seed must fit"):
+        report_from_dict(data)
+
+
+@pytest.mark.parametrize("n_trials", [0, -1])
+def test_report_needs_at_least_one_trial(n_trials):
+    data = small_report_dict()
+    data["n_trials"] = n_trials
+    with pytest.raises(ValidationError, match="report key n_trials must be at least 1"):
+        report_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        ("methods", "vote_majority", "accuracy"),
+        ("methods", "vote_majority", "per_class", "c1"),
+        ("methods", "vote_majority", "conflict_rate"),
+        ("methods", "vote_majority", "mean_conflict_mass"),
+        ("source_accuracy", "s1"),
+    ],
+    ids=".".join,
+)
+@pytest.mark.parametrize("value", [1.5, -0.25])
+def test_report_rates_and_masses_lie_in_the_unit_interval(keys, value):
+    data = small_report_dict()
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    message = f"report key {'.'.join(keys)} must lie in [0, 1], got {value}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        report_from_dict(data)
+    target[keys[-1]] = 1.0 if value > 1 else 0.0
+    report_from_dict(data)

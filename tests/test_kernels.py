@@ -281,7 +281,8 @@ def test_duplicate_prototypes_tied_across_the_candidate_boundary():
 
 def test_neighbour_margin_far_from_the_origin(monkeypatch):
     # Every coordinate is offset by 1e3, so |x|^2 is about 6e6 while the
-    # squared distances are below 1, and the fast ranking errs by about 1e-9.
+    # squared distances are below 1, and the float32 ranks err by up to
+    # about 1, more than the squared distances themselves.
     # In even clusters 15 prototypes tie exactly on distance around a query,
     # and the rounding bound must keep all of them, so that the three lowest
     # indices (the class-0 ones) are the neighbours. Odd clusters have clear
@@ -326,30 +327,53 @@ def test_neighbour_margin_far_from_the_origin(monkeypatch):
     seed=st.integers(0, 2**32 - 1),
     t=st.integers(1, 80),
     k=st.integers(1, 80),
-    layout=st.sampled_from(["grid", "crisp", "one point"]),
+    layout=st.sampled_from(["grid", "crisp", "scores", "one point"]),
+    shape=st.tuples(st.integers(1, 16), st.integers(1, 16)),
     offset=st.sampled_from([0.0, 1.0 / 3.0, 1e3, 1e3 / 3.0]),
+    scale=st.sampled_from([1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150]),
+    zero_queries=st.booleans(),
     size=st.integers(1, 12),
     block_floats=st.sampled_from([1, 17, 200]),
 )
-@example(0, 40, 5, "one point", 0.0, 3, 200)
-def test_k_nearest_is_the_stable_sort(seed, t, k, layout, offset, size, block_floats):
+@example(0, 40, 5, "one point", (1, 2), 0.0, 1.0, False, 3, 200)
+@example(1, 80, 3, "scores", (16, 16), 1e3, 1e150, True, 12, 200)
+@example(2, 80, 3, "crisp", (16, 16), 0.0, 1e-300, True, 12, 17)
+def test_k_nearest_is_the_stable_sort(
+    seed, t, k, layout, shape, offset, scale, zero_queries, size, block_floats
+):
     # Grid and one-hot prototypes repeat, so many distances tie exactly, also
     # at the k-th neighbour; at one point all of them tie, and with no offset
     # the rounding margin is 0, so every prototype ranks exactly at the
-    # bound. t below 16 gives one group per neighbour, and k = t makes every
-    # prototype a neighbour. The offset moves the rounding of the fast ranks
-    # far above the gaps between distances.
+    # bound. Scores are rows of per-source probabilities, as the protocol's
+    # prototypes are, and not dyadic. t below 16 gives one group per
+    # neighbour, and k = t makes every prototype a neighbour. The offset
+    # moves the rounding of the float32 ranks far above the gaps between
+    # distances; the scale moves every value into float32 and float64
+    # underflow (1e-300: every exact d^2 is 0) or near the largest
+    # coordinates TrainingSet accepts, where it is capped. Up to 16 classes
+    # times 16 sources give up to 256 dimensions.
     rng = np.random.default_rng(seed)
     k = min(k, t)
+    n, m = shape
+    dim = n * m
     if layout == "one point":
-        protos, queries = np.zeros((t, 2)), np.zeros((size, 2))
+        protos, queries = np.zeros((t, dim)), np.zeros((size, dim))
     elif layout == "grid":
-        protos = rng.integers(0, 3, (t, 2)) / 2.0
-        queries = rng.integers(0, 5, (size, 2)) / 4.0
+        protos = rng.integers(0, 3, (t, dim)) / 2.0
+        queries = rng.integers(0, 5, (size, dim)) / 4.0
+    elif layout == "crisp":
+        protos = np.eye(n)[rng.integers(0, n, (t, m))].reshape(t, dim)
+        queries = np.eye(n)[rng.integers(0, n, (size, m))].reshape(size, dim)
     else:
-        protos = np.eye(3)[rng.integers(0, 3, (t, 2))].reshape(t, 6)
-        queries = np.eye(3)[rng.integers(0, 3, (size, 2))].reshape(size, 6)
-    protos, queries = protos + offset, queries + offset
+        protos = rng.dirichlet(np.ones(n), (t, m)).reshape(t, dim)
+        queries = rng.dirichlet(np.ones(n), (size, m)).reshape(size, dim)
+    top = 1.0 + offset
+    limit = 2.0**510 / math.sqrt(dim)
+    if top * scale > limit:
+        scale = 2.0 ** math.floor(math.log2(limit / top))
+    protos, queries = (protos + offset) * scale, (queries + offset) * scale
+    if zero_queries:
+        queries[::2] = 0.0
     want_nearest, want_d2 = [], []
     for x in queries:  # the search of denoeux_classify_mass
         diff = protos - x
@@ -362,6 +386,39 @@ def test_k_nearest_is_the_stable_sort(seed, t, k, layout, offset, size, block_fl
         nearest, d2 = belief._k_nearest(queries, protos, k)
     assert nearest.tobytes() == np.array(want_nearest).tobytes()
     assert d2.tobytes() == np.array(want_d2).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 6, 24])
+def test_squared_distances_that_could_overflow_raise(dim):
+    # Every coordinate must be within 2**510 / sqrt(d) of 0, so that no
+    # squared distance (at most 4 d limit^2 = 2**1022) overflows. At 1e200
+    # the products of the search overflowed, and no candidate was left.
+    limit = 2.0**510 / math.sqrt(dim)
+    rng = np.random.default_rng(dim)
+    unit = rng.choice([-1.0, 1.0], (12, dim))
+    classes = np.arange(12) % 3
+    message = r"%s must have every coordinate within 2\*\*510 / sqrt\(d\) = "
+    message += r".* of 0 \(d = %d\)" % dim
+    ts = TrainingSet(FRAME_ABC, unit * limit, classes, k=3)
+    for bad in (1e200, np.nextafter(limit, np.inf)):
+        far = np.full((1, dim), bad)
+        with pytest.raises(ValueError, match=message % "prototypes"):
+            TrainingSet(FRAME_ABC, np.vstack([unit[1:], far]), classes, k=3)
+        with pytest.raises(ValueError, match=message % "queries"):
+            denoeux_decide_batch(np.vstack([unit[:2], far]), ts)
+        with pytest.raises(ValueError, match=message % "query"):
+            denoeux_classify_mass(far[0], ts)
+    # At the limit itself both paths run, without overflow warnings (which
+    # are errors here), and agree.
+    queries = np.vstack([-unit[:6] * limit, unit[6:] * limit, np.zeros((1, dim))])
+    decided, conflict = denoeux_decide_batch(queries, ts)
+    want = [denoeux_classify_mass(x, ts) for x in queries]
+    assert decided.tolist() == [
+        -1 if d.is_conflict else d.index for d in map(decide_pignistic, want)
+    ]
+    np.testing.assert_allclose(
+        conflict, [w.conflict_mass() for w in want], rtol=0.0, atol=CONFLICT_ATOL
+    )
 
 
 def test_crisp_scores_decide_distance_ties_in_the_closed_form(monkeypatch):
@@ -684,6 +741,40 @@ def test_appriou_batch_matches_scalar(seed, n, m, coarse, as_printed):
     labels = rng.integers(0, n, (12, m))
     labels[:4] = rng.integers(0, min(n, 2), (4, m))  # rows with repeated classes
     assert_appriou_matches(labels, appriou_params(cond, alpha), as_printed)
+
+
+def test_appriou_scalar_path_builds_each_source_mass_once(monkeypatch):
+    # Every row is flagged as a near tie, so each distinct label row takes
+    # the scalar path: it must build at most one mass per (source, label),
+    # and give the bytes that combining fresh masses row by row gives.
+    rng = np.random.default_rng(11)
+    n, m = 5, 4
+    params = appriou_params(rng.integers(1, 5, (m, n)) / 4.0, rng.random((m, n)))
+    labels = rng.integers(0, n, (300, m))
+    closed_form = belief._closed_form
+
+    def all_tied(classes, masses, n):
+        decided, conflict, _ = closed_form(classes, masses, n)
+        return decided, conflict, np.ones(classes.shape[0], dtype=bool)
+
+    calls = []
+
+    def counted(j, i, params, as_printed=False):
+        calls.append((j, i))
+        return appriou_mass(j, i, params, as_printed)
+
+    monkeypatch.setattr(belief, "_closed_form", all_tied)
+    monkeypatch.setattr(belief, "appriou_mass", counted)
+    for as_printed in (False, True):
+        calls.clear()
+        decided, conflict = appriou_decide_batch(labels, params, as_printed)
+        assert len(calls) == len(set(calls)) <= m * n
+        want = [appriou_combined(row, params, as_printed) for row in labels]
+        assert decided.tolist() == [
+            -1 if d.is_conflict else d.index for d in map(decide_pignistic, want)
+        ]
+        want_conflict = np.array([w.conflict_mass() for w in want])
+        assert conflict.tobytes() == want_conflict.tobytes()
 
 
 def test_appriou_batch_spans_several_blocks():

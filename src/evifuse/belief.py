@@ -55,6 +55,8 @@ class MassFunction:
             if fs.frame != frame:
                 raise ValueError("focal set belongs to a different frame")
             value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"mass {value} on {fs!r} must be finite")
             if value < 0.0:
                 raise ValueError(f"negative mass {value} on {fs!r}")
             if value == 0.0:
@@ -402,6 +404,14 @@ def _magnitude(points: np.ndarray) -> float:
     return float(max(-points.min(initial=0.0), points.max(initial=0.0)))
 
 
+def _scale_exponent(*points: np.ndarray) -> int:
+    """The s for which 2**s maps the points' largest magnitude m 2**-s (m in
+    [0.5, 1)) to m. s is at most 1023, so 2**s is finite, and subnormal data
+    scale to below 0.5. The scaling is exact but for values it takes below
+    the normal range."""
+    return min(-math.frexp(max(_magnitude(p) for p in points))[1], 1023)
+
+
 def _mean_pairwise_distance(
     x: np.ndarray, buffers: tuple[np.ndarray, np.ndarray] | None = None
 ) -> float | None:
@@ -412,7 +422,11 @@ def _mean_pairwise_distance(
     [x_i, |x_i|^2, 1] . [-2 x_j, 1, |x_j|^2], gives the block's squared
     distances in a flat buffer of at least max(_BLOCK_FLOATS, t) floats, with
     a boolean buffer of the same size; the caller may pass them, so memory
-    stays bounded whatever the number of points. The product errs by at most
+    stays bounded whatever the number of points. The points are first scaled
+    by 2**s of ``_scale_exponent``, and the mean back by 2**-s, so squared
+    distances of tiny coordinates do not underflow; a mean whose reciprocal
+    is not finite, as for subnormal data, counts as degenerate. In the
+    scaled coordinates, the product errs by at most
     4 (d + 2) u (|x_i|^2 + |x_j|^2 + tiny), u = 2**-53 and tiny the least
     normal float (the d + 2 terms of the product, the d of each |x|^2, and
     their underflow), and a squared distance within that bound counts as 0,
@@ -422,6 +436,8 @@ def _mean_pairwise_distance(
     t, dim = x.shape
     if t < 2:
         return None
+    s = _scale_exponent(x)
+    x = x * math.ldexp(1.0, s)
     sq = np.einsum("td,td->t", x, x)
     left = np.empty((t, dim + 2))
     left[:, :dim], left[:, dim], left[:, dim + 1] = x, sq, 1.0
@@ -451,8 +467,8 @@ def _mean_pairwise_distance(
         diagonal[:] = 0.0
         np.sqrt(d2, out=d2)
         total += float(d2.sum()) - 0.5 * float(d2[:, :n].sum())
-    mean = total / (t * (t - 1) / 2)
-    return mean if mean > 0.0 else None
+    mean = math.ldexp(total / (t * (t - 1) / 2), -s)
+    return mean if mean > 0.0 and 1.0 / mean < math.inf else None
 
 
 def _head(buf: np.ndarray, *shape: int) -> np.ndarray:
@@ -492,6 +508,7 @@ def denoeux_mass(x: Sequence[float], t: int, ts: TrainingSet) -> MassFunction:
     proto = ts.prototypes[t]
     if x.shape != proto.shape:
         raise ValueError(f"query of shape {x.shape} does not match {proto.shape}")
+    _check_coordinates("query", x)
     d2 = float(np.sum((x - proto) ** 2))
     i = int(ts.classes[t])
     support = ts.alpha * math.exp(-float(ts.gamma[i]) * d2)
@@ -583,11 +600,10 @@ def _k_nearest(
     groups = max(k, -(-t // _GROUP))
     size = -(-t // groups)
     width = groups * size
-    # Queries and prototypes are scaled by 2**s, which maps the largest
-    # magnitude m 2**-s (m in [0.5, 1)) to m, exactly but for values far below
-    # float32's range; s stays below 1024 for subnormal data. X and P denote
-    # the scaled float64 values.
-    s = min(-math.frexp(max(_magnitude(protos), _magnitude(x)))[1], 1023)
+    # Queries and prototypes are scaled by 2**s of _scale_exponent, which puts
+    # their largest magnitude in [0.5, 1); values far below it may still fall
+    # out of float32's range. X and P denote the scaled float64 values.
+    s = _scale_exponent(protos, x)
     queries, scaled = x * math.ldexp(1.0, s), protos * math.ldexp(1.0, s)
     psq = np.einsum("td,td->t", scaled, scaled)
     # One float32 product of [-2 P, |P|^2] and [X, 1] ranks each prototype by

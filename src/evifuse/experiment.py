@@ -22,7 +22,7 @@ from .calibration import (
     conditional_probs,
     vote_weights,
 )
-from .frame import Frame, check_integer, check_seed
+from .frame import check_integer, check_seed
 from .simulate import Dataset, FusionSettings, SimConfig, simulate, trial_stream
 
 # A kernel: (ds, settings, calib_idx, rows) -> (decided, conflict_mass), one
@@ -139,58 +139,46 @@ class ExperimentReport:
     source_accuracy: dict[str, float]
 
 
-class _Accumulator:
-    """Running sums for one method across trials."""
+def _decide(name, ds, settings, perms, third, tested):
+    """Method ``name``'s decisions on every trial's test third, as a
+    (trials, third) array, and each trial's mean conflict mass.
 
-    def __init__(self, n_classes: int) -> None:
-        self.trial_accuracy: list[float] = []
-        self.trial_conflict_rate: list[float] = []
-        self.trial_conflict_mass: list[float] = []
-        self.class_correct = np.zeros(n_classes, dtype=np.int64)
-
-    def add_trial(
-        self, truth: np.ndarray, decided: np.ndarray, mean_conflict_mass: float
-    ) -> None:
-        correct = decided == truth
-        self.trial_accuracy.append(np.count_nonzero(correct) / truth.shape[0])
-        self.trial_conflict_rate.append(np.count_nonzero(decided < 0) / truth.shape[0])
-        self.trial_conflict_mass.append(mean_conflict_mass)
-        n = self.class_correct.size
-        self.class_correct += np.bincount(truth[correct], minlength=n)
-
-    def result(self, frame: Frame, class_total: np.ndarray) -> MethodResult:
-        per_class = {}
-        for i, label in enumerate(frame.labels):
-            total = class_total[i]
-            per_class[label] = float(self.class_correct[i] / total) if total else 0.0
-        return MethodResult(
-            accuracy=float(np.mean(self.trial_accuracy)),
-            per_class=per_class,
-            conflict_rate=float(np.mean(self.trial_conflict_rate)),
-            mean_conflict_mass=float(np.mean(self.trial_conflict_mass)),
-        )
-
-
-def _decide_row_wise(
-    ds: Dataset,
-    methods: list[str],
-    settings: FusionSettings,
-    tested: np.ndarray,
-    chunk: int,
-) -> dict[str, np.ndarray]:
-    """For each ROW_WISE method in ``methods``, a lookup of length N
-    holding each tested row's decision.
-
-    Rows are decided in chunks of at most ``chunk`` rows, so no call holds
-    larger temporaries than one trial's call; untested rows stay unset.
+    A ROW_WISE kernel decides each row of ``tested`` once, in chunks of at
+    most one third, so no call holds larger temporaries than one trial's
+    call. Every other kernel runs once per trial.
     """
-    row_wise = [name for name in methods if name in ROW_WISE]
-    lookups = {name: np.empty(ds.n_samples, dtype=np.int64) for name in row_wise}
-    for name, lookup in lookups.items():
-        for a in range(0, tested.shape[0], chunk):
-            rows = tested[a : a + chunk]
-            lookup[rows] = KERNELS[name](ds, settings, None, rows)[0]
-    return lookups
+    kernel = KERNELS[name]
+    tests = perms[:, 2 * third : 3 * third]
+    if name in ROW_WISE:
+        lookup = np.empty(ds.n_samples, dtype=np.int64)
+        for a in range(0, tested.shape[0], third):
+            rows = tested[a : a + third]
+            lookup[rows] = kernel(ds, settings, None, rows)[0]
+        return lookup[tests], np.zeros(len(perms))
+    decided = np.empty(tests.shape, dtype=np.int64)
+    conflict_mass = np.empty(len(perms))
+    for t, perm in enumerate(perms):
+        decided[t], mass = kernel(ds, settings, perm[third : 2 * third], tests[t])
+        conflict_mass[t] = mass.mean()
+    return decided, conflict_mass
+
+
+def _score(frame, truth, decided, conflict_mass):
+    """Average one method's (trials, third) decisions over the trials;
+    per-class rates pool every trial's test rows."""
+    correct = decided == truth
+    class_total = np.bincount(truth.ravel(), minlength=frame.n)
+    class_correct = np.bincount(truth[correct], minlength=frame.n)
+    per_class = {
+        label: float(class_correct[i] / class_total[i]) if class_total[i] else 0.0
+        for i, label in enumerate(frame.labels)
+    }
+    return MethodResult(
+        accuracy=float(np.mean(correct.mean(axis=1))),
+        per_class=per_class,
+        conflict_rate=float(np.mean((decided < 0).mean(axis=1))),
+        mean_conflict_mass=float(np.mean(conflict_mass)),
+    )
 
 
 def evaluate_dataset(
@@ -202,8 +190,9 @@ def evaluate_dataset(
 ) -> ExperimentReport:
     """Run the repeated split protocol over an existing dataset.
 
-    The ROW_WISE methods are decided once over every row that some trial
-    tests; each trial reads its test rows' decisions from that lookup.
+    Works one method at a time: the method decides every trial's test
+    third, and those decisions are scored once. The ROW_WISE methods decide
+    each row that some trial tests once per run.
     """
     settings = settings or FusionSettings()
     methods = normalize_methods(methods, settings)
@@ -215,36 +204,22 @@ def evaluate_dataset(
     if third < 1:
         raise ValueError("dataset too small to split into three non-empty parts")
 
-    perms = [trial_stream(seed, t).permutation(ds.n_samples) for t in range(n_trials)]
-    tested = np.unique(np.concatenate([p[2 * third : 3 * third] for p in perms]))
-    lookups = _decide_row_wise(ds, methods, settings, tested, third)
+    perms = np.stack(
+        [trial_stream(seed, t).permutation(ds.n_samples) for t in range(n_trials)]
+    )
+    tests = perms[:, 2 * third : 3 * third]
+    truth = ds.truth[tests]
+    tested = np.flatnonzero(np.bincount(tests.ravel(), minlength=ds.n_samples))
 
-    accs = {name: _Accumulator(ds.frame.n) for name in methods}
-    class_total = np.zeros(ds.frame.n, dtype=np.int64)
-    source_rates = np.zeros(ds.m_sources)
-    for perm in perms:
-        calib_idx = perm[third : 2 * third]
-        test_idx = perm[2 * third : 3 * third]
-        truth = ds.truth[test_idx]
-        class_total += np.bincount(truth, minlength=ds.frame.n)
-        for name in methods:
-            if name in lookups:
-                accs[name].add_trial(truth, lookups[name][test_idx], 0.0)
-            else:
-                kernel = KERNELS[name]
-                decided, conflict_mass = kernel(ds, settings, calib_idx, test_idx)
-                accs[name].add_trial(truth, decided, float(conflict_mass.mean()))
-        source_rates += (ds.labels[test_idx] == truth[:, None]).mean(axis=0)
-
+    results = {}
+    for name in methods:
+        decided, conflict_mass = _decide(name, ds, settings, perms, third, tested)
+        results[name] = _score(ds.frame, truth, decided, conflict_mass)
+    source_rates = (ds.labels[tests] == truth[..., None]).mean(axis=1).sum(axis=0)
     source_accuracy = {
         sid: float(source_rates[j] / n_trials) for j, sid in enumerate(ds.source_ids)
     }
-    return ExperimentReport(
-        seed=seed,
-        n_trials=n_trials,
-        methods={name: accs[name].result(ds.frame, class_total) for name in methods},
-        source_accuracy=source_accuracy,
-    )
+    return ExperimentReport(seed, n_trials, results, source_accuracy)
 
 
 def run_experiment(config: SimConfig, methods: Sequence[str]) -> ExperimentReport:

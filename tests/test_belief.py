@@ -61,6 +61,13 @@ def test_mass_must_sum_to_one():
         MassFunction(FRAME2, {FRAME2.singleton(0): 1.5, FRAME2.singleton(1): -0.5})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_mass_must_be_finite(bad):
+    # NaN passed both the sign check and the sum check.
+    with pytest.raises(ValueError, match="must be finite"):
+        MassFunction(FRAME2, {FRAME2.singleton(0): bad, FRAME2.full(): 1.0})
+
+
 def test_zero_masses_dropped():
     m = MassFunction(FRAME2, {FRAME2.singleton(0): 1.0, FRAME2.singleton(1): 0.0})
     assert len(m) == 1
@@ -444,6 +451,16 @@ def test_denoeux_mass_dimension_mismatch():
         denoeux_mass([1.0, 0.0, 0.0], 0, ts)
 
 
+def test_denoeux_mass_checks_the_query():
+    # As denoeux_classify_mass does: a NaN query gave NaN masses, and one at
+    # 1e200 overflowed its squared distance and gave the vacuous mass.
+    ts = _training_set(gamma=np.ones(3))
+    with pytest.raises(ValueError, match="query must be finite"):
+        denoeux_mass([math.nan, 0.0], 0, ts)
+    with pytest.raises(ValueError, match="query must have every coordinate"):
+        denoeux_mass([1e200, 0.0], 0, ts)
+
+
 def test_denoeux_classify_certain_match():
     ts = _training_set(k=1, alpha=1.0, gamma=np.ones(3))
     m = denoeux_classify_mass([0.0, 0.0], ts)
@@ -523,6 +540,19 @@ def test_default_gamma_zero_spread_class_uses_global_mean():
     )
     assert gamma[1] == pytest.approx(1.0 / all_mean)
     assert gamma.tolist() == [1.0 / 2.0, 1.0 / _mean_pairwise_distance(x), 1.0 / 3.0]
+
+
+def test_default_gamma_keeps_its_scale_for_tiny_coordinates():
+    # At 1e-170 every squared distance of the fit underflowed to 0, and each
+    # class fell back to gamma = 1; the fit scales by a power of two first.
+    rng = np.random.default_rng(0)
+    x, y = rng.random((40, 3)), np.arange(40) % 2
+    gamma = default_gamma(x, y, 2)
+    assert default_gamma(x * 2.0**-600, y, 2).tolist() == (gamma * 2.0**600).tolist()
+    tiny = default_gamma(x * 1e-170, y, 2)
+    np.testing.assert_allclose(tiny, gamma * 1e170, rtol=1e-12, atol=0.0)
+    # Subnormal points: 1 / mean would overflow, so gamma takes the fallback.
+    assert default_gamma(x * 1e-320, y, 2).tolist() == [1.0, 1.0]
 
 
 def _default_gamma_eager(prototypes, classes, n_classes):

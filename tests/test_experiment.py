@@ -187,6 +187,12 @@ MIXED = (
 )
 
 
+def _crisp(config):
+    """The scenario with every source at temperature 0: one-hot scores."""
+    sources = tuple(replace(s, temperature=0.0) for s in config.sources)
+    return replace(config, sources=sources)
+
+
 def _reference_report(ds, methods, settings, n_trials, seed):
     """The protocol as a per-trial loop: every kernel decides every trial's
     test third, and the metrics are accumulated trial by trial."""
@@ -242,10 +248,28 @@ def _reference_report(ds, methods, settings, n_trials, seed):
             _small_config(fusion=FusionSettings(possibility_operator="median")),
             ["possibility", "belief_appriou", "possibility_max"],
         ),
+        (default_config(seed=4, n_trials=4), METHODS[::-1]),
+        (_crisp(default_config(seed=1)), METHODS),
+        # The shape of bench's csv_pipeline scenario, at 1,500 samples.
+        (
+            _small_config(
+                classes=("a", "b", "c"),
+                priors=(0.5, 0.3, 0.2),
+                sources=tuple(
+                    SourceProfile(f"s{j + 1}", r, temperature=0.35)
+                    for j, r in enumerate(
+                        ((0.8, 0.75, 0.7), (0.7, 0.65, 0.6), (0.6, 0.55, 0.5))
+                    )
+                ),
+                n_samples=1500,
+                n_trials=2,
+            ),
+            METHODS,
+        ),
     ],
     ids=[
         "default", "row-wise", "calibrated", "31-samples", "one-trial", "seven-trials",
-        "alias",
+        "alias", "reversed", "crisp", "csv-shaped",
     ],
 )
 def test_report_equals_the_per_trial_loop(config, methods):

@@ -12,6 +12,7 @@ import json
 import math
 from collections.abc import Iterable
 from dataclasses import MISSING, asdict, fields, is_dataclass, replace
+from itertools import cycle, islice
 from types import SimpleNamespace
 from typing import Any, get_args, get_origin, get_type_hints
 
@@ -32,6 +33,10 @@ class ValidationError(ValueError):
 # The leading columns, then one score_<class> column per class.
 _COLUMNS = ("sample_id", "true_class", "source_id", "label")
 
+# Data rows read or written at a time: a file's fields are Python objects for
+# one block only, so memory follows the arrays, not the field count.
+_BLOCK_ROWS = 4096
+
 
 def save_dataset(dataset: Dataset, path: str) -> None:
     labels = dataset.frame.labels
@@ -39,18 +44,21 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     # a name is quoted as the second of two fields, as in a data row
     line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
     names = np.array([line(["", c])[1:-1] for c in labels], dtype=object)
-    n, m, k = dataset.n_samples, dataset.m_sources, dataset.frame.n
+    sources = [line(["", s])[1:-1] for s in dataset.source_ids]
+    m, k = dataset.m_sources, dataset.frame.n
     row = "%d,%s,%s,%s," + ",".join(["%.9f"] * k) + "\n"
-    rows = zip(
-        np.repeat(dataset.sample_ids, m).tolist(),
-        names[np.repeat(dataset.truth, m)].tolist(),
-        [line(["", s])[1:-1] for s in dataset.source_ids] * n,
-        names[dataset.labels.ravel()].tolist(),
-        dataset.scores.reshape(n * m, k).tolist(),
-    )
+    step = max(1, _BLOCK_ROWS // m)  # samples per block
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(line([*_COLUMNS, *(f"score_{c}" for c in labels)]))
-        fh.write("".join(row % (i, t, s, c, *x) for i, t, s, c, x in rows))
+        for block in (slice(i, i + step) for i in range(0, dataset.n_samples, step)):
+            rows = zip(
+                np.repeat(dataset.sample_ids[block], m).tolist(),
+                names[np.repeat(dataset.truth[block], m)].tolist(),
+                cycle(sources),
+                names[dataset.labels[block].ravel()].tolist(),
+                dataset.scores[block].reshape(-1, k).tolist(),
+            )
+            fh.write("".join(row % (i, t, s, c, *x) for i, t, s, c, x in rows))
 
 
 def _parse(cells: np.ndarray, dtype: type) -> tuple[np.ndarray, np.ndarray]:
@@ -68,73 +76,95 @@ def _parse(cells: np.ndarray, dtype: type) -> tuple[np.ndarray, np.ndarray]:
         return np.where(bad > 0, 0, cells).astype(dtype), bad
 
 
+def _read_block(
+    rows: list[list[str]], width: int, classes: dict[str, int], index: dict[str, int]
+) -> tuple[np.ndarray, ...]:
+    """Data rows as sample ids, class indices of the true class and label (-1
+    if unknown), source codes (``index`` numbers each new source id), scores,
+    and per row 1 + the index of its first failing row-local check, or 0. A
+    row with a wrong field count is parsed as a row of zeros."""
+    cut = np.array([len(r) != width for r in rows])
+    cells = np.array([["0"] * width if c else r for r, c in zip(rows, cut)], dtype=object)
+    ids, bad_id = _parse(cells[:, 0], np.int64)
+    codes = np.frompyfunc(classes.get, 2, 1)(cells[:, [1, 3]], -1)
+    truth, label = codes.astype(np.int64).T
+    source = [index.setdefault(s, len(index)) for s in cells[:, 2]]
+    scores, unparsed = _parse(cells[:, len(_COLUMNS) :], np.float64)
+    outside = ~((scores >= 0.0) & (scores <= 1.0))
+    failed = np.column_stack(  # in each score column: not a number, then outside
+        [cut, bad_id == 1, bad_id == 2, truth < 0, label < 0]
+        + [np.dstack([unparsed > 0, outside]).reshape(len(rows), -1)]
+    )
+    code = np.where(failed.any(1), failed.argmax(1) + 1, 0).astype(np.int8)
+    return ids, truth, label, np.array(source, np.int64), scores, code
+
+
 def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
+    prefix = [_COLUMNS[0], truth_col, *_COLUMNS[2:]]
+    index: dict[str, int] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            rows = list(reader)
+            header = next(reader, None)
+            score_cols = (header or [])[len(prefix) :]
+            classes = {c.removeprefix("score_"): k for k, c in enumerate(score_cols)}
+            blocks = [  # a bad header is reported after a csv.Error further on
+                _read_block(rows, len(header), classes, index)
+                for rows in iter(lambda: list(islice(reader, _BLOCK_ROWS)), [])
+                if header[: len(prefix)] == prefix
+            ]
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows:
+        except UnicodeDecodeError as exc:  # decoded ahead of the reader: no line
+            raise ValidationError(f"{path}: not valid UTF-8: {exc.reason}") from None
+    if header is None:
         raise ValidationError(f"{path}: empty file")
-    header = rows[0]
-    prefix = [_COLUMNS[0], truth_col, *_COLUMNS[2:]]
     if header[: len(prefix)] != prefix:
         raise ValidationError(
             f"{path}: line 1: header must start with {','.join(prefix)}"
         )
-    score_cols = header[len(prefix) :]
     if not score_cols or any(not c.startswith("score_") for c in score_cols):
         raise ValidationError(f"{path}: line 1: expected score_<class> columns")
-    class_names = [c.removeprefix("score_") for c in score_cols]
     try:
-        frame = make_frame(class_names)
+        frame = make_frame(c.removeprefix("score_") for c in score_cols)
     except ValueError as exc:
         raise ValidationError(f"{path}: line 1: {exc}") from None
-    class_index = {name: k for k, name in enumerate(class_names)}
 
-    if len(rows) == 1:
+    if not blocks:
         raise ValidationError(f"{path}: no data rows")
-    # A row with a wrong field count is parsed as a row of zeros; its error
-    # is the first check of its row.
-    width, zeros = len(header), ["0"] * len(header)
-    cells = np.array([r if len(r) == width else zeros for r in rows[1:]], dtype=object)
-    ids, bad_id = _parse(cells[:, 0], np.int64)
-    # class indices, -1 for an unknown name
-    codes = np.frompyfunc(class_index.get, 2, 1)(cells[:, [1, 3]], -1)
-    truth, label = codes.astype(np.int64).T
-    index: dict[str, int] = {}
-    source = np.array([index.setdefault(s, len(index)) for s in cells[:, 2]], np.int64)
-    scores, unparsed = _parse(cells[:, len(prefix) :], np.float64)
+    ids, truth, label, source, scores, code = map(np.concatenate, zip(*blocks))
+    del blocks  # now copied into the columns
     # each row's sample as the row it first appears on; keyed by the parsed
     # id, so "0" and "00" name the same sample
     _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     first = first[inverse]
     key = first * len(index) + source
     _, pair_first, pair_inverse = np.unique(key, return_index=True, return_inverse=True)
-    duplicate = pair_first[pair_inverse] != np.arange(len(cells))
-    checks = [  # (rows that fail, message), in the order each row is checked
-        ([len(r) != width for r in rows[1:]], f"expected {width} fields, got {{n}}"),
-        (bad_id == 1, "sample_id {0!r} is not an integer"),
-        (bad_id == 2, "sample_id {0!r} does not fit in 64 bits"),
-        (truth < 0, "unknown class name {1!r}"),
-        (label < 0, "unknown class name {3!r}"),
+    duplicate = pair_first[pair_inverse] != np.arange(len(ids))
+    problems = [  # each check of a row, in order: _read_block's, then these two
+        f"expected {len(header)} fields, got {{n}}",
+        "sample_id {0!r} is not an integer",
+        "sample_id {0!r} does not fit in 64 bits",
+        "unknown class name {1!r}",
+        "unknown class name {3!r}",
         *(
-            (failed, message % (j, j))
-            for j, text, x in zip(range(len(prefix), width), unparsed.T, scores.T)
-            for failed, message in (
-                (text > 0, "{h[%d]} value {%d!r} is not a number"),
-                (~((x >= 0.0) & (x <= 1.0)), "{h[%d]} value {%d} outside [0, 1]"),
+            message % (j, j)
+            for j in range(len(prefix), len(header))
+            for message in (
+                "{h[%d]} value {%d!r} is not a number",
+                "{h[%d]} value {%d} outside [0, 1]",
             )
         ),
-        (truth != truth[first], "sample {id} has inconsistent true class"),
-        (duplicate, "duplicate source {2!r} for sample {id}"),
+        "sample {id} has inconsistent true class",
+        "duplicate source {2!r} for sample {id}",
     ]
-    failed = np.array([rows_failed for rows_failed, _ in checks], dtype=bool)
-    bad = np.flatnonzero(failed.any(axis=0))
-    if bad.size:
-        r, fields = bad[0], rows[bad[0] + 1]
-        problem = checks[np.argmax(failed[:, r])][1]
+    code[(code == 0) & (truth != truth[first])] = len(problems) - 1
+    code[(code == 0) & duplicate] = len(problems)
+    r = np.argmax(code > 0)
+    if code[r]:  # the first bad row: read its fields again for the message
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            fields = next(islice(csv.reader(fh), r + 1, None))
+        problem = problems[code[r] - 1]
         problem = problem.format(*fields, h=header, id=ids[r], n=len(fields))
         raise ValidationError(f"{path}: line {r + 2}: {problem}")
 
@@ -146,7 +176,7 @@ def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
     k = np.append(np.flatnonzero(counts != m), n)[0]
     grid = order[: k * m].reshape(k, m)
     uncovered = np.append(np.flatnonzero((source[grid] != source[grid[0]]).any(1)), k)
-    source_ids = tuple(cells[grid[0], 2])
+    source_ids = tuple(np.array(list(index), dtype=object)[source[grid[0]]])
     if uncovered[0] < n:
         raise ValidationError(
             f"{path}: sample {ids[firsts[uncovered[0]]]} "

@@ -134,6 +134,10 @@ class Dataset:
     def __post_init__(self) -> None:
         n_samples = self.truth.shape[0]
         m = len(self.source_ids)
+        if n_samples < 1:
+            raise ValueError("at least one sample is required")
+        if m < 1:
+            raise ValueError("at least one source is required")
         if self.sample_ids.shape != (n_samples,):
             raise ValueError("one sample id per sample is required")
         if self.labels.shape != (n_samples, m):

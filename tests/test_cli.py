@@ -186,6 +186,25 @@ def test_malformed_dataset_exits_2(runner, tmp_path, row):
     assert "error:" in result.output and "line 2" in result.output
 
 
+def test_invalid_utf8_dataset_exits_2_naming_the_file(runner, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"sample_id,true_class,source_id,label,score_a\n0,\xff,s1,a,0.5\n")
+    result = runner.invoke(
+        main,
+        [
+            "eval",
+            "--dataset",
+            str(bad),
+            "--methods",
+            "vote_majority",
+            "--out",
+            str(tmp_path / "r.json"),
+        ],
+    )
+    assert result.exit_code == 2
+    assert f"error: {bad}: not valid UTF-8: invalid start byte" in result.output
+
+
 def test_non_object_config_block_exits_2(runner, config_path, tmp_path):
     data = json.loads(Path(config_path).read_text())
     data["vote"] = 1

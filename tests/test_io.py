@@ -6,19 +6,23 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evifuse.io
 from evifuse import (
     MAX_CLASSES,
     Dataset,
     FusionSettings,
     SimConfig,
+    SourceProfile,
     ValidationError,
     default_config,
     load_config,
@@ -137,6 +141,8 @@ def test_load_dataset_interleaved_samples_load_in_first_appearance_order(tmp_pat
 
 
 _HEADER = "sample_id,true_class,source_id,label,score_a,score_b\n"
+_HEADER3 = "sample_id,true_class,source_id,label,score_a,score_b,score_c\n"
+_OVERSIZED = "1" * (csv.field_size_limit() + 1)  # a field csv.reader rejects
 
 
 @pytest.mark.parametrize(
@@ -222,6 +228,90 @@ def test_load_dataset_accepts_int64_extremes(tmp_path):
     assert load_dataset(str(path)).sample_ids.tolist() == [2**63 - 1, -(2**63)]
 
 
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({-2: "5,c,s2,a,0.5,0.25"}, "expected 7 fields, got 6"),
+        ({None: "0,b,s4,a,0.5,0.25,0.25"}, "sample 0 has inconsistent true class"),
+        ({None: "1,b,s2,a,0.5,0.25,0.25"}, "duplicate source 's2' for sample 1"),
+        (
+            {0: "0,a,s1,a,2.0,0.25,0.25", None: "9,a,s1,a,0.5,0.25," + _OVERSIZED},
+            f"field larger than field limit ({csv.field_size_limit()})",
+        ),
+    ],
+    ids=["field_count", "inconsistent_truth", "duplicate_source", "csv_error_wins"],
+)
+def test_load_dataset_errors_past_the_first_block(tmp_path, edits, message):
+    """At the default block size, the line of the last edit lies in a later
+    block than sample 0 and 1's first rows. A csv.Error further on wins over
+    an earlier row error, as when the whole file was read before any check."""
+    n = evifuse.io._BLOCK_ROWS // 3 + 10
+    rows = [
+        f"{i},{'abc'[i % 3]},s{j},a,0.5,0.25,0.25" for i in range(n) for j in (1, 2, 3)
+    ]
+    for at, row in edits.items():
+        at = len(rows) if at is None else at % len(rows)
+        rows[at : at + 1] = [row]  # at len(rows), appends
+    assert at + 2 > evifuse.io._BLOCK_ROWS + 1
+    path = tmp_path / "data.csv"
+    path.write_text(_HEADER3 + "\n".join(rows) + "\n")
+    with pytest.raises(ValidationError) as info:
+        load_dataset(str(path))
+    assert str(info.value) == f"{path}: line {at + 2}: {message}"
+
+
+def _traced_peak(function, *args):
+    """The peak of memory traced by tracemalloc during function(*args)."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dataset_csv_memory_grows_with_the_arrays_not_the_fields(tmp_path):
+    """Peak traced memory per data row, from files of 3,000 and 24,000
+    samples shaped like the csv_pipeline benchmark (3 classes, 3 sources).
+    Only one block's fields are Python objects at a time: save_dataset needs
+    no memory per row, and load_dataset holds the columns it parses, their
+    whole-file checks and the loaded dataset."""
+    peaks = []
+    for n_samples in (3000, 24000):
+        ds = simulate(_csv_pipeline_config(n_samples))
+        path = str(tmp_path / f"{n_samples}.csv")
+        saved = _traced_peak(save_dataset, ds, path)
+        peaks.append((saved, _traced_peak(load_dataset, path)))
+    rows = (24000 - 3000) * 3
+    save, load = ((big - small) / rows for small, big in zip(*peaks))
+    assert save <= 16, f"save_dataset peak grows by {save:.1f} B per row"
+    assert load <= 256, f"load_dataset peak grows by {load:.1f} B per row"
+
+
+def _csv_pipeline_config(n_samples):
+    reliabilities = ((0.80, 0.75, 0.70), (0.70, 0.65, 0.60), (0.60, 0.55, 0.50))
+    sources = tuple(
+        SourceProfile(id=f"s{j + 1}", reliability=r, temperature=0.35)
+        for j, r in enumerate(reliabilities)
+    )
+    return SimConfig(
+        classes=("a", "b", "c"),
+        priors=(0.5, 0.3, 0.2),
+        sources=sources,
+        n_samples=n_samples,
+        seed=3,
+    )
+
+
+def test_load_dataset_rejects_invalid_utf8(tmp_path):
+    # The file is decoded ahead of the csv reader, so no line is named.
+    path = tmp_path / "data.csv"
+    path.write_bytes(_HEADER.encode() + b"0,a,s1,a,0.5,0.5\n0,a,s2,a,0.5,\xff\n")
+    with pytest.raises(ValidationError) as info:
+        load_dataset(str(path))
+    assert str(info.value) == f"{path}: not valid UTF-8: invalid start byte"
+
+
 # class names and source ids that csv.writer must quote, or that hold spaces
 _NAME = st.text(alphabet='ab ,"', min_size=1, max_size=4)
 
@@ -255,12 +345,16 @@ def test_save_dataset_writes_what_csv_writer_writes(classes, sources, sample_ids
                 [sample_ids[i], classes[truth[i]], sources[j], classes[labels[i, j]]]
                 + [f"{x:.9f}" for x in scores[i, j]]
             )
-    with tempfile.TemporaryDirectory() as tmp:
-        first, again = Path(tmp, "a.csv"), Path(tmp, "b.csv")
-        save_dataset(ds, str(first))
-        assert first.read_bytes() == expected.getvalue().encode()
-        save_dataset(load_dataset(str(first)), str(again))
-        assert again.read_bytes() == first.read_bytes()
+    # in one block, and in blocks of one and of two samples
+    for block_rows in (evifuse.io._BLOCK_ROWS, m, 2 * m):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            evifuse.io, "_BLOCK_ROWS", block_rows
+        ):
+            first, again = Path(tmp, "a.csv"), Path(tmp, "b.csv")
+            save_dataset(ds, str(first))
+            assert first.read_bytes() == expected.getvalue().encode()
+            save_dataset(load_dataset(str(first)), str(again))
+            assert again.read_bytes() == first.read_bytes()
 
 
 def _load_row_by_row(path):
@@ -320,6 +414,22 @@ _FIELDS = {  # per column kind, valid values first, then ones that fail a check
 def test_load_dataset_matches_row_by_row_reference(tmp_path_factory, data):
     """Whole-column checks name the same first bad line, with the same
     message, as checking row by row; valid files load the same arrays."""
+    _check_against_row_by_row_reference(tmp_path_factory, data)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_dataset_in_small_blocks_matches_row_by_row_reference(
+    tmp_path_factory, data, block_rows
+):
+    """The same, with blocks of one or two rows, so that a sample's rows and
+    the rows a check compares lie in different blocks."""
+    with mock.patch.object(evifuse.io, "_BLOCK_ROWS", block_rows):
+        _check_against_row_by_row_reference(tmp_path_factory, data)
+
+
+def _check_against_row_by_row_reference(tmp_path_factory, data):
     draw = data.draw
     k, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
     sources = draw(st.permutations(_FIELDS["source"]))[: draw(st.integers(1, 3))]

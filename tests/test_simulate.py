@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from evifuse import (
+    Dataset,
     FusionSettings,
     SimConfig,
     SourceProfile,
     default_config,
     default_priors,
     load_config,
+    make_frame,
     save_config,
     simulate,
 )
@@ -128,6 +130,25 @@ def test_config_validation():
         _config(n_samples=0)
     with pytest.raises(ValueError):
         SourceProfile("s1", (0.5, 1.2, 0.5))
+
+
+@pytest.mark.parametrize(
+    "n, m, message",
+    [(0, 2, "at least one sample"), (3, 0, "at least one source")],
+    ids=["no_samples", "no_sources"],
+)
+def test_dataset_needs_a_sample_and_a_source(n, m, message):
+    # save_dataset would write a file that load_dataset rejects ("no data
+    # rows"), and without sources every fused decision would be a conflict.
+    with pytest.raises(ValueError, match=message):
+        Dataset(
+            make_frame(["a", "b"]),
+            tuple(f"s{j}" for j in range(m)),
+            np.arange(n),
+            np.zeros(n, np.int64),
+            np.zeros((n, m), np.int64),
+            np.zeros((n, m, 2)),
+        )
 
 
 def test_fusion_settings_reject_non_integer_k():

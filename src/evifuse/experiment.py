@@ -105,8 +105,12 @@ ROW_WISE = frozenset(
 
 def normalize_methods(methods: Sequence[str], settings: FusionSettings) -> list[str]:
     """Validate method names; bare "possibility" picks up the configured operator."""
+    if isinstance(methods, str):
+        raise ValueError(f"methods must be a list of names, not the string {methods!r}")
     out: list[str] = []
     for name in methods:
+        if not isinstance(name, str):
+            raise ValueError(f"method names must be strings, got {name!r}")
         name = name.strip()
         if name == "possibility":
             name = f"possibility_{settings.possibility_operator}"

@@ -77,42 +77,54 @@ def _parse(cells: np.ndarray, dtype: type) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _read_block(
-    rows: list[list[str]], width: int, classes: dict[str, int], index: dict[str, int]
-) -> tuple[np.ndarray, ...]:
-    """Data rows as sample ids, class indices of the true class and label (-1
-    if unknown), source codes (``index`` numbers each new source id), scores,
-    and per row 1 + the index of its first failing row-local check, or 0. A
-    row with a wrong field count is parsed as a row of zeros."""
-    cut = np.array([len(r) != width for r in rows])
-    cells = np.array([["0"] * width if c else r for r, c in zip(rows, cut)], dtype=object)
+    rows: list[list[str]], header: list, classes: dict[str, int], index: dict[str, int]
+) -> tuple[Any, ...]:
+    """Data rows before the first that fails a row-local check, as sample ids,
+    class indices of true class and label, source codes (``index`` numbers
+    each new source id) and scores; and that row's problem, or None."""
+    width = len(header)
+    n = next((r for r, row in enumerate(rows) if len(row) != width), len(rows))
+    cells = np.array(rows[:n], dtype=object).reshape(n, width)
     ids, bad_id = _parse(cells[:, 0], np.int64)
     codes = np.frompyfunc(classes.get, 2, 1)(cells[:, [1, 3]], -1)
     truth, label = codes.astype(np.int64).T
-    source = [index.setdefault(s, len(index)) for s in cells[:, 2]]
+    source = np.array([index.setdefault(s, len(index)) for s in cells[:, 2]], np.int64)
     scores, unparsed = _parse(cells[:, len(_COLUMNS) :], np.float64)
     outside = ~((scores >= 0.0) & (scores <= 1.0))
-    failed = np.column_stack(  # in each score column: not a number, then outside
-        [cut, bad_id == 1, bad_id == 2, truth < 0, label < 0]
-        + [np.dstack([unparsed > 0, outside]).reshape(len(rows), -1)]
-    )
-    code = np.where(failed.any(1), failed.argmax(1) + 1, 0).astype(np.int8)
-    return ids, truth, label, np.array(source, np.int64), scores, code
+    checks = [  # each check of a row, in order, and its message
+        (bad_id == 1, "sample_id {0!r} is not an integer"),
+        (bad_id == 2, "sample_id {0!r} does not fit in 64 bits"),
+        (truth < 0, "unknown class name {1!r}"),
+        (label < 0, "unknown class name {3!r}"),
+    ]
+    for j, c in enumerate(range(len(_COLUMNS), width)):
+        checks += [
+            (unparsed[:, j] > 0, "{h[%d]} value {%d!r} is not a number" % (c, c)),
+            (outside[:, j], "{h[%d]} value {%d} outside [0, 1]" % (c, c)),
+        ]
+    failed = np.column_stack([mask for mask, _ in checks])
+    r = np.append(np.flatnonzero(failed.any(1)), n)[0]
+    problem = f"expected {width} fields, got {len(rows[r])}" if r < len(rows) else None
+    if r < n:
+        problem = checks[failed[r].argmax()][1].format(*rows[r], h=header)
+    return ids[:r], truth[:r], label[:r], source[:r], scores[:r], problem
 
 
 def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
     prefix = [_COLUMNS[0], truth_col, *_COLUMNS[2:]]
     index: dict[str, int] = {}
+    blocks, problem = [], None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             score_cols = (header or [])[len(prefix) :]
             classes = {c.removeprefix("score_"): k for k, c in enumerate(score_cols)}
-            blocks = [  # a bad header is reported after a csv.Error further on
-                _read_block(rows, len(header), classes, index)
-                for rows in iter(lambda: list(islice(reader, _BLOCK_ROWS)), [])
-                if header[: len(prefix)] == prefix
-            ]
+            # after a bad header or row, read on for a csv.Error, which wins
+            for rows in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
+                if problem is None and header[: len(prefix)] == prefix:
+                    *columns, problem = _read_block(rows, header, classes, index)
+                    blocks.append(columns)
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:  # decoded ahead of the reader: no line
@@ -132,40 +144,23 @@ def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
 
     if not blocks:
         raise ValidationError(f"{path}: no data rows")
-    ids, truth, label, source, scores, code = map(np.concatenate, zip(*blocks))
+    ids, truth, label, source, scores = map(np.concatenate, zip(*blocks))
     del blocks  # now copied into the columns
-    # each row's sample as the row it first appears on; keyed by the parsed
-    # id, so "0" and "00" name the same sample
+    # each row's sample as the row it first appears on; keyed by the parsed id,
+    # so "0" and "00" name the same sample. Only rows before a bad one are here.
     _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     first = first[inverse]
     key = first * len(index) + source
     _, pair_first, pair_inverse = np.unique(key, return_index=True, return_inverse=True)
+    inconsistent = truth != truth[first]
     duplicate = pair_first[pair_inverse] != np.arange(len(ids))
-    problems = [  # each check of a row, in order: _read_block's, then these two
-        f"expected {len(header)} fields, got {{n}}",
-        "sample_id {0!r} is not an integer",
-        "sample_id {0!r} does not fit in 64 bits",
-        "unknown class name {1!r}",
-        "unknown class name {3!r}",
-        *(
-            message % (j, j)
-            for j in range(len(prefix), len(header))
-            for message in (
-                "{h[%d]} value {%d!r} is not a number",
-                "{h[%d]} value {%d} outside [0, 1]",
-            )
-        ),
-        "sample {id} has inconsistent true class",
-        "duplicate source {2!r} for sample {id}",
-    ]
-    code[(code == 0) & (truth != truth[first])] = len(problems) - 1
-    code[(code == 0) & duplicate] = len(problems)
-    r = np.argmax(code > 0)
-    if code[r]:  # the first bad row: read its fields again for the message
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            fields = next(islice(csv.reader(fh), r + 1, None))
-        problem = problems[code[r] - 1]
-        problem = problem.format(*fields, h=header, id=ids[r], n=len(fields))
+    # the first row failing either, or else len(ids): the row of a block's problem
+    r = np.append(np.flatnonzero(inconsistent | duplicate), len(ids))[0]
+    if r < len(ids) and inconsistent[r]:
+        problem = f"sample {ids[r]} has inconsistent true class"
+    elif r < len(ids):
+        problem = f"duplicate source {list(index)[source[r]]!r} for sample {ids[r]}"
+    if problem is not None:
         raise ValidationError(f"{path}: line {r + 2}: {problem}")
 
     # Samples in first-appearance order, each one's rows in file order. Those
@@ -220,6 +215,8 @@ def _load_json(path: str) -> Any:
             return json.load(fh, parse_float=finite, parse_constant=finite)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not valid UTF-8: {exc.reason}") from None
 
 
 _TYPE_NAMES = {

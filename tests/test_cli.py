@@ -205,6 +205,25 @@ def test_invalid_utf8_dataset_exits_2_naming_the_file(runner, tmp_path):
     assert f"error: {bad}: not valid UTF-8: invalid start byte" in result.output
 
 
+def test_invalid_utf8_config_exits_2_naming_the_file(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"n_samples": 150, "\xff": 1}')
+    result = runner.invoke(
+        main,
+        [
+            "run",
+            "--config",
+            str(bad),
+            "--methods",
+            "vote_majority",
+            "--out",
+            str(tmp_path / "r.json"),
+        ],
+    )
+    assert result.exit_code == 2
+    assert f"error: {bad}: not valid UTF-8: invalid start byte" in result.output
+
+
 def test_non_object_config_block_exits_2(runner, config_path, tmp_path):
     data = json.loads(Path(config_path).read_text())
     data["vote"] = 1

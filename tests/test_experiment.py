@@ -163,6 +163,25 @@ def test_evaluate_requires_methods():
         evaluate_dataset(ds, [])
 
 
+@pytest.mark.parametrize(
+    "methods, message",
+    [
+        ("vote_majority", "methods must be a list of names, not the string"),
+        ([1], "method names must be strings, got 1"),
+        (["vote_majority", None], "method names must be strings, got None"),
+    ],
+    ids=["bare_string", "int_name", "none_name"],
+)
+def test_method_names_must_be_a_list_of_strings(methods, message):
+    """A bare string is not split into one-letter names, and a name that is
+    not a string is a ValueError, not an AttributeError from strip()."""
+    with pytest.raises(ValueError, match=message):
+        normalize_methods(methods, FusionSettings())
+    ds = simulate(_small_config(n_samples=30, n_trials=1))
+    with pytest.raises(ValueError, match=message):
+        evaluate_dataset(ds, methods)
+
+
 def test_degenerate_single_class_frame():
     cfg = SimConfig(
         classes=("only",),

@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import fields, replace
@@ -238,26 +241,87 @@ def test_load_dataset_accepts_int64_extremes(tmp_path):
             {0: "0,a,s1,a,2.0,0.25,0.25", None: "9,a,s1,a,0.5,0.25," + _OVERSIZED},
             f"field larger than field limit ({csv.field_size_limit()})",
         ),
+        (
+            {-2: "-1,a,s2,a,0.5,1.5,0.25", 5: "1,b,s2,a,0.5,0.25,0.25"},
+            "duplicate source 's2' for sample 1",
+        ),
+        (
+            {-1: "1,b,s2,a,0.5,0.25,0.25", 5: "1,b,s3,a,0.5,x,0.25"},
+            "score_b value 'x' is not a number",
+        ),
     ],
-    ids=["field_count", "inconsistent_truth", "duplicate_source", "csv_error_wins"],
+    ids=[
+        "field_count",
+        "inconsistent_truth",
+        "duplicate_source",
+        "csv_error_wins",
+        "duplicate_before_a_later_bad_score",
+        "bad_score_before_a_later_duplicate",
+    ],
 )
 def test_load_dataset_errors_past_the_first_block(tmp_path, edits, message):
-    """At the default block size, the line of the last edit lies in a later
-    block than sample 0 and 1's first rows. A csv.Error further on wins over
-    an earlier row error, as when the whole file was read before any check."""
+    """At the default block size, an edit lies in a later block than sample 0
+    and 1's first rows, and the message names the line of the last edit. A
+    csv.Error further on wins over an earlier row error, as when the whole
+    file was read before any check; of a row error and a duplicate source,
+    the earlier row is named, whichever block the other lies in."""
     n = evifuse.io._BLOCK_ROWS // 3 + 10
     rows = [
         f"{i},{'abc'[i % 3]},s{j},a,0.5,0.25,0.25" for i in range(n) for j in (1, 2, 3)
     ]
+    placed = []
     for at, row in edits.items():
         at = len(rows) if at is None else at % len(rows)
         rows[at : at + 1] = [row]  # at len(rows), appends
-    assert at + 2 > evifuse.io._BLOCK_ROWS + 1
+        placed.append(at)
+    assert max(placed) + 2 > evifuse.io._BLOCK_ROWS + 1
     path = tmp_path / "data.csv"
     path.write_text(_HEADER3 + "\n".join(rows) + "\n")
     with pytest.raises(ValidationError) as info:
         load_dataset(str(path))
     assert str(info.value) == f"{path}: line {at + 2}: {message}"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("1,b,s1,a,0.5,0.5\n1,b,s2,a,0.5,0.5\n", None),
+        ("1,b,s1,a,0.5,0.5\n1,b,s2,zz,0.5,0.5\n", "line 5: unknown class name 'zz'"),
+        ("1,b,s1,a,0.5,0.5\n1,b,s2,a,0.5\n", "line 5: expected 6 fields, got 5"),
+        ("1,a,s1,a,0.5,0.5\n1,b,s2,a,0.5,0.5\n", "line 5: sample 1 has incons"),
+        ("1,b,s1,a,0.5,0.5\n1,b,s1,a,0.5,0.5\n", "line 5: duplicate source 's1'"),
+        ("1,b,s1,a,0.5,0.5\n", "sample 1 does not cover sources"),
+    ],
+    ids=["valid", "unknown_class", "field_count", "truth", "duplicate", "coverage"],
+)
+def test_load_dataset_opens_its_file_once(tmp_path, body, message):
+    """In blocks of two rows, the rows of sample 1 lie past the first block:
+    the loader reads the file once, on the error paths too, so a pipe works."""
+    path = tmp_path / "data.csv"
+    path.write_text(_HEADER + "0,a,s1,a,0.5,0.5\n0,a,s2,a,0.5,0.5\n" + body)
+    with mock.patch.object(evifuse.io, "_BLOCK_ROWS", 2), mock.patch(
+        "evifuse.io.open", wraps=open, create=True
+    ) as opened:
+        if message is None:
+            assert load_dataset(str(path)).sample_ids.tolist() == [0, 1]
+        else:
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                load_dataset(str(path))
+    opened.assert_called_once()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_cli_eval_reports_a_bad_row_of_piped_input(tmp_path):
+    """evifuse eval --dataset /dev/stdin on a pipe: a bad row is a validation
+    error, exit 2 with its line, not a traceback from reading the pipe again."""
+    env = {**os.environ, "PYTHONPATH": str(Path(evifuse.io.__file__).parents[1])}
+    command = [sys.executable, "-m", "evifuse.cli", "eval", "--dataset", "/dev/stdin"]
+    command += ["--methods", "vote_majority", "--out", str(tmp_path / "r.json")]
+    body = _HEADER + "0,a,s1,a,0.5,0.5\n0,a,s2,zz,0.5,0.5\n"
+    result = subprocess.run(command, input=body, capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: /dev/stdin: line 3: unknown class name 'zz'\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 def _traced_peak(function, *args):
@@ -759,6 +823,23 @@ def test_json_rejects_non_finite_numbers(tmp_path, literal, make, keys, load):
     path.write_text(text.replace("0.125", literal))
     with pytest.raises(ValidationError, match=f"{re.escape(literal)} is not a finite"):
         load(str(path))
+
+
+@pytest.mark.parametrize(
+    "make, load",
+    [
+        (lambda: config_to_dict(default_config()), load_config),
+        (_report_dict, load_report),
+    ],
+    ids=["config", "report"],
+)
+def test_json_rejects_invalid_utf8(tmp_path, make, load):
+    # As for the dataset CSV, the file is decoded ahead of the parser.
+    path = tmp_path / "file.json"
+    path.write_bytes(json.dumps(make()).encode().replace(b"}", b', "\xff": 1}', 1))
+    with pytest.raises(ValidationError) as info:
+        load(str(path))
+    assert str(info.value) == f"{path}: not valid UTF-8: invalid start byte"
 
 
 def test_report_round_trip(tmp_path):

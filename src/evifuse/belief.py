@@ -25,7 +25,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .frame import CONFLICT, SUM_TOL, Decision, FocalSet, Frame, check_integer
+from .frame import (
+    CONFLICT, SUM_TOL, Decision, FocalSet, Frame, check_integer, check_number
+)
 
 # float64 entries in one block of pairwise distances (512 KB). Each blocked
 # loop reuses buffers allocated once per call: a fresh temporary this large is
@@ -216,21 +218,14 @@ class AppriouParams:
     alpha: np.ndarray  # (m, n)
 
     def __post_init__(self) -> None:
-        cond = np.array(self.cond_prob, dtype=float)
-        r = np.array(self.r, dtype=float)
-        alpha = np.array(self.alpha, dtype=float)
+        cond = check_number("cond_prob", np.array(self.cond_prob), 0, 1)
+        r = check_number("r", np.array(self.r))
+        alpha = check_number("alpha", np.array(self.alpha), 0, 1)
         if cond.ndim != 2 or cond.shape[1] != self.frame.n:
             raise ValueError("cond_prob must be an (m, n) matrix over the frame")
         m = cond.shape[0]
         if r.shape != (m,) or alpha.shape != (m, self.frame.n):
             raise ValueError("r and alpha shapes must match cond_prob")
-        for name, arr in (("cond_prob", cond), ("r", r), ("alpha", alpha)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite")
-        if cond.min() < 0.0 or cond.max() > 1.0:
-            raise ValueError("conditional probabilities must lie in [0, 1]")
-        if alpha.min() < 0.0 or alpha.max() > 1.0:
-            raise ValueError("discounts must lie in [0, 1]")
         maxes = cond.max(axis=1)
         if np.any(maxes <= 0.0):
             raise ValueError(
@@ -357,11 +352,10 @@ class TrainingSet:
         _check_coordinates("prototypes", protos)
         if classes.shape != (protos.shape[0],):
             raise ValueError("one class per prototype is required")
-        check_integer("k", self.k)
-        if not 1 <= self.k <= protos.shape[0]:
+        object.__setattr__(self, "k", check_integer("k", self.k, 1))
+        if self.k > protos.shape[0]:
             raise ValueError("k must lie between 1 and the number of prototypes")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+        object.__setattr__(self, "alpha", check_number("alpha", self.alpha, 0, 1))
         if self.gamma is None:
             gamma = default_gamma(protos, classes, self.frame.n)
         else:

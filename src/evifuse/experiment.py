@@ -200,10 +200,8 @@ def evaluate_dataset(
     """
     settings = settings or FusionSettings()
     methods = normalize_methods(methods, settings)
-    n_trials = check_integer("n_trials", n_trials)
+    n_trials = check_integer("n_trials", n_trials, 1)
     seed = check_seed(seed)
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
     third = ds.n_samples // 3
     if third < 1:
         raise ValueError("dataset too small to split into three non-empty parts")

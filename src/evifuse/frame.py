@@ -8,8 +8,9 @@ supported frame widths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -24,11 +25,32 @@ SUM_TOL = 1e-9
 MAX_SEED = 2**64 - 1
 
 
-def check_integer(name: str, value) -> int:
-    """value as an int; ValueError unless it is an integer other than a bool."""
+def check_integer(name: str, value, low: float = -math.inf) -> int:
+    """value as an int; ValueError unless it is an integer other than a bool,
+    and at least low."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}")
     return int(value)
+
+
+def check_number(name: str, value, low: float = -math.inf, high: float = math.inf):
+    """value as a float, or an array of values as a float64 array (the same
+    array if it is one); ValueError unless every value is a real number other
+    than a bool, finite and in [low, high]."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        x = np.asarray(float(value))
+    else:
+        x = np.asarray(value)
+        if x.dtype.kind not in "iuf":
+            raise ValueError(f"{name} must be a number, got {value!r}")
+    x = x.astype(np.float64, copy=False)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
+    if x.size and not (low <= x.min() and x.max() <= high):
+        raise ValueError(f"{name} must lie in [{low:g}, {high:g}]")
+    return float(x) if x.ndim == 0 else x
 
 
 def check_seed(value) -> int:

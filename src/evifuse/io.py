@@ -19,7 +19,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .experiment import ExperimentReport
-from .frame import check_seed, make_frame
+from .frame import check_number, check_seed, make_frame
 from .simulate import Dataset, FusionSettings, SimConfig
 
 
@@ -39,6 +39,16 @@ _BLOCK_ROWS = 4096
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
+    """Write the dataset CSV; a score that is not finite or outside [0, 1], a
+    class index out of range or a repeated sample id, which load_dataset
+    would reject, is refused before the file is opened."""
+    try:
+        check_number("scores", dataset.scores, 0, 1)
+        truth, codes = map(dataset.frame.check_classes, (dataset.truth, dataset.labels))
+        if np.unique(dataset.sample_ids).size != dataset.n_samples:
+            raise ValueError("sample ids must be unique")
+    except ValueError as exc:
+        raise ValidationError(f"{path}: cannot write: {exc}") from None
     labels = dataset.frame.labels
     # writerow returns what the file's write() returns, here the line itself;
     # a name is quoted as the second of two fields, as in a data row
@@ -53,9 +63,9 @@ def save_dataset(dataset: Dataset, path: str) -> None:
         for block in (slice(i, i + step) for i in range(0, dataset.n_samples, step)):
             rows = zip(
                 np.repeat(dataset.sample_ids[block], m).tolist(),
-                names[np.repeat(dataset.truth[block], m)].tolist(),
+                names[np.repeat(truth[block], m)].tolist(),
                 cycle(sources),
-                names[dataset.labels[block].ravel()].tolist(),
+                names[codes[block].ravel()].tolist(),
                 dataset.scores[block].reshape(-1, k).tolist(),
             )
             fh.write("".join(row % (i, t, s, c, *x) for i, t, s, c, x in rows))

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .frame import SUM_TOL, Decision, FocalSet
+from .frame import SUM_TOL, Decision, FocalSet, check_number
 
 # Elementwise merge operators: each reduces its argument over ``axis``.
 OPERATORS = {"min": np.min, "max": np.max, "mean": np.mean, "median": np.median}
@@ -27,13 +27,9 @@ class PossibilityDistribution:
     pi: np.ndarray
 
     def __post_init__(self) -> None:
-        pi = np.array(self.pi, dtype=float)
+        pi = check_number("membership degrees", np.array(self.pi), 0, 1)
         if pi.ndim != 1 or pi.size == 0:
             raise ValueError("a distribution is a non-empty vector")
-        if not np.all(np.isfinite(pi)):
-            raise ValueError("membership degrees must be finite")
-        if pi.min() < 0.0 or pi.max() > 1.0:
-            raise ValueError("membership degrees must lie in [0, 1]")
         if abs(float(pi.max()) - 1.0) > SUM_TOL:
             raise ValueError("distribution must be normalized: max membership 1")
         pi.setflags(write=False)
@@ -118,15 +114,11 @@ def decide_batch(scores: np.ndarray, op: str) -> np.ndarray:
 
 
 def _check_scores(scores: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Scores as a float array; raise ValueError unless they are non-empty,
-    finite and in [0, 1]."""
-    scores = np.asarray(scores, dtype=float)
-    if scores.size == 0:
-        raise ValueError("scores must not be empty")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
-    if scores.min() < 0.0 or scores.max() > 1.0:
-        raise ValueError("scores must lie in [0, 1]")
+    """Scores as a float array; raise ValueError unless they are a non-empty
+    array of finite numbers in [0, 1]."""
+    scores = check_number("scores", scores, 0, 1)
+    if np.ndim(scores) == 0 or scores.size == 0:
+        raise ValueError("scores must be a non-empty array")
     return scores
 
 

@@ -9,12 +9,11 @@ amount of uniform noise. Everything is a pure function of the seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .frame import SUM_TOL, Frame, check_integer, check_seed, make_frame
+from .frame import SUM_TOL, Frame, check_integer, check_number, check_seed, make_frame
 from .possibility import OPERATORS
 
 # Long-tailed six-class mix used by the default benchmark scenario.
@@ -30,14 +29,12 @@ class SourceProfile:
     temperature: float = 0.0  # 0 = crisp one-hot scores, 1 = pure noise
 
     def __post_init__(self) -> None:
-        rel = tuple(float(r) for r in self.reliability)
+        rel = tuple(check_number("reliabilities", r, 0, 1) for r in self.reliability)
         if not rel:
             raise ValueError("reliability needs one entry per class")
-        if any(not 0.0 <= r <= 1.0 for r in rel):
-            raise ValueError("reliabilities must lie in [0, 1]")
-        if not 0.0 <= self.temperature <= 1.0:
-            raise ValueError("temperature must lie in [0, 1]")
         object.__setattr__(self, "reliability", rel)
+        temperature = check_number("temperature", self.temperature, 0, 1)
+        object.__setattr__(self, "temperature", temperature)
 
 
 @dataclass(frozen=True)
@@ -52,19 +49,22 @@ class FusionSettings:
     appriou_as_printed: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.vote_c <= 1.0:
-            raise ValueError("vote threshold coefficient must lie in [0, 1]")
-        if not math.isfinite(self.vote_b):
-            raise ValueError("vote threshold offset must be finite")
+        checked = {
+            "vote_c": check_number("vote threshold coefficient", self.vote_c, 0, 1),
+            "vote_b": check_number("vote threshold offset", self.vote_b),
+            "denoeux_k": check_integer("k", self.denoeux_k, 1),
+            "denoeux_alpha": check_number("denoeux discount", self.denoeux_alpha, 0, 1),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+        flag = self.appriou_as_printed
+        if not isinstance(flag, (bool, np.bool_)):
+            raise ValueError(f"appriou_as_printed must be a boolean, got {flag!r}")
+        object.__setattr__(self, "appriou_as_printed", bool(flag))
         if self.possibility_operator not in OPERATORS:
             raise ValueError(
                 f"unknown possibility operator {self.possibility_operator!r}"
             )
-        object.__setattr__(self, "denoeux_k", check_integer("k", self.denoeux_k))
-        if self.denoeux_k < 1:
-            raise ValueError("neighbor count must be at least 1")
-        if not 0.0 <= self.denoeux_alpha <= 1.0:
-            raise ValueError("denoeux discount must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         classes = tuple(self.classes)
-        priors = tuple(float(p) for p in self.priors)
+        priors = tuple(check_number("priors", p) for p in self.priors)
         sources = tuple(self.sources)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "priors", priors)
@@ -89,8 +89,6 @@ class SimConfig:
         frame = make_frame(classes)  # validates labels
         if len(priors) != frame.n:
             raise ValueError("one prior per class is required")
-        if not all(math.isfinite(p) for p in priors):
-            raise ValueError("priors must be finite")
         if any(p < 0.0 for p in priors):
             raise ValueError("priors must be non-negative")
         if abs(sum(priors) - 1.0) > SUM_TOL:
@@ -105,12 +103,8 @@ class SimConfig:
                     f"source {s.id!r} needs one reliability per class"
                 )
         for name in ("n_samples", "n_trials"):
-            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), 1))
         object.__setattr__(self, "seed", check_seed(self.seed))
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be at least 1")
 
     @property
     def frame(self) -> Frame:
@@ -138,6 +132,8 @@ class Dataset:
             raise ValueError("at least one sample is required")
         if m < 1:
             raise ValueError("at least one source is required")
+        if len(set(self.source_ids)) != m:
+            raise ValueError("source ids must be unique")
         if self.sample_ids.shape != (n_samples,):
             raise ValueError("one sample id per sample is required")
         if self.labels.shape != (n_samples, m):

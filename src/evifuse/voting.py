@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .frame import CONFLICT, SUM_TOL, Decision, Frame
+from .frame import CONFLICT, SUM_TOL, Decision, Frame, check_number
 
 
 @dataclass(frozen=True)
@@ -24,13 +24,9 @@ class VoteWeights:
     alpha: np.ndarray  # shape (m, n): weight of source j voting for class k
 
     def __post_init__(self) -> None:
-        alpha = np.array(self.alpha, dtype=float)
+        alpha = check_number("weights", np.array(self.alpha), 0, 1)
         if alpha.ndim != 2:
             raise ValueError("weights must form an (m, n) matrix")
-        if not np.all(np.isfinite(alpha)):
-            raise ValueError("weights must be finite")
-        if alpha.min() < 0.0 or alpha.max() > 1.0:
-            raise ValueError("weights must lie in [0, 1]")
         if abs(float(alpha.sum()) - 1.0) > SUM_TOL:
             raise ValueError("weights must sum to 1 over all sources and classes")
         alpha.setflags(write=False)
@@ -54,13 +50,9 @@ class VoteTally:
     weighted: bool = False
 
     def __post_init__(self) -> None:
-        counts = np.array(self.counts, dtype=float)
+        counts = check_number("counts", np.array(self.counts), 0)
         if counts.ndim != 1 or counts.size == 0:
             raise ValueError("counts must be a non-empty vector")
-        if not np.isfinite(counts).all():
-            raise ValueError("counts must be finite")
-        if counts.min() < 0.0:
-            raise ValueError("counts must be non-negative")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
@@ -71,11 +63,6 @@ def _check_weights(weights: VoteWeights | None, m: int, frame: Frame) -> None:
             f"weight matrix of shape {weights.alpha.shape} does not match "
             f"{m} sources over {frame.n} classes"
         )
-
-
-def _check_c(c: float) -> None:
-    if not 0.0 <= c <= 1.0:
-        raise ValueError("threshold coefficient c must lie in [0, 1]")
 
 
 def tally(
@@ -126,7 +113,7 @@ def decide_threshold(t: VoteTally, c: float, b: float = 0.0) -> Decision:
     A tally with no votes decides the conflict class regardless of the
     threshold.
     """
-    _check_c(c)
+    c = check_number("threshold coefficient c", c, 0, 1)
     counts = t.counts
     k = int(np.argmax(counts))
     top = counts[k]
@@ -166,7 +153,7 @@ def decide_absolute_majority_batch(counts: np.ndarray, m_sources: int) -> np.nda
 
 def decide_threshold_batch(counts: np.ndarray, c: float, b: float = 0.0) -> np.ndarray:
     """``decide_threshold`` per row of counts; -1 is conflict."""
-    _check_c(c)
+    c = check_number("threshold coefficient c", c, 0, 1)
     top = counts.max(axis=1)
     unique = np.count_nonzero(counts == top[:, None], axis=1) == 1
     wins = (top > 0.0) & unique & (top >= c * counts.sum(axis=1) + b)

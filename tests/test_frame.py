@@ -1,11 +1,14 @@
 """Frame construction and focal-set algebra."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from evifuse import CONFLICT, Decision, FocalSet, make_frame
+from evifuse.frame import check_integer, check_number
 
 
 def test_make_frame_basic():
@@ -106,3 +109,27 @@ def test_decision_values():
     frame = make_frame(["a", "b", "c"])
     assert Decision(2).label(frame) == "c"
     assert CONFLICT.label(frame) == "conflict"
+
+
+def test_check_number_and_check_integer():
+    assert check_number("x", np.float32(0.5)) == 0.5
+    assert type(check_number("x", np.int64(2), 0, 2)) is float
+    values = np.array([0.0, 0.5])
+    assert check_number("x", values, 0, 1) is values
+    ints = check_number("x", [0, 1], 0, 1)
+    assert ints.dtype == np.float64 and ints.tolist() == [0.0, 1.0]
+    assert check_number("x", np.empty((0, 3)), 0, 1).shape == (0, 3)
+    for bad in (True, np.True_, np.array([True]), "0.5", None, 1j):
+        with pytest.raises(ValueError, match="x must be a number"):
+            check_number("x", bad)
+    for bad in (math.nan, [0.5, math.inf], -math.inf):
+        with pytest.raises(ValueError, match="x must be finite"):
+            check_number("x", bad, 0, 1)
+    for bad in (-0.25, [0.5, 1.5]):
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+            check_number("x", bad, 0, 1)
+    assert check_integer("n", np.int64(3), 1) == 3
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        check_integer("n", 0, 1)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        check_integer("n", 1.0, 1)

@@ -421,6 +421,52 @@ def test_save_dataset_writes_what_csv_writer_writes(classes, sources, sample_ids
             assert again.read_bytes() == first.read_bytes()
 
 
+def _six_class_dataset(**arrays):
+    frame = make_frame([f"c{i}" for i in range(6)])
+    base = dict(
+        sample_ids=np.arange(3),
+        truth=np.array([0, 1, 2]),
+        labels=np.array([[0, 1], [1, 1], [2, 5]]),
+        scores=np.full((3, 2, 6), 0.5),
+    )
+    return Dataset(frame, ("s1", "s2"), **{**base, **arrays})
+
+
+def _scores_with(value):
+    scores = np.full((3, 2, 6), 0.5)
+    scores[1, 0, 3] = value
+    return scores
+
+
+@pytest.mark.parametrize(
+    "arrays, message",
+    [
+        (dict(scores=_scores_with(1.5)), r"scores must lie in \[0, 1\]"),
+        (dict(scores=_scores_with(-0.5)), r"scores must lie in \[0, 1\]"),
+        (dict(scores=_scores_with(math.nan)), "scores must be finite"),
+        (dict(sample_ids=np.array([4, 7, 4])), "sample ids must be unique"),
+        (dict(labels=np.array([[0, 1], [9, 1], [2, 5]])), "class index 9 out of"),
+        (dict(truth=np.array([0, -1, 2])), "class index -1 out of range"),
+        (dict(labels=np.full((3, 2), 1.5)), "class index 1.5 is not an integer"),
+    ],
+)
+def test_save_dataset_refuses_what_load_dataset_rejects(tmp_path, arrays, message):
+    # The file is not even created: a score outside [0, 1] or a repeated id
+    # would be written and then rejected on load, and a label out of range
+    # would fail halfway through the write.
+    path = tmp_path / "data.csv"
+    with pytest.raises(ValidationError, match=f"data.csv: cannot write: {message}"):
+        save_dataset(_six_class_dataset(**arrays), str(path))
+    assert not path.exists()
+
+
+def test_save_dataset_writes_whole_float_classes_as_classes(tmp_path):
+    ds = _six_class_dataset(truth=np.array([0.0, 1.0, 2.0]))
+    path = tmp_path / "data.csv"
+    save_dataset(ds, str(path))
+    assert load_dataset(str(path)).truth.tolist() == [0, 1, 2]
+
+
 def _load_row_by_row(path):
     """Reference loader: the checks of load_dataset one row at a time, in
     order. Returns the error message, or the loaded arrays."""

@@ -388,6 +388,52 @@ def test_k_nearest_is_the_stable_sort(
     assert d2.tobytes() == np.array(want_d2).tobytes()
 
 
+def _assert_k_nearest_is_the_stable_sort(queries, protos, k):
+    want_nearest, want_d2 = [], []
+    for x in queries:  # the search of denoeux_classify_mass
+        diff = protos - x
+        d2 = np.einsum("td,td->t", diff, diff)
+        nearest = np.argsort(d2, kind="stable")[:k]
+        want_nearest.append(nearest)
+        want_d2.append(d2[nearest])
+    nearest, d2 = belief._k_nearest(queries, protos, k)
+    assert nearest.tobytes() == np.array(want_nearest).tobytes()
+    assert d2.tobytes() == np.array(want_d2).tobytes()
+
+
+def test_k_nearest_keeps_a_tie_that_float32_rounding_ranks_apart():
+    # The two prototypes lie on either side of the query at exactly the same
+    # distance, so the stable sort takes the first. u = 2**-24 is the
+    # float32 unit roundoff, and on [0.5, 1) the float32 spacing. Each float32
+    # rounding is close to its limit in the direction that ranks the first
+    # prototype high and the second low: p rounds down and q up by half a
+    # spacing, p**2 up and q**2 down by a quarter of one, and 2 x p down and
+    # 2 x q up by half of one. Summed in index order, as a sequential matrix
+    # product does, the first ranks 2.5 u above the second, 0.44 of the
+    # per-row bound r = rtol (|X|^2 + max |P|^2) = 5.7 u: a margin of 2 r
+    # shrunk 4.6 times leaves the first prototype out. (Summed that way, two
+    # tied prototypes stay below 0.5 r, so no input fails a 4-times shrink.)
+    u = 2.0**-24
+    x = 0.5 + 131981 * u
+    p = 0.5 + (110307.5 - 2.0**-20) * u
+    q = 2 * x - p
+    assert (p - x) ** 2 == (q - x) ** 2
+    _assert_k_nearest_is_the_stable_sort(np.array([[x]]), np.array([[p], [q]]), 1)
+
+
+def test_k_nearest_keeps_a_tie_whose_float32_ranks_underflow():
+    # The query 0.75 holds the scale at 2**0, so the query 2**-75 and the
+    # prototypes 3 and 13 times 2**-78, tied at distance 5 * 2**-78 from it,
+    # have float32 ranks below the least normal float32, on the grid of
+    # 2**-149. |P|^2 and -2 X.P round to 0 and -0 for the first prototype, and
+    # to 2**-149 and -2**-148 for the second, which then ranks 2**-149 below
+    # the first. The relative part of the margin is about 2**-168 there, so
+    # only the underflow term of atol, (12 d + 8) 2**-126, keeps the first.
+    queries = np.array([[0.75], [2.0**-75]])
+    protos = np.array([[3 * 2.0**-78], [13 * 2.0**-78]])
+    _assert_k_nearest_is_the_stable_sort(queries, protos, 1)
+
+
 @pytest.mark.parametrize("dim", [1, 6, 24])
 def test_squared_distances_that_could_overflow_raise(dim):
     # Every coordinate must be within 2**510 / sqrt(d) of 0, so that no

@@ -211,3 +211,100 @@ def test_config_stores_numpy_integers_as_int(tmp_path):
     assert all(type(v) is int for v in values)
     save_config(cfg, str(tmp_path / "config.json"))
     assert load_config(str(tmp_path / "config.json")) == cfg
+
+
+def test_dataset_rejects_repeated_source_ids():
+    # evaluate_dataset keys source_accuracy by id, so a repeated id would
+    # silently report one column's accuracy under another's name.
+    with pytest.raises(ValueError, match="source ids must be unique"):
+        Dataset(
+            make_frame(["a", "b"]),
+            ("s1", "s1", "s3", "s4"),
+            np.arange(3),
+            np.zeros(3, np.int64),
+            np.zeros((3, 4), np.int64),
+            np.zeros((3, 4, 2)),
+        )
+
+
+def _one_source(**kwargs):
+    kwargs = {"reliability": (0.5, 0.5, 0.5), **kwargs}
+    return _config(sources=(SourceProfile("s1", **kwargs),))
+
+
+# Each numeric field of a scenario, by name: a scenario with the field set to
+# v, the field's stored value, and the name its messages use. 1 is a valid
+# value of every one of them.
+FLOAT_FIELDS = {
+    "priors": (
+        lambda v: _config(priors=(v, 1 - v, 0)), lambda c: c.priors[0], "priors"
+    ),
+    "reliability": (
+        lambda v: _one_source(reliability=(v, 0.5, 0.5)),
+        lambda c: c.sources[0].reliability[0],
+        "reliabilities",
+    ),
+    "temperature": (
+        lambda v: _one_source(temperature=v),
+        lambda c: c.sources[0].temperature,
+        "temperature",
+    ),
+    **{
+        field: (
+            lambda v, field=field: _config(fusion=FusionSettings(**{field: v})),
+            lambda c, field=field: getattr(c.fusion, field),
+            name,
+        )
+        for field, name in [
+            ("vote_c", "vote threshold coefficient"),
+            ("vote_b", "vote threshold offset"),
+            ("denoeux_alpha", "denoeux discount"),
+        ]
+    },
+}
+INT_FIELDS = {
+    "n_samples": (lambda v: _config(n_samples=v), lambda c: c.n_samples, "n_samples"),
+    "n_trials": (lambda v: _config(n_trials=v), lambda c: c.n_trials, "n_trials"),
+    "seed": (lambda v: _config(seed=v), lambda c: c.seed, "seed"),
+    "denoeux_k": (
+        lambda v: _config(fusion=FusionSettings(denoeux_k=v)),
+        lambda c: c.fusion.denoeux_k,
+        "k",
+    ),
+}
+NUMERIC_FIELDS = FLOAT_FIELDS | INT_FIELDS
+
+
+@pytest.mark.parametrize(
+    "field, kind, value",
+    [(f, float, v) for f in FLOAT_FIELDS for v in (1, np.int64(1), np.float32(1))]
+    + [(f, int, v) for f in INT_FIELDS for v in (1, np.int64(1), np.uint8(1))],
+)
+def test_numeric_fields_are_stored_as_python_numbers(tmp_path, field, kind, value):
+    # save_config writes only what load_config reads back: JSON has no numpy
+    # scalars, and an int in a float field would reload as a float.
+    make, stored, _ = NUMERIC_FIELDS[field]
+    cfg = make(value)
+    assert type(stored(cfg)) is kind and stored(cfg) == 1
+    save_config(cfg, str(tmp_path / "config.json"))
+    assert load_config(str(tmp_path / "config.json")) == cfg
+
+
+@pytest.mark.parametrize("field", NUMERIC_FIELDS)
+@pytest.mark.parametrize("value", [True, np.True_])
+def test_numeric_fields_reject_bools(field, value):
+    # load_config reads a JSON true as a boolean, never as a number.
+    make, _, name = NUMERIC_FIELDS[field]
+    with pytest.raises(ValueError, match=f"^{name} must be an? (number|integer)"):
+        make(value)
+
+
+def test_appriou_as_printed_is_stored_as_a_bool(tmp_path):
+    # load_config reads appriou.as_printed only as a JSON boolean.
+    for value in (1, 0.0, "yes", None):
+        with pytest.raises(ValueError, match="appriou_as_printed must be a boolean"):
+            FusionSettings(appriou_as_printed=value)
+    cfg = _config(fusion=FusionSettings(appriou_as_printed=np.True_))
+    assert cfg.fusion.appriou_as_printed is True
+    save_config(cfg, str(tmp_path / "config.json"))
+    assert load_config(str(tmp_path / "config.json")) == cfg

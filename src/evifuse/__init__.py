@@ -6,6 +6,8 @@ ones, plus confusion-matrix calibration and a seeded synthetic benchmark
 harness that compares them under a repeated split protocol.
 """
 
+from types import ModuleType as _ModuleType
+
 from .belief import (
     AppriouParams,
     MassFunction,
@@ -79,59 +81,9 @@ from .voting import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AppriouParams",
-    "CONFLICT",
-    "ConfusionMatrix",
-    "Dataset",
-    "Decision",
-    "ExperimentReport",
-    "FocalSet",
-    "Frame",
-    "FusionSettings",
-    "MassFunction",
-    "MAX_CLASSES",
-    "METHODS",
-    "MethodResult",
-    "OPERATORS",
-    "PossibilityDistribution",
-    "SimConfig",
-    "SourceProfile",
-    "TrainingSet",
-    "ValidationError",
-    "VoteTally",
-    "VoteWeights",
-    "appriou_mass",
-    "appriou_raw_masses",
-    "build_confusion",
-    "combine",
-    "combine_all",
-    "conditional_probs",
-    "conjunctive_combine",
-    "decide_absolute_majority",
-    "decide_majority",
-    "decide_pignistic",
-    "decide_possibilistic",
-    "decide_threshold",
-    "default_config",
-    "default_gamma",
-    "default_priors",
-    "denoeux_classify_mass",
-    "denoeux_mass",
-    "evaluate_dataset",
-    "load_config",
-    "load_dataset",
-    "load_report",
-    "make_frame",
-    "necessity_measure",
-    "possibility_measure",
-    "run_experiment",
-    "save_config",
-    "save_dataset",
-    "save_report",
-    "simulate",
-    "tally",
-    "to_possibility",
-    "vacuous",
-    "vote_weights",
-]
+# Every public name bound above except the submodules, so each is written once.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from functools import wraps
 
 import click
@@ -48,7 +49,7 @@ def simulate(config_path: str, out_path: str, seed: int | None) -> None:
     """Generate a synthetic multi-source dataset CSV."""
     config = load_config(config_path)
     if seed is not None:
-        config = config.with_seed(seed)
+        config = replace(config, seed=seed)
     save_dataset(simulate_dataset(config), out_path)
     click.echo(f"wrote {config.n_samples} samples to {out_path}")
 
@@ -63,7 +64,7 @@ def run(config_path: str, methods: str, out_path: str, seed: int | None) -> None
     """Simulate the scenario and run the repeated split protocol."""
     config = load_config(config_path)
     if seed is not None:
-        config = config.with_seed(seed)
+        config = replace(config, seed=seed)
     report = run_experiment(config, _parse_methods(methods, config.fusion))
     save_report(report, out_path)
     click.echo(f"wrote report for {len(report.methods)} methods to {out_path}")
@@ -94,16 +95,18 @@ def eval_cmd(
     seed: int | None,
 ) -> None:
     """Run the repeated split protocol over an existing dataset CSV."""
-    ds = load_dataset(dataset_path, truth_col=truth_col)
+    # the config and methods first, so a mistake in either shows before the
+    # dataset, which may be large, is read
     if config_path is not None:
         config = load_config(config_path)
         settings, n_trials, seed_value = config.fusion, config.n_trials, config.seed
     else:
         settings = FusionSettings()
         n_trials, seed_value = SimConfig.n_trials, SimConfig.seed  # the defaults
+    names = _parse_methods(methods, settings)
     report = evaluate_dataset(
-        ds,
-        _parse_methods(methods, settings),
+        load_dataset(dataset_path, truth_col=truth_col),
+        names,
         settings=settings,
         n_trials=trials if trials is not None else n_trials,
         seed=seed if seed is not None else seed_value,

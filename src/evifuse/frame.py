@@ -40,7 +40,10 @@ def check_number(name: str, value, low: float = -math.inf, high: float = math.in
     array if it is one); ValueError unless every value is a real number other
     than a bool, finite and in [low, high]."""
     if isinstance(value, Real) and not isinstance(value, bool):
-        x = np.asarray(float(value))
+        try:
+            x = np.asarray(float(value))
+        except OverflowError:  # an int beyond the largest float
+            raise ValueError(f"{name} does not fit in a float") from None
     else:
         x = np.asarray(value)
         if x.dtype.kind not in "iuf":

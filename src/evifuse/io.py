@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from itertools import cycle, islice
 from types import SimpleNamespace
@@ -38,14 +38,36 @@ _COLUMNS = ("sample_id", "true_class", "source_id", "label")
 _BLOCK_ROWS = 4096
 
 
+def _check_sample_ids(ids: np.ndarray) -> np.ndarray:
+    """ids as int64; ValueError for the first that is not a whole number in
+    the int64 range load_dataset reads."""
+    if ids.dtype.kind not in "iuf":
+        raise ValueError(f"sample ids must be integers, got dtype {ids.dtype}")
+    if ids.dtype.kind == "f":
+        fraction = ids != np.trunc(ids)  # NaN too
+        outside = ~((ids >= -(2.0**63)) & (ids < 2.0**63))
+    else:
+        fraction = np.zeros(ids.shape, bool)
+        outside = ids > np.iinfo(np.int64).max
+    bad = fraction | outside
+    if bad.any():
+        i = bad.argmax()
+        problem = "is not an integer" if fraction[i] else "does not fit in 64 bits"
+        raise ValueError(f"sample id {ids[i]} {problem}")
+    return ids.astype(np.int64)
+
+
 def save_dataset(dataset: Dataset, path: str) -> None:
     """Write the dataset CSV; a score that is not finite or outside [0, 1], a
-    class index out of range or a repeated sample id, which load_dataset
-    would reject, is refused before the file is opened."""
+    class index out of range, or a sample id that is not a whole number in
+    the int64 range or is repeated, which load_dataset would reject, is
+    refused before the file is opened. Whole-float ids and classes are
+    written as integers."""
     try:
         check_number("scores", dataset.scores, 0, 1)
         truth, codes = map(dataset.frame.check_classes, (dataset.truth, dataset.labels))
-        if np.unique(dataset.sample_ids).size != dataset.n_samples:
+        ids = _check_sample_ids(np.asarray(dataset.sample_ids))
+        if np.unique(ids).size != dataset.n_samples:
             raise ValueError("sample ids must be unique")
     except ValueError as exc:
         raise ValidationError(f"{path}: cannot write: {exc}") from None
@@ -62,7 +84,7 @@ def save_dataset(dataset: Dataset, path: str) -> None:
         fh.write(line([*_COLUMNS, *(f"score_{c}" for c in labels)]))
         for block in (slice(i, i + step) for i in range(0, dataset.n_samples, step)):
             rows = zip(
-                np.repeat(dataset.sample_ids[block], m).tolist(),
+                np.repeat(ids[block], m).tolist(),
                 names[np.repeat(truth[block], m)].tolist(),
                 cycle(sources),
                 names[codes[block].ravel()].tolist(),
@@ -121,6 +143,13 @@ def _read_block(
 
 
 def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
+    """Read a dataset CSV as save_dataset writes it, with the true class in
+    column ``truth_col``. Samples keep the order of their first row and
+    sources the order of the first sample's rows. A malformed header or row,
+    an unknown class name, a score that is not a number in [0, 1], a sample
+    whose rows disagree on its true class or repeat a source, or a sample
+    that does not cover the first sample's sources raises ValidationError
+    with its line where it has one."""
     prefix = [_COLUMNS[0], truth_col, *_COLUMNS[2:]]
     index: dict[str, int] = {}
     blocks, problem = [], None
@@ -197,15 +226,23 @@ def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
 # by _from_json from the same fields and their type hints
 
 
-def _save_json(data: dict[str, Any], path: str) -> None:
+def _save_json(
+    data: dict[str, Any], path: str, check: Callable[[Any], Any] | None = None
+) -> None:
     """Write data as JSON; a non-finite number, which _load_json would
-    reject, is refused before the file is opened."""
+    reject, or data that ``check`` rejects, is refused before the file is
+    opened."""
     try:
         text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise ValidationError(
             f"{path}: cannot write a non-finite number: {exc}"
         ) from None
+    if check is not None:
+        try:
+            check(data)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: cannot write: {exc}") from None
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text + "\n")
 
@@ -253,7 +290,10 @@ def _typed(value: Any, kind: type, key: str, source: str) -> Any:
     allowed = (int, float) if kind is float else kind
     if not isinstance(value, allowed) or isinstance(value, bool) is not (kind is bool):
         raise ValidationError(f"{_name(key, source)} must be {_TYPE_NAMES[kind]}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # an int beyond the largest float
+        raise ValidationError(f"{_name(key, source)} does not fit in a float") from None
 
 
 def _reject_unknown(
@@ -364,7 +404,9 @@ def _leaves(value: Any, key: str) -> Iterable[tuple[str, Any]]:
 
 
 def save_report(report: ExperimentReport, path: str) -> None:
-    _save_json(report_to_dict(report), path)
+    """Write the report JSON; a report that load_report would reject is
+    refused before the file is opened."""
+    _save_json(report_to_dict(report), path, report_from_dict)
 
 
 def load_report(path: str) -> ExperimentReport:

@@ -9,7 +9,7 @@ amount of uniform noise. Everything is a pure function of the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,9 +109,6 @@ class SimConfig:
     @property
     def frame(self) -> Frame:
         return make_frame(self.classes)
-
-    def with_seed(self, seed: int) -> "SimConfig":
-        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -32,14 +32,6 @@ class VoteWeights:
         alpha.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
 
-    @property
-    def m_sources(self) -> int:
-        return self.alpha.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.alpha.shape[1]
-
 
 @dataclass(frozen=True)
 class VoteTally:

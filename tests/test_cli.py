@@ -2,13 +2,22 @@
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from evifuse import __version__, default_config, save_config
+from evifuse import (
+    FusionSettings,
+    __version__,
+    default_config,
+    evaluate_dataset,
+    load_dataset,
+    save_config,
+)
 from evifuse.cli import main
+from evifuse.io import report_to_dict
 
 
 @pytest.fixture()
@@ -243,6 +252,97 @@ def test_non_object_config_block_exits_2(runner, config_path, tmp_path):
     )
     assert result.exit_code == 2
     assert "error:" in result.output
+
+
+def test_simulate_seed_gives_the_scenario_with_that_seed(runner, tmp_path):
+    config = default_config(n_samples=60)
+    paths = {}
+    for seed in (0, 7):
+        paths[seed] = tmp_path / f"seed{seed}.json"
+        save_config(replace(config, seed=seed), str(paths[seed]))
+    overridden, direct = tmp_path / "overridden.csv", tmp_path / "direct.csv"
+    for args, out in (
+        (["--config", str(paths[0]), "--seed", "7"], overridden),
+        (["--config", str(paths[7])], direct),
+    ):
+        result = runner.invoke(main, ["simulate", *args, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+    assert overridden.read_bytes() == direct.read_bytes()
+    unseeded = tmp_path / "unseeded.csv"
+    runner.invoke(main, ["simulate", "--config", str(paths[0]), "--out", str(unseeded)])
+    assert unseeded.read_bytes() != direct.read_bytes()
+
+
+def test_eval_config_supplies_settings_trials_and_seed(runner, tmp_path):
+    fusion = FusionSettings(vote_c=0.3, possibility_operator="min", denoeux_k=5)
+    config = replace(default_config(n_samples=90, n_trials=3, seed=11), fusion=fusion)
+    config_path, data_path = tmp_path / "config.json", tmp_path / "data.csv"
+    out = tmp_path / "report.json"
+    save_config(config, str(config_path))
+    simulate = ["simulate", "--config", str(config_path), "--out", str(data_path)]
+    assert runner.invoke(main, simulate).exit_code == 0
+    methods = ["vote_weighted", "possibility", "belief_denoeux"]
+    result = runner.invoke(
+        main,
+        [
+            "eval",
+            "--dataset",
+            str(data_path),
+            "--methods",
+            ",".join(methods),
+            "--out",
+            str(out),
+            "--config",
+            str(config_path),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    expected = evaluate_dataset(
+        load_dataset(str(data_path)),
+        ["vote_weighted", "possibility_min", "belief_denoeux"],
+        settings=fusion,
+        n_trials=3,
+        seed=11,
+    )
+    assert json.loads(out.read_text()) == report_to_dict(expected)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--methods", "bagging"], "error: unknown method 'bagging'"),
+        (
+            ["--methods", "vote_majority", "--config", "missing.json"],
+            "missing.json",
+        ),
+    ],
+    ids=["method", "config"],
+)
+def test_eval_checks_methods_and_config_before_the_dataset(
+    runner, tmp_path, args, message
+):
+    # The dataset may be large, so a mistake elsewhere shows before its read.
+    missing = tmp_path / "missing.csv"
+    result = runner.invoke(
+        main,
+        ["eval", "--dataset", str(missing), *args, "--out", str(tmp_path / "r.json")],
+    )
+    assert result.exit_code == 2
+    assert message in result.output and "missing.csv" not in result.output
+
+
+def test_run_rejects_an_integer_beyond_the_largest_float(runner, config_path, tmp_path):
+    data = json.loads(Path(config_path).read_text())
+    data["vote"]["b"] = 10**400
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "r.json"
+    result = runner.invoke(
+        main,
+        ["run", "--config", str(bad), "--methods", "vote_weighted", "--out", str(out)],
+    )
+    assert result.exit_code == 2
+    assert "config key vote.b does not fit in a float" in result.output
 
 
 def test_version(runner):

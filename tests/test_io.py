@@ -448,6 +448,17 @@ def _scores_with(value):
         (dict(labels=np.array([[0, 1], [9, 1], [2, 5]])), "class index 9 out of"),
         (dict(truth=np.array([0, -1, 2])), "class index -1 out of range"),
         (dict(labels=np.full((3, 2), 1.5)), "class index 1.5 is not an integer"),
+        (dict(sample_ids=np.array([0.5, 1.5, 2.5])), "sample id 0.5 is not an integer"),
+        (dict(sample_ids=np.array([0, math.nan, 2])), "sample id nan is not an"),
+        (
+            dict(sample_ids=np.array([0, 2.0**63, 2])),
+            "sample id 9.223372036854776e\\+18 does not fit in 64 bits",
+        ),
+        (
+            dict(sample_ids=np.array([0, 2**63, 2], dtype=np.uint64)),
+            "sample id 9223372036854775808 does not fit in 64 bits",
+        ),
+        (dict(sample_ids=np.array(["a", "b", "c"])), "sample ids must be integers"),
     ],
 )
 def test_save_dataset_refuses_what_load_dataset_rejects(tmp_path, arrays, message):
@@ -465,6 +476,16 @@ def test_save_dataset_writes_whole_float_classes_as_classes(tmp_path):
     path = tmp_path / "data.csv"
     save_dataset(ds, str(path))
     assert load_dataset(str(path)).truth.tolist() == [0, 1, 2]
+
+
+def test_save_dataset_writes_whole_float_sample_ids_as_integers(tmp_path):
+    # Written as load_dataset reads them, and as the same ids in int64 write.
+    ids = np.array([-(2.0**63), 7.0, 2.0**62])
+    floats, ints = tmp_path / "floats.csv", tmp_path / "ints.csv"
+    save_dataset(_six_class_dataset(sample_ids=ids), str(floats))
+    save_dataset(_six_class_dataset(sample_ids=ids.astype(np.int64)), str(ints))
+    assert floats.read_bytes() == ints.read_bytes()
+    assert load_dataset(str(floats)).sample_ids.tolist() == [-(2**63), 7, 2**62]
 
 
 def _load_row_by_row(path):
@@ -999,6 +1020,57 @@ def test_save_report_refuses_non_finite_numbers_before_opening(tmp_path):
         with pytest.raises(ValidationError, match="cannot write a non-finite number"):
             save_report(broken, str(path))
         assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(n_trials=0), "report key n_trials must be at least 1"),
+        (dict(seed=-1), "seed must fit in an unsigned 64-bit integer"),
+        (dict(seed=2**64), "seed must fit in an unsigned 64-bit integer"),
+        (dict(source_accuracy={"s1": 1.5}), "report key source_accuracy.s1 must lie"),
+    ],
+    ids=["n_trials", "negative seed", "large seed", "rate"],
+)
+def test_save_report_refuses_what_load_report_rejects(tmp_path, change, message):
+    report = replace(report_from_dict(small_report_dict()), **change)
+    path = tmp_path / "report.json"
+    pattern = "report.json: cannot write: invalid report: .*" + message
+    with pytest.raises(ValidationError, match=pattern):
+        save_report(report, str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "make, keys, load, message",
+    [
+        (
+            lambda: config_to_dict(default_config()),
+            ("vote", "b"),
+            load_config,
+            "invalid config: config key vote.b does not fit in a float",
+        ),
+        (
+            small_report_dict,
+            ("methods", "vote_majority", "accuracy"),
+            load_report,
+            "invalid report: report key methods.vote_majority.accuracy does not fit",
+        ),
+    ],
+    ids=["config", "report"],
+)
+def test_json_readers_refuse_an_integer_beyond_the_largest_float(
+    tmp_path, make, keys, load, message
+):
+    data = make()
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = 10**400
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load(str(path))
 
 
 @pytest.mark.parametrize("seed", [-5, 2**64])

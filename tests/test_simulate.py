@@ -299,6 +299,14 @@ def test_numeric_fields_reject_bools(field, value):
         make(value)
 
 
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_float_fields_reject_an_integer_beyond_the_largest_float(field):
+    # float() of such an int raises OverflowError, which is not a ValueError.
+    make, _, name = FLOAT_FIELDS[field]
+    with pytest.raises(ValueError, match=f"^{name} does not fit in a float$"):
+        make(10**400)
+
+
 def test_appriou_as_printed_is_stored_as_a_bool(tmp_path):
     # load_config reads appriou.as_printed only as a JSON boolean.
     for value in (1, 0.0, "yes", None):

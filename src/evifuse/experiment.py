@@ -10,8 +10,9 @@ pooled over trials so rare classes with empty trial slices stay defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Sequence
+from functools import cache, partial
+from numbers import Real
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .calibration import (
     conditional_probs,
     vote_weights,
 )
-from .frame import check_integer, check_seed
+from .frame import check_integer, check_number, check_seed
 from .simulate import Dataset, FusionSettings, SimConfig, simulate, trial_stream
 
 # A kernel: (ds, settings, calib_idx, rows) -> (decided, conflict_mass), one
@@ -133,6 +134,31 @@ class MethodResult:
     mean_conflict_mass: float
 
 
+_hints = cache(get_type_hints)  # a dataclass's field types, evaluated once
+
+
+def _checked(key: str, value, kind):
+    """value as ``kind`` (MethodResult, dict[str, X] or float), with string
+    keys and every number a Python float in [0, 1]; else ValueError naming
+    report key ``key``."""
+    expected = get_origin(kind) or kind
+    if not isinstance(value, Real if kind is float else expected):
+        name = expected.__name__
+        raise ValueError(f"report key {key} must be a {name}, got {value!r}")
+    if kind is MethodResult:
+        hints = _hints(MethodResult)
+        return MethodResult(
+            **{f: _checked(f"{key}.{f}", getattr(value, f), hints[f]) for f in hints}
+        )
+    if expected is dict:
+        items = value.items()
+        return {str(k): _checked(f"{key}.{k}", v, get_args(kind)[1]) for k, v in items}
+    x = check_number(f"report key {key}", value)  # not a bool, and finite
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"report key {key} must lie in [0, 1], got {x}")
+    return x
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     """Cross-trial summary of one benchmark run."""
@@ -141,6 +167,18 @@ class ExperimentReport:
     n_trials: int
     methods: dict[str, MethodResult]
     source_accuracy: dict[str, float]
+
+    def checked(self) -> ExperimentReport:
+        """A copy of Python ints and floats, as save_report writes it: the
+        seed passes check_seed, n_trials is at least 1, and every rate and
+        mass lies in [0, 1]; else ValueError naming the report key."""
+        hints = _hints(ExperimentReport)
+        return ExperimentReport(
+            check_seed(self.seed),
+            check_integer("report key n_trials", self.n_trials, 1),
+            _checked("methods", self.methods, hints["methods"]),
+            _checked("source_accuracy", self.source_accuracy, hints["source_accuracy"]),
+        )
 
 
 def _decide(name, ds, settings, perms, third, tested):

@@ -10,16 +10,17 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from itertools import cycle, islice
+from numbers import Real
 from types import SimpleNamespace
 from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .experiment import ExperimentReport
-from .frame import check_number, check_seed, make_frame
+from .frame import make_frame
 from .simulate import Dataset, FusionSettings, SimConfig
 
 
@@ -38,37 +39,12 @@ _COLUMNS = ("sample_id", "true_class", "source_id", "label")
 _BLOCK_ROWS = 4096
 
 
-def _check_sample_ids(ids: np.ndarray) -> np.ndarray:
-    """ids as int64; ValueError for the first that is not a whole number in
-    the int64 range load_dataset reads."""
-    if ids.dtype.kind not in "iuf":
-        raise ValueError(f"sample ids must be integers, got dtype {ids.dtype}")
-    if ids.dtype.kind == "f":
-        fraction = ids != np.trunc(ids)  # NaN too
-        outside = ~((ids >= -(2.0**63)) & (ids < 2.0**63))
-    else:
-        fraction = np.zeros(ids.shape, bool)
-        outside = ids > np.iinfo(np.int64).max
-    bad = fraction | outside
-    if bad.any():
-        i = bad.argmax()
-        problem = "is not an integer" if fraction[i] else "does not fit in 64 bits"
-        raise ValueError(f"sample id {ids[i]} {problem}")
-    return ids.astype(np.int64)
-
-
 def save_dataset(dataset: Dataset, path: str) -> None:
-    """Write the dataset CSV; a score that is not finite or outside [0, 1], a
-    class index out of range, or a sample id that is not a whole number in
-    the int64 range or is repeated, which load_dataset would reject, is
-    refused before the file is opened. Whole-float ids and classes are
-    written as integers."""
+    """Write the dataset CSV from Dataset.checked(): a dataset it refuses,
+    which load_dataset would reject, is refused before the file is opened.
+    Whole-float ids and classes are written as integers."""
     try:
-        check_number("scores", dataset.scores, 0, 1)
-        truth, codes = map(dataset.frame.check_classes, (dataset.truth, dataset.labels))
-        ids = _check_sample_ids(np.asarray(dataset.sample_ids))
-        if np.unique(ids).size != dataset.n_samples:
-            raise ValueError("sample ids must be unique")
+        dataset = dataset.checked()
     except ValueError as exc:
         raise ValidationError(f"{path}: cannot write: {exc}") from None
     labels = dataset.frame.labels
@@ -84,10 +60,10 @@ def save_dataset(dataset: Dataset, path: str) -> None:
         fh.write(line([*_COLUMNS, *(f"score_{c}" for c in labels)]))
         for block in (slice(i, i + step) for i in range(0, dataset.n_samples, step)):
             rows = zip(
-                np.repeat(ids[block], m).tolist(),
-                names[np.repeat(truth[block], m)].tolist(),
+                np.repeat(dataset.sample_ids[block], m).tolist(),
+                names[np.repeat(dataset.truth[block], m)].tolist(),
                 cycle(sources),
-                names[codes[block].ravel()].tolist(),
+                names[dataset.labels[block].ravel()].tolist(),
                 dataset.scores[block].reshape(-1, k).tolist(),
             )
             fh.write("".join(row % (i, t, s, c, *x) for i, t, s, c, x in rows))
@@ -226,23 +202,19 @@ def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
 # by _from_json from the same fields and their type hints
 
 
-def _save_json(
-    data: dict[str, Any], path: str, check: Callable[[Any], Any] | None = None
-) -> None:
-    """Write data as JSON; a non-finite number, which _load_json would
-    reject, or data that ``check`` rejects, is refused before the file is
-    opened."""
+def _json_text(data: Any, path: str, **options: Any) -> str:
+    """json.dumps(data, **options); a non-finite number, which _load_json
+    would reject, is refused."""
     try:
-        text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(data, allow_nan=False, **options)
     except ValueError as exc:
         raise ValidationError(
             f"{path}: cannot write a non-finite number: {exc}"
         ) from None
-    if check is not None:
-        try:
-            check(data)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: cannot write: {exc}") from None
+
+
+def _save_json(data: dict[str, Any], path: str) -> None:
+    text = _json_text(data, path, indent=2, sort_keys=True)  # before opening
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text + "\n")
 
@@ -376,37 +348,30 @@ def report_to_dict(report: ExperimentReport) -> dict[str, Any]:
 
 
 def report_from_dict(data: dict[str, Any]) -> ExperimentReport:
-    """The report, typed by _from_json; its seed must pass check_seed,
-    n_trials be at least 1, and every rate and mass lie in [0, 1]."""
+    """The report, typed by _from_json and checked by
+    ExperimentReport.checked()."""
     try:
-        report = _from_json(data, ExperimentReport, "", "report")
-        check_seed(report.seed)
-        if report.n_trials < 1:
-            raise ValueError("report key n_trials must be at least 1")
-        fractions = asdict(report)
-        for key in ("seed", "n_trials"):
-            del fractions[key]
-        for key, value in _leaves(fractions, ""):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"report key {key} must lie in [0, 1], got {value}")
-        return report
+        return _from_json(data, ExperimentReport, "", "report").checked()
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"invalid report: {exc}") from exc
 
 
-def _leaves(value: Any, key: str) -> Iterable[tuple[str, Any]]:
-    """(dotted path, value) of each non-object value in nested objects."""
-    if not isinstance(value, dict):
-        yield key, value
-        return
-    for child, item in value.items():
-        yield from _leaves(item, _at(key, child))
-
-
 def save_report(report: ExperimentReport, path: str) -> None:
-    """Write the report JSON; a report that load_report would reject is
-    refused before the file is opened."""
-    _save_json(report_to_dict(report), path, report_from_dict)
+    """Write the report JSON from ExperimentReport.checked(); a report that
+    load_report would reject is refused before the file is opened. JSON
+    holds no NaN or infinity, so a non-finite number, a numpy one included,
+    is refused as such before checked() sees it."""
+    _json_text(
+        report_to_dict(report),
+        path,
+        skipkeys=True,
+        default=lambda x: float(x) if isinstance(x, Real) else None,
+    )
+    try:
+        report = report.checked()
+    except ValueError as exc:
+        raise ValidationError(f"{path}: cannot write: invalid report: {exc}") from None
+    _save_json(report_to_dict(report), path)
 
 
 def load_report(path: str) -> ExperimentReport:

@@ -16,8 +16,18 @@ import numpy as np
 
 from .frame import SUM_TOL, Decision, FocalSet, check_number
 
+
+def _median(x: np.ndarray, axis: int) -> np.ndarray:
+    """np.median over ``axis``, bit for bit, without the numpy.ma import of
+    its first call on numpy 2: the mean of the two middle sorted values,
+    which are one value for an odd count."""
+    x = np.sort(x, axis=axis)
+    n = x.shape[axis]
+    return (x.take((n - 1) // 2, axis) + x.take(n // 2, axis)) / 2
+
+
 # Elementwise merge operators: each reduces its argument over ``axis``.
-OPERATORS = {"min": np.min, "max": np.max, "mean": np.mean, "median": np.median}
+OPERATORS = {"min": np.min, "max": np.max, "mean": np.mean, "median": _median}
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ amount of uniform noise. Everything is a pure function of the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -111,6 +111,25 @@ class SimConfig:
         return make_frame(self.classes)
 
 
+def _check_sample_ids(ids: np.ndarray) -> np.ndarray:
+    """ids as int64; ValueError for the first that is not a whole number in
+    the int64 range load_dataset reads."""
+    if ids.dtype.kind not in "iuf":
+        raise ValueError(f"sample ids must be integers, got dtype {ids.dtype}")
+    if ids.dtype.kind == "f":
+        fraction = ids != np.trunc(ids)  # NaN too
+        outside = ~((ids >= -(2.0**63)) & (ids < 2.0**63))
+    else:
+        fraction = np.zeros(ids.shape, bool)
+        outside = ids > np.iinfo(np.int64).max
+    bad = fraction | outside
+    if bad.any():
+        i = bad.argmax()
+        problem = "is not an integer" if fraction[i] else "does not fit in 64 bits"
+        raise ValueError(f"sample id {ids[i]} {problem}")
+    return ids.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Simulated or loaded multi-source dataset, one block per array."""
@@ -139,6 +158,18 @@ class Dataset:
             raise ValueError("scores must be an (N, m, n) array")
         for arr in (self.sample_ids, self.truth, self.labels, self.scores):
             arr.setflags(write=False)
+
+    def checked(self) -> Dataset:
+        """A copy with int64 sample ids and classes and float64 scores, as
+        save_dataset writes it: every score is a finite number in [0, 1],
+        every class index in range, and the sample ids are unique whole
+        numbers that fit in int64; else ValueError."""
+        scores = check_number("scores", self.scores, 0, 1)
+        truth, labels = map(self.frame.check_classes, (self.truth, self.labels))
+        ids = _check_sample_ids(np.asarray(self.sample_ids))
+        if np.unique(ids).size != self.n_samples:
+            raise ValueError("sample ids must be unique")
+        return replace(self, sample_ids=ids, truth=truth, labels=labels, scores=scores)
 
     @property
     def n_samples(self) -> int:

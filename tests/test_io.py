@@ -469,6 +469,8 @@ def test_save_dataset_refuses_what_load_dataset_rejects(tmp_path, arrays, messag
     with pytest.raises(ValidationError, match=f"data.csv: cannot write: {message}"):
         save_dataset(_six_class_dataset(**arrays), str(path))
     assert not path.exists()
+    with pytest.raises(ValueError, match=f"^{message}"):
+        _six_class_dataset(**arrays).checked()
 
 
 def test_save_dataset_writes_whole_float_classes_as_classes(tmp_path):
@@ -1039,6 +1041,54 @@ def test_save_report_refuses_what_load_report_rejects(tmp_path, change, message)
     with pytest.raises(ValidationError, match=pattern):
         save_report(report, str(path))
     assert not path.exists()
+    with pytest.raises(ValueError, match=message):
+        report.checked()
+
+
+def _with_scalars(report, ints, floats):
+    """report with ints(value) for the seed and n_trials and floats(value)
+    for every rate and mass."""
+    def rates(d):
+        return {k: floats(v) for k, v in d.items()}
+
+    methods = {
+        name: replace(
+            r,
+            accuracy=floats(r.accuracy),
+            per_class=rates(r.per_class),
+            conflict_rate=floats(r.conflict_rate),
+            mean_conflict_mass=floats(r.mean_conflict_mass),
+        )
+        for name, r in report.methods.items()
+    }
+    return replace(
+        report,
+        seed=ints(report.seed),
+        n_trials=ints(report.n_trials),
+        methods=methods,
+        source_accuracy=rates(report.source_accuracy),
+    )
+
+
+@pytest.mark.parametrize("floats", [np.float32, np.float64])
+def test_save_report_writes_numpy_scalars_as_python_numbers(tmp_path, floats):
+    # The same bytes as its twin of int() and float() values, and read back
+    # equal to the twin; json.dumps alone raises TypeError on np.int64 and
+    # np.float32.
+    cfg = default_config(n_samples=120, n_trials=2)
+    report = _with_scalars(
+        run_experiment(cfg, ["vote_majority", "belief_appriou"]), np.int64, floats
+    )
+    twin = _with_scalars(report, int, float)
+    numpy_path, twin_path = tmp_path / "numpy.json", tmp_path / "twin.json"
+    save_report(report, str(numpy_path))
+    save_report(twin, str(twin_path))
+    assert numpy_path.read_bytes() == twin_path.read_bytes()
+    assert load_report(str(numpy_path)) == twin
+    for bad in (floats(math.nan), floats(1.5)):
+        broken = replace(report, source_accuracy={"s1": bad})
+        with pytest.raises(ValidationError, match="bad.json: cannot write"):
+            save_report(broken, str(tmp_path / "bad.json"))
 
 
 @pytest.mark.parametrize(

@@ -288,39 +288,55 @@ def appriou_mass(
 
 
 def appriou_decide_batch(
-    labels: np.ndarray, params: AppriouParams, as_printed: bool = False
+    labels: np.ndarray,
+    params: AppriouParams | Sequence[AppriouParams],
+    as_printed: bool = False,
+    trial: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Appriou decisions and conflict masses for many rows of source labels.
 
-    Row by row this agrees with ``decide_pignistic(combine_all([appriou_mass(j,
-    labels[r, j], params, as_printed) for j ...]))``: the same decision (-1
-    for the conflict class) and the same conflict mass up to rounding.
-    Source j's masses (a, b, g) sit on {l_j}, its complement and the frame,
-    and are combined by the closed form of ``_decide_triples``; rows it
-    hands to the scalar path are combined once per distinct label row, from
-    source masses built once per (source, label).
+    ``params`` is one set of parameters, or one per trial with ``trial``
+    giving each row's trial (all 0 by default). Row by row this agrees with
+    ``decide_pignistic(combine_all([appriou_mass(j, labels[r, j],
+    params[trial[r]], as_printed) for j ...]))``: the same decision (-1 for
+    the conflict class) and the same conflict mass up to rounding. Source
+    j's masses (a, b, g) sit on {l_j}, its complement and the frame, and are
+    combined by the closed form of ``_decide_triples``; rows it hands to the
+    scalar path are combined once per distinct (trial, label row), from
+    source masses built once per (trial, source, label).
     """
-    frame = params.frame
+    params = [params] if isinstance(params, AppriouParams) else list(params)
+    frame, m = params[0].frame, params[0].m_sources
+    if any(p.frame != frame or p.m_sources != m for p in params):
+        raise ValueError("every trial's parameters must share a frame and sources")
     labels = frame.check_classes(labels)
-    if labels.ndim != 2 or labels.shape[1] != params.m_sources:
-        raise ValueError(
-            f"labels of shape {labels.shape} do not match {params.m_sources} sources"
-        )
-    # (3, m, n) mass tables, with the floating-point operations of appriou_mass.
-    r = params.r[:, None]
-    tables = np.stack(appriou_raw_masses(params.cond_prob, r, params.alpha, as_printed))
+    if labels.ndim != 2 or labels.shape[1] != m:
+        raise ValueError(f"labels of shape {labels.shape} do not match {m} sources")
+    trial = np.zeros(len(labels), dtype=np.intp) if trial is None else np.asarray(trial)
+    if trial.shape != labels.shape[:1] or np.any((trial < 0) | (trial >= len(params))):
+        raise ValueError(f"trial must give each row an index below {len(params)}")
+    # (3, trials, m, n) mass tables, with the floating-point operations of
+    # appriou_mass.
+    cond = np.stack([p.cond_prob for p in params])
+    r = np.stack([p.r for p in params])[:, :, None]
+    alpha = np.stack([p.alpha for p in params])
+    tables = np.stack(appriou_raw_masses(cond, r, alpha, as_printed))
     if as_printed:
         tables /= tables.sum(axis=0)
-    masses = tables[:, np.arange(params.m_sources), labels]
+    masses = tables[:, trial[:, None], np.arange(m), labels]
 
     @cache
-    def source_mass(j: int, k: int) -> MassFunction:
-        return appriou_mass(j, k, params, as_printed)
+    def source_mass(t: int, j: int, k: int) -> MassFunction:
+        return appriou_mass(j, k, params[t], as_printed)
 
-    def scalar(row: np.ndarray) -> MassFunction:
-        return combine_all([source_mass(j, int(k)) for j, k in enumerate(row)])
+    def scalar(key: np.ndarray) -> MassFunction:
+        t = int(key[0])
+        return combine_all([source_mass(t, j, int(k)) for j, k in enumerate(key[1:])])
 
-    return _decide_triples(labels, masses, frame.n, labels, scalar)
+    def keys(tied: np.ndarray) -> np.ndarray:
+        return np.column_stack((trial[tied], labels[tied]))
+
+    return _decide_triples(labels, masses, frame.n, keys, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +487,20 @@ def _head(buf: np.ndarray, *shape: int) -> np.ndarray:
 
 
 def default_gamma(
-    prototypes: np.ndarray, classes: np.ndarray, n_classes: int
+    prototypes: np.ndarray,
+    classes: np.ndarray,
+    n_classes: int,
+    _scratch: dict | None = None,
 ) -> np.ndarray:
     """Per-class distance scales from mean within-class pairwise distances.
 
     All classes, and the global fallback, sum their pairs in one pair of
-    block buffers.
+    block buffers; the float one comes from ``_buffer(_scratch)``. Raises
+    ValueError on coordinates that ``TrainingSet`` rejects.
     """
+    _check_coordinates("prototypes", prototypes)
     floats = max(_BLOCK_FLOATS, prototypes.shape[0])
-    bufs = np.empty(floats), np.empty(floats, dtype=bool)
+    bufs = _buffer(_scratch, floats), np.empty(floats, dtype=bool)
     means = [
         _mean_pairwise_distance(prototypes[classes == c], bufs)
         for c in range(n_classes)
@@ -487,6 +508,16 @@ def default_gamma(
     global_mean = _mean_pairwise_distance(prototypes, bufs) if None in means else None
     fallback = 1.0 / global_mean if global_mean is not None else 1.0
     return np.array([fallback if mean is None else 1.0 / mean for mean in means])
+
+
+def _buffer(scratch: dict | None, size: int, dtype: type = float) -> np.ndarray:
+    """``size`` entries of ``dtype`` from a flat byte buffer that the dict
+    ``scratch`` keeps, if given, so that later calls reuse its pages."""
+    scratch = {} if scratch is None else scratch
+    nbytes = size * np.dtype(dtype).itemsize
+    if scratch.get("block", np.empty(0)).size < nbytes:
+        scratch["block"] = np.empty(nbytes, dtype=np.uint8)
+    return scratch["block"][:nbytes].view(dtype)
 
 
 def denoeux_mass(x: Sequence[float], t: int, ts: TrainingSet) -> MassFunction:
@@ -542,7 +573,7 @@ _TIE_RTOL = 1e-9
 
 
 def denoeux_decide_batch(
-    queries: np.ndarray, ts: TrainingSet
+    queries: np.ndarray, ts: TrainingSet, _scratch: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evidential k-NN decisions and conflict masses for many queries.
 
@@ -554,7 +585,8 @@ def denoeux_decide_batch(
     by the closed form of ``_decide_triples`` (with it, m({i}) = S_i
     prod_{j != i} (1 - S_j) for S_i = 1 - prod(1 - s) over the neighbours of
     class i, as in Denoeux 1995); rows it hands to the scalar path are
-    combined once per distinct query.
+    combined once per distinct query. The neighbour search ranks into
+    ``_buffer(_scratch)``.
     """
     queries = np.asarray(queries, dtype=float)
     if queries.ndim != 2 or queries.shape[1:] != ts.prototypes.shape[1:]:
@@ -563,7 +595,7 @@ def denoeux_decide_batch(
             f"shape {ts.prototypes.shape}"
         )
     _check_coordinates("queries", queries)
-    nearest, d2 = _k_nearest(queries, ts.prototypes, ts.k)
+    nearest, d2 = _k_nearest(queries, ts.prototypes, ts.k, _scratch)
     classes = ts.classes[nearest]
     support = ts.alpha * np.exp(-ts.gamma[classes] * d2)
     masses = np.stack([support, np.zeros_like(support), 1.0 - support])
@@ -571,18 +603,19 @@ def denoeux_decide_batch(
     def scalar(x: np.ndarray) -> MassFunction:
         return denoeux_classify_mass(x, ts)
 
-    return _decide_triples(classes, masses, ts.frame.n, queries, scalar)
+    n = ts.frame.n
+    return _decide_triples(classes, masses, n, queries.__getitem__, scalar)
 
 
 def _k_nearest(
-    x: np.ndarray, protos: np.ndarray, k: int
+    x: np.ndarray, protos: np.ndarray, k: int, scratch: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The k nearest prototypes of each query row, with their squared distances.
 
     The order is by (exact squared distance, index), like the stable sort of
     denoeux_classify_mass. Query rows are taken one block at a time, and each
     block ranks all prototypes in float32, by one matrix product into a
-    buffer allocated once per call. Group g holds the prototypes g, g +
+    buffer from ``_buffer(scratch)``. Group g holds the prototypes g, g +
     groups, ..., so the block's ranks viewed as (size, groups, rows) give the
     group minima as the elementwise minimum of size contiguous slabs. The
     groups whose minimum is within the margin derived below, and in them the
@@ -642,7 +675,7 @@ def _k_nearest(
     # A block holds 2 _BLOCK_FLOATS float32 ranks, the bytes of _BLOCK_FLOATS
     # float64s, and k d candidate differences a row fit in _BLOCK_FLOATS too.
     rows = max(1, 2 * _BLOCK_FLOATS // max(width, 2 * k * dim))
-    ranks = np.empty(rows * width, dtype=np.float32)
+    ranks = _buffer(scratch, rows * width, np.float32)
     nearest = np.empty((x.shape[0], k), dtype=np.intp)
     d2 = np.empty((x.shape[0], k))
     for a in range(0, x.shape[0], rows):
@@ -677,7 +710,7 @@ def _decide_triples(
     classes: np.ndarray,
     masses: np.ndarray,
     n: int,
-    keys: np.ndarray,
+    keys: Callable[[np.ndarray], np.ndarray],
     scalar: Callable[[np.ndarray], MassFunction],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decisions and conflict masses for rows of mass triples, one per source.
@@ -685,14 +718,16 @@ def _decide_triples(
     In row r, source j puts masses[:, r, j] = (a, b, g) on {classes[r, j]},
     its complement and the frame; a Denoeux neighbour's simple support s is
     the triple (s, 0, 1 - s). Rows whose top two pignistic values the closed
-    form flags as a near tie are decided by ``scalar(keys[r])`` instead, once
-    per distinct key.
+    form flags as a near tie are decided by ``scalar(key)`` instead, once per
+    distinct key, where ``keys(tied)`` gives the key rows of the flagged
+    row indices ``tied``.
     """
     decided = np.empty(classes.shape[0], dtype=np.int64)
     conflict = np.empty(classes.shape[0])
     flagged = np.empty(classes.shape[0], dtype=bool)
-    # The quadrature holds (n + 1) // 2 values per class and row.
-    rows = max(1, _BLOCK_FLOATS // n**2)
+    # The quadrature's four (n, (n + 1) // 2, rows) arrays hold about 2 n**2
+    # floats a row.
+    rows = max(1, _BLOCK_FLOATS // (2 * n**2))
     for a in range(0, classes.shape[0], rows):
         block = slice(a, a + rows)
         decided[block], conflict[block], flagged[block] = _closed_form(
@@ -701,7 +736,7 @@ def _decide_triples(
     tied = np.flatnonzero(flagged)
     if tied.size == 0:
         return decided, conflict
-    distinct, inverse = np.unique(keys[tied], axis=0, return_inverse=True)
+    distinct, inverse = np.unique(keys(tied), axis=0, return_inverse=True)
     outcomes = np.empty((distinct.shape[0], 2))
     for p, key in enumerate(distinct):
         m = scalar(key)
@@ -725,22 +760,27 @@ def _closed_form(
     sum_S m(frame minus S) / (n - |S|) = U_c * integral_0^1 prod_{d != c}
     (B_d - U_d + U_d x) dx, a polynomial of degree n - 1 that (n + 1) // 2
     Gauss-Legendre nodes integrate exactly.
+
+    The products run class-major, on (n, rows) arrays, one source or class
+    at a time in the order of a row-wise loop. Sums, products and sorts
+    over the classes of a row run on C-contiguous (rows, n) copies, whose
+    reductions add in the same order whatever the number of rows.
     """
     a, b, g = masses
-    at = (np.arange(classes.shape[0])[:, None], classes)
-    big_a, big_b, big_u = (np.ones((classes.shape[0], n)) for _ in range(3))
-    np.multiply.at(big_a, at, a + g)
-    np.multiply.at(big_b, at, b + g)
-    np.multiply.at(big_u, at, g)
+    at = np.arange(classes.shape[0])
+    big_a, big_b, big_u = np.ones((3, n, classes.shape[0]))
+    for j, c in enumerate(classes.T):
+        big_a[c, at] *= a[:, j] + g[:, j]
+        big_b[c, at] *= b[:, j] + g[:, j]
+        big_u[c, at] *= g[:, j]
     before, after = _prods_around(big_b)
     singles = (big_a - big_u) * before * after
     gap = big_b - big_u
     nodes, weights = _gauss_legendre((n + 1) // 2)
-    poly = gap[:, None, :] + big_u[:, None, :] * nodes[:, None]
-    below, above = _prods_around(poly.reshape(-1, n))
-    shares = (below * above).reshape(poly.shape)
-    bet = singles + big_u * np.einsum("k,rkc->rc", weights, shares)
-    nonempty = singles.sum(axis=1) + before[:, -1] * big_b[:, -1] - np.prod(gap, axis=1)
+    below, above = _prods_around(gap[:, None] + big_u[:, None] * nodes[:, None])
+    bet = singles + big_u * np.einsum("k,ckr->cr", weights, below * above)
+    singles, gap, bet = (np.ascontiguousarray(x.T) for x in (singles, gap, bet))
+    nonempty = singles.sum(axis=1) + before[-1] * big_b[-1] - np.prod(gap, axis=1)
     conflict = np.maximum(1.0 - nonempty, 0.0)
     decided = np.where(nonempty > 0.0, np.argmax(bet, axis=1), -1)
     # Top-two pignistic values within _TIE_RTOL may be ordered either way by
@@ -766,8 +806,10 @@ def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _prods_around(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """prod_{d < c} x[:, d] and prod_{d > c} x[:, d] for every column c."""
-    ones = np.ones((x.shape[0], 1))
-    before = np.cumprod(np.hstack([ones, x[:, :-1]]), axis=1)
-    after = np.cumprod(np.hstack([ones, x[:, :0:-1]]), axis=1)[:, ::-1]
+    """prod_{d < c} x[d] and prod_{d > c} x[d] for every class c of the first
+    axis, multiplied in the order of a cumulative product."""
+    before, after = np.ones_like(x), np.ones_like(x)
+    for c in range(1, x.shape[0]):
+        np.multiply(before[c - 1], x[c - 1], out=before[c])
+        np.multiply(after[-c], x[-c], out=after[-c - 1])
     return before, after

@@ -11,78 +11,101 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import groupby
 from numbers import Real
 from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import belief, possibility, voting
-from .calibration import (
-    ConfusionMatrix,
-    build_confusion,
-    conditional_probs,
-    vote_weights,
-)
+from .calibration import ConfusionMatrix, conditional_probs, vote_weights
 from .frame import check_integer, check_number, check_seed
 from .simulate import Dataset, FusionSettings, SimConfig, simulate, trial_stream
 
-# A kernel: (ds, settings, calib_idx, rows) -> (decided, conflict_mass), one
-# entry per row, -1 = conflict class. It fits what it needs from the
-# calibration rows calib_idx.
+# A kernel: (ds, settings, calib, trial, rows) -> (decided, conflict_mass), one
+# entry per row, -1 = conflict class. Row rows[r] is decided with the
+# calibration that the kernel fits from row trial[r] of the (trials, third)
+# calibration matrix calib; trial is sorted. A ROW_WISE kernel reads neither.
 
 
-def _confusion(ds: Dataset, calib_idx: np.ndarray) -> list[ConfusionMatrix]:
-    """Each source's confusion matrix over the calibration rows."""
-    return [
-        build_confusion(
-            np.column_stack((ds.truth[calib_idx], ds.labels[calib_idx, j])),
-            ds.frame,
-            source_id=ds.source_ids[j],
-        )
-        for j in range(ds.m_sources)
-    ]
+def _calibrate(fit, name: str, ds: Dataset, calib: np.ndarray) -> list:
+    """``fit`` (vote_weights or conditional_probs) of each trial's per-source
+    confusion matrices, counted with one bincount over every trial's
+    calibration rows; a ValueError names the method and the trial."""
+    trials, m, n = calib.shape[0], ds.m_sources, ds.frame.n
+    check = ds.frame.check_classes
+    bins = check(ds.labels[calib])  # (trials, third, m), made into bin numbers in place
+    bins += check(ds.truth[calib])[..., None] * n
+    bins += (np.arange(trials)[:, None, None] * m + np.arange(m)) * n * n
+    counts = np.bincount(bins.ravel(), minlength=trials * m * n * n)
+    fitted = []
+    for t, trial_counts in enumerate(counts.reshape(trials, m, n, n)):
+        sources = zip(trial_counts, ds.source_ids)
+        cms = [ConfusionMatrix(ds.frame, c, sid) for c, sid in sources]
+        try:
+            fitted.append(fit(cms))
+        except ValueError as err:
+            raise ValueError(f"{name}, trial {t}: {err}") from None
+    return fitted
 
 
-def _vote_majority(ds, settings, calib_idx, rows):
+def _vote_majority(ds, settings, calib, trial, rows):
     counts = voting.tally_batch(ds.labels[rows], ds.frame)
     return voting.decide_threshold_batch(counts, 0.0), np.zeros(rows.shape[0])
 
 
-def _vote_absolute(ds, settings, calib_idx, rows):
+def _vote_absolute(ds, settings, calib, trial, rows):
     counts = voting.tally_batch(ds.labels[rows], ds.frame)
     decided = voting.decide_absolute_majority_batch(counts, ds.m_sources)
     return decided, np.zeros(rows.shape[0])
 
 
-def _vote_weighted(ds, settings, calib_idx, rows):
-    weights = vote_weights(_confusion(ds, calib_idx))
-    counts = voting.tally_batch(ds.labels[rows], ds.frame, weights)
+def _vote_weighted(ds, settings, calib, trial, rows):
+    weights = _calibrate(vote_weights, "vote_weighted", ds, calib)
+    bounds = np.searchsorted(trial, np.arange(len(calib) + 1))
+    parts = zip(weights, bounds, bounds[1:])
+    counts = np.vstack(
+        [voting.tally_batch(ds.labels[rows[a:b]], ds.frame, w) for w, a, b in parts]
+    )
     decided = voting.decide_threshold_batch(counts, settings.vote_c, settings.vote_b)
     return decided, np.zeros(rows.shape[0])
 
 
-def _belief_appriou(ds, settings, calib_idx, rows):
-    params = conditional_probs(_confusion(ds, calib_idx))
+def _belief_appriou(ds, settings, calib, trial, rows):
+    params = _calibrate(conditional_probs, "belief_appriou", ds, calib)
     return belief.appriou_decide_batch(
-        ds.labels[rows], params, settings.appriou_as_printed
+        ds.labels[rows], params, settings.appriou_as_printed, trial
     )
 
 
-def _possibility(op, ds, settings, calib_idx, rows):
+def _possibility(op, ds, settings, calib, trial, rows):
     decided = possibility.decide_batch(ds.scores[rows], op)
     return decided, np.zeros(rows.shape[0])
 
 
-def _belief_denoeux(ds, settings, calib_idx, rows):
+def _belief_denoeux(ds, settings, calib, trial, rows):
+    """One training set and neighbour search per trial, all in one scratch
+    block buffer."""
     flat = ds.scores.reshape(ds.n_samples, -1)
-    training_set = belief.TrainingSet(
-        ds.frame,
-        flat[calib_idx],
-        ds.truth[calib_idx],
-        k=min(settings.denoeux_k, len(calib_idx)),
-        alpha=settings.denoeux_alpha,
-    )
-    return belief.denoeux_decide_batch(flat[rows], training_set)
+    bounds = np.searchsorted(trial, np.arange(len(calib) + 1))
+    scratch: dict = {}
+    parts = [
+        belief.denoeux_decide_batch(
+            flat[rows[a:b]], _training_set(ds, settings, c, scratch), scratch
+        )
+        for c, a, b in zip(calib, bounds, bounds[1:])
+    ]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _training_set(ds, settings, calib_rows, scratch):
+    """The Denoeux training set of one trial's calibration rows."""
+    prototypes = ds.scores.reshape(ds.n_samples, -1)[calib_rows]
+    classes = ds.truth[calib_rows]
+    gamma = belief.default_gamma(prototypes, classes, ds.frame.n, scratch)
+    k = min(settings.denoeux_k, len(calib_rows))
+    alpha = settings.denoeux_alpha
+    return belief.TrainingSet(ds.frame, prototypes, classes, k, alpha, gamma)
 
 
 KERNELS = {
@@ -96,11 +119,15 @@ KERNELS = {
 
 METHODS = tuple(KERNELS)
 
-# Methods whose kernels read only the row, never calib_idx: a row's decision
-# does not depend on the trial, so each row is decided once per run.
+# Methods whose kernels read only the row, never calib or trial: a row's
+# decision does not depend on the trial, so each row is decided once per run.
 ROW_WISE = frozenset(
     {"vote_majority", "vote_absolute"}
     | {f"possibility_{op}" for op in possibility.OPERATORS}
+)
+# Methods whose kernels read a row's scores; the others read its labels.
+SCORE_ROWS = frozenset(
+    {"belief_denoeux"} | {f"possibility_{op}" for op in possibility.OPERATORS}
 )
 
 
@@ -181,28 +208,67 @@ class ExperimentReport:
         )
 
 
-def _decide(name, ds, settings, perms, third, tested):
-    """Method ``name``'s decisions on every trial's test third, as a
-    (trials, third) array, and each trial's mean conflict mass.
+def _row_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An id per row of ``values``, shared only by rows of equal bytes, and
+    one row of each id.
 
-    A ROW_WISE kernel decides each row of ``tested`` once, in chunks of at
-    most one third, so no call holds larger temporaries than one trial's
-    call. Every other kernel runs once per trial.
+    Rows are sorted by a 64-bit hash of their 8-byte words, and a row takes
+    a new id unless it equals the row before it word for word: rows of equal
+    bytes share an id unless a hash collision falls between them, which
+    costs one repeated decision and nothing else.
     """
+    data = np.ascontiguousarray(values).reshape(values.shape[0], -1).view(np.uint8)
+    if data.shape[1] % 8:
+        data = np.pad(data, ((0, 0), (0, -data.shape[1] % 8)))
+    words = data.view(np.uint64)
+    mix = np.zeros(words.shape[0], dtype=np.uint64)
+    for column in words.T:
+        mix ^= column
+        mix *= np.uint64(0x9E3779B97F4A7C15)
+        mix ^= mix >> np.uint64(29)
+    order = np.argsort(mix)
+    new = np.zeros(order.shape[0], dtype=bool)
+    new[0] = True
+    for column in words.T:
+        column = column[order]
+        new[1:] |= column[1:] != column[:-1]
+    ids = np.empty(order.shape[0], dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
+
+
+def _pairs(values: np.ndarray, tests: np.ndarray, per_run: bool):
+    """The distinct (trial, row key) pairs of the (trials, third) test
+    thirds, or the distinct keys if ``per_run``, as sorted trial and
+    representative row arrays, and the inverse that maps them back. A row's
+    key is its ``_row_ids`` id in ``values``."""
+    ids, first = _row_ids(values)
+    pairs = ids[tests]
+    if not per_run:
+        pairs += np.arange(tests.shape[0])[:, None] * first.shape[0]
+    distinct, inverse = np.unique(pairs, return_inverse=True)
+    trial, key = np.divmod(distinct, first.shape[0])
+    return trial, first[key], inverse.reshape(tests.shape)
+
+
+def _decide(name, ds, settings, calib, trial, rows, inverse):
+    """Method ``name``'s decisions on every trial's test third, as a
+    (trials, third) array, and each trial's mean conflict mass, from one
+    kernel call on the ``_pairs`` of its key kind; a ROW_WISE kernel gets
+    None for calib and trial, and at most one third of rows a call."""
     kernel = KERNELS[name]
-    tests = perms[:, 2 * third : 3 * third]
     if name in ROW_WISE:
-        lookup = np.empty(ds.n_samples, dtype=np.int64)
-        for a in range(0, tested.shape[0], third):
-            rows = tested[a : a + third]
-            lookup[rows] = kernel(ds, settings, None, rows)[0]
-        return lookup[tests], np.zeros(len(perms))
-    decided = np.empty(tests.shape, dtype=np.int64)
-    conflict_mass = np.empty(len(perms))
-    for t, perm in enumerate(perms):
-        decided[t], mass = kernel(ds, settings, perm[third : 2 * third], tests[t])
-        conflict_mass[t] = mass.mean()
-    return decided, conflict_mass
+        third = calib.shape[1]
+        chunks = [rows[a : a + third] for a in range(0, len(rows), third)]
+        decided = [kernel(ds, settings, None, None, c)[0] for c in chunks]
+        return np.concatenate(decided)[inverse], np.zeros(len(calib))
+    decided, conflict_mass = kernel(ds, settings, calib, trial, rows)
+    return decided[inverse], conflict_mass[inverse].mean(axis=1)
+
+
+def _reads(name: str) -> tuple[bool, bool]:
+    """(reads score rows, else label rows; decides once per run)."""
+    return name in SCORE_ROWS, name in ROW_WISE
 
 
 def _score(frame, truth, decided, conflict_mass):
@@ -233,8 +299,11 @@ def evaluate_dataset(
     """Run the repeated split protocol over an existing dataset.
 
     Works one method at a time: the method decides every trial's test
-    third, and those decisions are scored once. The ROW_WISE methods decide
-    each row that some trial tests once per run.
+    third, and those decisions are scored once. A row's key is its score
+    row for SCORE_ROWS methods and its label row for the others; a kernel
+    decides one row per distinct (trial, key) pair of the test thirds, or
+    per distinct key for a ROW_WISE method. Methods that share the key kind
+    and ROW_WISE run one after the other on one ``_pairs``.
     """
     settings = settings or FusionSettings()
     methods = normalize_methods(methods, settings)
@@ -247,14 +316,15 @@ def evaluate_dataset(
     perms = np.stack(
         [trial_stream(seed, t).permutation(ds.n_samples) for t in range(n_trials)]
     )
-    tests = perms[:, 2 * third : 3 * third]
+    calib, tests = perms[:, third : 2 * third], perms[:, 2 * third : 3 * third]
     truth = ds.truth[tests]
-    tested = np.flatnonzero(np.bincount(tests.ravel(), minlength=ds.n_samples))
-
     results = {}
-    for name in methods:
-        decided, conflict_mass = _decide(name, ds, settings, perms, third, tested)
-        results[name] = _score(ds.frame, truth, decided, conflict_mass)
+    for (scores, per_run), names in groupby(sorted(methods, key=_reads), _reads):
+        groups = _pairs(ds.scores if scores else ds.labels, tests, per_run)
+        for name in names:
+            decided, conflict_mass = _decide(name, ds, settings, calib, *groups)
+            results[name] = _score(ds.frame, truth, decided, conflict_mass)
+    results = {name: results[name] for name in methods}
     source_rates = (ds.labels[tests] == truth[..., None]).mean(axis=1).sum(axis=0)
     source_accuracy = {
         sid: float(source_rates[j] / n_trials) for j, sid in enumerate(ds.source_ids)

@@ -113,7 +113,9 @@ class Frame:
         """Array form of check_class: an int64 copy, or its error for the
         first bad index."""
         k = np.asarray(k)
-        bad = (k < 0) | (k >= self.n) | (k != np.trunc(k))
+        bad = (k < 0) | (k >= self.n)
+        if k.dtype.kind not in "biu":  # integers need no fraction check
+            bad |= k != np.trunc(k)
         if bad.any():
             self.check_class(k[bad][0])
         return k.astype(np.int64)

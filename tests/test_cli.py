@@ -10,6 +10,8 @@ from click.testing import CliRunner
 
 from evifuse import (
     FusionSettings,
+    SimConfig,
+    SourceProfile,
     __version__,
     default_config,
     evaluate_dataset,
@@ -343,6 +345,50 @@ def test_run_rejects_an_integer_beyond_the_largest_float(runner, config_path, tm
     )
     assert result.exit_code == 2
     assert "config key vote.b does not fit in a float" in result.output
+
+
+@pytest.mark.parametrize(
+    "method, s1, s2, seed, message",
+    [
+        (
+            "belief_appriou",
+            (0.3, 0.3),
+            (0.9, 0.9),
+            0,
+            "belief_appriou, trial 2: source 's1' has zero success rate on every class",
+        ),
+        (
+            "vote_weighted",
+            (0.2, 0.2),
+            (0.2, 0.2),
+            1,
+            "vote_weighted, trial 1: no source was ever correct; vote weights are "
+            "undefined",
+        ),
+    ],
+)
+def test_calibration_failure_names_the_method_and_the_trial(
+    runner, tmp_path, method, s1, s2, seed, message
+):
+    # Nine samples give each trial three calibration rows, on which a weak
+    # source may never be right; the trials before this one calibrate.
+    config = SimConfig(
+        classes=("a", "b"),
+        priors=(0.5, 0.5),
+        sources=(SourceProfile("s1", s1), SourceProfile("s2", s2)),
+        n_samples=9,
+        n_trials=5,
+        seed=seed,
+    )
+    path = tmp_path / "config.json"
+    save_config(config, str(path))
+    out = tmp_path / "r.json"
+    result = runner.invoke(
+        main, ["run", "--config", str(path), "--methods", method, "--out", str(out)]
+    )
+    assert result.exit_code == 2
+    assert f"error: {message}" in result.output
+    assert not out.exists()
 
 
 def test_version(runner):

@@ -18,11 +18,11 @@ from evifuse import (
     save_report,
     simulate,
 )
-from evifuse import possibility, voting
 from evifuse.experiment import (
     KERNELS,
     METHODS,
     ROW_WISE,
+    SCORE_ROWS,
     ExperimentReport,
     MethodResult,
     normalize_methods,
@@ -227,7 +227,9 @@ def _reference_report(ds, methods, settings, n_trials, seed):
         truth = ds.truth[test_idx]
         np.add.at(class_total, truth, 1.0)
         for name in names:
-            decided, conflict_mass = KERNELS[name](ds, settings, calib_idx, test_idx)
+            decided, conflict_mass = KERNELS[name](
+                ds, settings, calib_idx[None], np.zeros(third, dtype=np.intp), test_idx
+            )
             accuracy, rate, mass, class_correct = sums[name]
             correct = decided == truth
             accuracy.append(float(correct.mean()))
@@ -300,38 +302,43 @@ def test_report_equals_the_per_trial_loop(config, methods):
 
 @pytest.mark.parametrize("n_trials", [1, 4, 12])
 def test_row_wise_methods_are_decided_once_per_run(monkeypatch, n_trials):
-    # Each ROW_WISE method decides the union of the test thirds in chunks of
-    # at most one third, however many trials test those rows; vote_weighted
-    # depends on the trial's calibration and still tallies once per trial.
-    calls = []
-    decide_batch, tally_batch = possibility.decide_batch, voting.tally_batch
+    # Each kernel gets each distinct (trial, row key) pair of the test thirds
+    # exactly once, in one call, with the run's calibration matrix; the key
+    # is the label row, or the score row for SCORE_ROWS methods. A ROW_WISE
+    # kernel gets each distinct key of the run exactly once, in calls of at
+    # most one third of rows, with None for calib and trial. Crisp scores
+    # make score rows repeat as label rows do.
+    calls = {name: [] for name in METHODS}
+    for name, kernel in list(KERNELS.items()):
 
-    def counted_decide(scores, op):
-        calls.append((f"possibility_{op}", scores.shape[0]))
-        return decide_batch(scores, op)
+        def counted(ds, settings, calib, trial, rows, name=name, kernel=kernel):
+            calls[name].append((calib, trial, rows))
+            return kernel(ds, settings, calib, trial, rows)
 
-    def counted_tally(labels, frame, weights=None):
-        calls.append(("weighted" if weights is not None else "plain", labels.shape[0]))
-        return tally_batch(labels, frame, weights)
-
-    monkeypatch.setattr(possibility, "decide_batch", counted_decide)
-    monkeypatch.setattr(voting, "tally_batch", counted_tally)
-    config = _small_config(n_samples=100, n_trials=n_trials)
-    evaluate_dataset(simulate(config), METHODS, n_trials=n_trials, seed=config.seed)
+        monkeypatch.setitem(KERNELS, name, counted)
+    config = _crisp(_small_config(n_samples=100, n_trials=n_trials))
+    ds = simulate(config)
+    evaluate_dataset(ds, METHODS, n_trials=n_trials, seed=config.seed)
 
     third = 100 // 3
     perms = [trial_stream(config.seed, t).permutation(100) for t in range(n_trials)]
-    tested = np.unique([perm[2 * third : 3 * third] for perm in perms])
-    chunks = math.ceil(tested.size / third)
-    for key, per_run in [
-        *((f"possibility_{op}", 1) for op in possibility.OPERATORS),
-        ("plain", 2),  # vote_majority and vote_absolute
-    ]:
-        sizes = [rows for name, rows in calls if name == key]
-        assert len(sizes) == per_run * chunks, key
-        assert sum(sizes) == per_run * tested.size, key
-        assert max(sizes) <= third, key
-    assert [rows for name, rows in calls if name == "weighted"] == [third] * n_trials
+    tests = [(t, r) for t, p in enumerate(perms) for r in p[2 * third : 3 * third]]
+    for name, made in calls.items():
+        values = ds.scores if name in SCORE_ROWS else ds.labels
+        if name in ROW_WISE:
+            want = sorted({values[row].tobytes() for _, row in tests})
+            assert len(made) == math.ceil(len(want) / third), name
+            for calib, trial, rows in made:
+                assert calib is None and trial is None and len(rows) <= third, name
+            got = sorted(values[row].tobytes() for _, _, rows in made for row in rows)
+        else:
+            want = sorted({(t, values[row].tobytes()) for t, row in tests})
+            [(calib, trial, rows)] = made
+            assert calib.tolist() == [p[third : 2 * third].tolist() for p in perms]
+            assert trial.tolist() == sorted(trial.tolist()), name
+            got = sorted((int(t), values[row].tobytes()) for t, row in zip(trial, rows))
+        assert got == want, name
+        assert len(want) < len(tests), name  # some key repeats
 
 
 def _with_score(ds, row, value):

@@ -126,6 +126,13 @@ def scalar_outputs(name, ds, calib_idx, test_idx, settings):
     return decided, conflict
 
 
+def run_kernel(name, ds, settings, calib_idx, rows):
+    """Method ``name``'s kernel on ``rows``, as one trial calibrated on
+    ``calib_idx``."""
+    trial = np.zeros(len(rows), dtype=np.intp)
+    return KERNELS[name](ds, settings, np.asarray(calib_idx)[None], trial, rows)
+
+
 def assert_kernels_match(ds, calib_idx, test_idx, settings, methods=METHODS):
     """Each kernel equals the scalar path, or both raise ValueError."""
     for name in methods:
@@ -133,9 +140,9 @@ def assert_kernels_match(ds, calib_idx, test_idx, settings, methods=METHODS):
             want, want_conflict = scalar_outputs(name, ds, calib_idx, test_idx, settings)
         except ValueError:
             with pytest.raises(ValueError):
-                KERNELS[name](ds, settings, calib_idx, test_idx)
+                run_kernel(name, ds, settings, calib_idx, test_idx)
             continue
-        decided, conflict = KERNELS[name](ds, settings, calib_idx, test_idx)
+        decided, conflict = run_kernel(name, ds, settings, calib_idx, test_idx)
         assert decided.dtype == np.int64, name
         assert decided.tolist() == want, name
         np.testing.assert_allclose(
@@ -580,7 +587,7 @@ def test_total_conflict_gives_conflict_class():
     )
     calib_idx, test_idx = np.array([2, 3]), np.array([4, 5])
     fusion = FusionSettings(denoeux_k=2, denoeux_alpha=1.0)
-    decided, conflict = KERNELS["belief_denoeux"](ds, fusion, calib_idx, test_idx)
+    decided, conflict = run_kernel("belief_denoeux", ds, fusion, calib_idx, test_idx)
     assert decided.tolist() == [-1, -1]
     assert conflict.tolist() == [1.0, 1.0]
     assert_kernels_match(ds, calib_idx, test_idx, fusion)
@@ -605,7 +612,7 @@ def test_tied_possibility_values():
     possibility = [name for name in METHODS if name.startswith("possibility_")]
     assert_kernels_match(ds, calib_idx, test_idx, FusionSettings(), possibility)
     fusion = FusionSettings()
-    decided, _ = KERNELS["possibility_max"](ds, fusion, calib_idx, test_idx)
+    decided, _ = run_kernel("possibility_max", ds, fusion, calib_idx, test_idx)
     assert 1 not in decided.tolist()
 
 
@@ -789,6 +796,102 @@ def test_appriou_batch_matches_scalar(seed, n, m, coarse, as_printed):
     assert_appriou_matches(labels, appriou_params(cond, alpha), as_printed)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    m=st.integers(1, 4),
+    trials=st.integers(1, 4),
+    as_printed=st.booleans(),
+)
+def test_appriou_batch_over_trials_is_one_call_per_trial(
+    seed, n, m, trials, as_printed
+):
+    # Rows of several trials in one call, each with its own trial's
+    # parameters, give the bytes of one call per trial, near ties included
+    # (coarse rates make them).
+    rng = np.random.default_rng(seed)
+    params = []
+    for _ in range(trials):
+        cond = rng.integers(0, 5, (m, n)) / 4.0
+        cond[cond.max(axis=1) == 0.0, 0] = 1.0
+        params.append(appriou_params(cond, rng.integers(0, 5, (m, n)) / 4.0))
+    labels = rng.integers(0, n, (40, m))
+    trial = np.sort(rng.integers(0, trials, 40))
+    decided, conflict = appriou_decide_batch(labels, params, as_printed, trial)
+    for t, p in enumerate(params):
+        want = appriou_decide_batch(labels[trial == t], p, as_printed)
+        assert decided[trial == t].tobytes() == want[0].tobytes()
+        assert conflict[trial == t].tobytes() == want[1].tobytes()
+
+
+def test_appriou_batch_rejects_bad_trials():
+    params = appriou_params([[1.0, 0.5], [0.5, 1.0]], np.ones((2, 2)))
+    labels = np.array([[0, 1], [1, 1]])
+    for trial in ([0, 2], [-1, 0], [0]):
+        with pytest.raises(ValueError, match="trial must give each row an index"):
+            appriou_decide_batch(labels, [params, params], trial=np.array(trial))
+    other = appriou_params([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]], np.ones((2, 3)))
+    with pytest.raises(ValueError, match="must share a frame and sources"):
+        appriou_decide_batch(labels, [params, other], trial=np.array([0, 1]))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_decide_triples_gives_each_row_the_same_bytes_in_any_batch(monkeypatch, n):
+    # Rows decided in one call of several blocks, one at a time, or shuffled
+    # get the same bytes: nothing a row gets depends on the rows beside it,
+    # in the closed form or on the scalar path. Quarter-step masses on half
+    # of the rows, and every source putting most of its mass on the
+    # complement of class 0 on a quarter of them, make near ties.
+    rng = np.random.default_rng(n)
+    m, rows = int(rng.integers(1, 9)), 40
+    frame = make_frame([f"c{i}" for i in range(n)])
+    classes = rng.integers(0, n, (rows, m))
+    masses = rng.random((3, rows, m))
+    masses[:, ::2] = rng.integers(0, 4, (3, rows // 2, m)) + 0.25
+    masses[:, ::4] = np.array([0.25, 1.5, 0.25])[:, None, None]
+    classes[::4] = 0
+    masses /= masses.sum(axis=0)
+    keys = np.arange(rows)[:, None]
+
+    def scalar(key):
+        r = int(key[0])
+        return combine_all(
+            [
+                MassFunction(
+                    frame,
+                    [
+                        (frame.singleton(c), masses[0, r, j]),
+                        (frame.singleton(c).complement(), masses[1, r, j]),
+                        (frame.full(), masses[2, r, j]),
+                    ],
+                )
+                for j, c in enumerate(classes[r])
+            ]
+        )
+
+    monkeypatch.setattr(belief, "_BLOCK_FLOATS", 2 * n * n * 7)  # 7 rows a block
+
+    def decide(at):
+        key_rows = keys[at]
+        return belief._decide_triples(
+            classes[at], masses[:, at], n, key_rows.__getitem__, scalar
+        )
+
+    whole = decide(slice(None))
+    one_by_one = [decide(slice(r, r + 1)) for r in range(rows)]
+    order = rng.permutation(rows)
+    shuffled = decide(order)
+    if n > 2:
+        assert belief._closed_form(classes, masses, n)[2].any()
+    for i, want in enumerate(whole):
+        joined = np.concatenate([got[i] for got in one_by_one])
+        assert joined.tobytes() == want.tobytes()
+        back = np.empty_like(want)
+        back[order] = shuffled[i]
+        assert back.tobytes() == want.tobytes()
+
+
 def test_appriou_scalar_path_builds_each_source_mass_once(monkeypatch):
     # Every row is flagged as a near tie, so each distinct label row takes
     # the scalar path: it must build at most one mass per (source, label),
@@ -824,7 +927,7 @@ def test_appriou_scalar_path_builds_each_source_mass_once(monkeypatch):
 
 
 def test_appriou_batch_spans_several_blocks():
-    # At n = 16 a block holds 256 rows, so 600 rows take three blocks.
+    # At n = 16 a block holds 128 rows, so 600 rows take five blocks.
     rng = np.random.default_rng(11)
     params = appriou_params(rng.random((3, 16)), np.ones((3, 16)))
     labels = rng.integers(0, 16, (600, 3))
@@ -1028,7 +1131,8 @@ def test_mass_lost_by_appriou_combination_is_bounded():
 
 # ---------------------------------------------------------------------------
 # The kernel contract the protocol relies on: a kernel reads the dataset only
-# at calib_idx and at its rows, and a ROW_WISE kernel not even at calib_idx.
+# at its trials' calibration rows and at its rows, and a ROW_WISE kernel not
+# even at the calibration rows.
 
 
 @pytest.mark.parametrize("scores", ["continuous", "coarse"])
@@ -1045,8 +1149,8 @@ def test_kernel_reads_only_calibration_rows_and_its_rows(name, scores):
     values[other] = rng.random(values[other].shape)
     changed = Dataset(ds.frame, ds.source_ids, ds.sample_ids, truth, labels, values)
     settings = FusionSettings(denoeux_k=4)
-    want = KERNELS[name](ds, settings, calib_idx, rows)
-    got = KERNELS[name](changed, settings, calib_idx, rows)
+    want = run_kernel(name, ds, settings, calib_idx, rows)
+    got = run_kernel(name, changed, settings, calib_idx, rows)
     for w, g in zip(want, got):
         assert w.dtype == g.dtype and w.tobytes() == g.tobytes(), name
 
@@ -1056,7 +1160,7 @@ def test_row_wise_kernel_does_not_need_a_calibration_split(name):
     ds = make_dataset(14, n=3, m=4, size=60)
     calib_idx, rows = protocol_split(60, 14)
     settings = FusionSettings()
-    want = KERNELS[name](ds, settings, calib_idx, rows)
-    got = KERNELS[name](ds, settings, None, rows)
+    want = run_kernel(name, ds, settings, calib_idx, rows)
+    got = KERNELS[name](ds, settings, None, None, rows)
     for w, g in zip(want, got):
         assert w.dtype == g.dtype and w.tobytes() == g.tobytes(), name

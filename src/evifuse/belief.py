@@ -306,6 +306,8 @@ def appriou_decide_batch(
     source masses built once per (trial, source, label).
     """
     params = [params] if isinstance(params, AppriouParams) else list(params)
+    if not params:
+        raise ValueError("params must hold at least one trial's parameters")
     frame, m = params[0].frame, params[0].m_sources
     if any(p.frame != frame or p.m_sources != m for p in params):
         raise ValueError("every trial's parameters must share a frame and sources")
@@ -313,8 +315,12 @@ def appriou_decide_batch(
     if labels.ndim != 2 or labels.shape[1] != m:
         raise ValueError(f"labels of shape {labels.shape} do not match {m} sources")
     trial = np.zeros(len(labels), dtype=np.intp) if trial is None else np.asarray(trial)
-    if trial.shape != labels.shape[:1] or np.any((trial < 0) | (trial >= len(params))):
-        raise ValueError(f"trial must give each row an index below {len(params)}")
+    if (
+        trial.dtype.kind not in "iu"
+        or trial.shape != labels.shape[:1]
+        or np.any((trial < 0) | (trial >= len(params)))
+    ):
+        raise ValueError(f"trial must give each row an integer below {len(params)}")
     # (3, trials, m, n) mass tables, with the floating-point operations of
     # appriou_mass.
     cond = np.stack([p.cond_prob for p in params])
@@ -487,20 +493,15 @@ def _head(buf: np.ndarray, *shape: int) -> np.ndarray:
 
 
 def default_gamma(
-    prototypes: np.ndarray,
-    classes: np.ndarray,
-    n_classes: int,
-    _scratch: dict | None = None,
+    prototypes: np.ndarray, classes: np.ndarray, n_classes: int
 ) -> np.ndarray:
     """Per-class distance scales from mean within-class pairwise distances.
 
     All classes, and the global fallback, sum their pairs in one pair of
-    block buffers; the float one comes from ``_buffer(_scratch)``. Raises
-    ValueError on coordinates that ``TrainingSet`` rejects.
+    block buffers.
     """
-    _check_coordinates("prototypes", prototypes)
     floats = max(_BLOCK_FLOATS, prototypes.shape[0])
-    bufs = _buffer(_scratch, floats), np.empty(floats, dtype=bool)
+    bufs = np.empty(floats), np.empty(floats, dtype=bool)
     means = [
         _mean_pairwise_distance(prototypes[classes == c], bufs)
         for c in range(n_classes)
@@ -508,16 +509,6 @@ def default_gamma(
     global_mean = _mean_pairwise_distance(prototypes, bufs) if None in means else None
     fallback = 1.0 / global_mean if global_mean is not None else 1.0
     return np.array([fallback if mean is None else 1.0 / mean for mean in means])
-
-
-def _buffer(scratch: dict | None, size: int, dtype: type = float) -> np.ndarray:
-    """``size`` entries of ``dtype`` from a flat byte buffer that the dict
-    ``scratch`` keeps, if given, so that later calls reuse its pages."""
-    scratch = {} if scratch is None else scratch
-    nbytes = size * np.dtype(dtype).itemsize
-    if scratch.get("block", np.empty(0)).size < nbytes:
-        scratch["block"] = np.empty(nbytes, dtype=np.uint8)
-    return scratch["block"][:nbytes].view(dtype)
 
 
 def denoeux_mass(x: Sequence[float], t: int, ts: TrainingSet) -> MassFunction:
@@ -573,7 +564,7 @@ _TIE_RTOL = 1e-9
 
 
 def denoeux_decide_batch(
-    queries: np.ndarray, ts: TrainingSet, _scratch: dict | None = None
+    queries: np.ndarray, ts: TrainingSet
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evidential k-NN decisions and conflict masses for many queries.
 
@@ -585,8 +576,7 @@ def denoeux_decide_batch(
     by the closed form of ``_decide_triples`` (with it, m({i}) = S_i
     prod_{j != i} (1 - S_j) for S_i = 1 - prod(1 - s) over the neighbours of
     class i, as in Denoeux 1995); rows it hands to the scalar path are
-    combined once per distinct query. The neighbour search ranks into
-    ``_buffer(_scratch)``.
+    combined once per distinct query.
     """
     queries = np.asarray(queries, dtype=float)
     if queries.ndim != 2 or queries.shape[1:] != ts.prototypes.shape[1:]:
@@ -595,7 +585,7 @@ def denoeux_decide_batch(
             f"shape {ts.prototypes.shape}"
         )
     _check_coordinates("queries", queries)
-    nearest, d2 = _k_nearest(queries, ts.prototypes, ts.k, _scratch)
+    nearest, d2 = _k_nearest(queries, ts.prototypes, ts.k)
     classes = ts.classes[nearest]
     support = ts.alpha * np.exp(-ts.gamma[classes] * d2)
     masses = np.stack([support, np.zeros_like(support), 1.0 - support])
@@ -603,19 +593,18 @@ def denoeux_decide_batch(
     def scalar(x: np.ndarray) -> MassFunction:
         return denoeux_classify_mass(x, ts)
 
-    n = ts.frame.n
-    return _decide_triples(classes, masses, n, queries.__getitem__, scalar)
+    return _decide_triples(classes, masses, ts.frame.n, queries.__getitem__, scalar)
 
 
 def _k_nearest(
-    x: np.ndarray, protos: np.ndarray, k: int, scratch: dict | None = None
+    x: np.ndarray, protos: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The k nearest prototypes of each query row, with their squared distances.
 
     The order is by (exact squared distance, index), like the stable sort of
     denoeux_classify_mass. Query rows are taken one block at a time, and each
     block ranks all prototypes in float32, by one matrix product into a
-    buffer from ``_buffer(scratch)``. Group g holds the prototypes g, g +
+    buffer allocated once per call. Group g holds the prototypes g, g +
     groups, ..., so the block's ranks viewed as (size, groups, rows) give the
     group minima as the elementwise minimum of size contiguous slabs. The
     groups whose minimum is within the margin derived below, and in them the
@@ -675,7 +664,7 @@ def _k_nearest(
     # A block holds 2 _BLOCK_FLOATS float32 ranks, the bytes of _BLOCK_FLOATS
     # float64s, and k d candidate differences a row fit in _BLOCK_FLOATS too.
     rows = max(1, 2 * _BLOCK_FLOATS // max(width, 2 * k * dim))
-    ranks = _buffer(scratch, rows * width, np.float32)
+    ranks = np.empty(rows * width, dtype=np.float32)
     nearest = np.empty((x.shape[0], k), dtype=np.intp)
     d2 = np.empty((x.shape[0], k))
     for a in range(0, x.shape[0], rows):
@@ -719,14 +708,14 @@ def _decide_triples(
     its complement and the frame; a Denoeux neighbour's simple support s is
     the triple (s, 0, 1 - s). Rows whose top two pignistic values the closed
     form flags as a near tie are decided by ``scalar(key)`` instead, once per
-    distinct key, where ``keys(tied)`` gives the key rows of the flagged
-    row indices ``tied``.
+    distinct key of ``keys(tied)``, the key rows of the flagged rows ``tied``
+    (built for those rows only).
     """
     decided = np.empty(classes.shape[0], dtype=np.int64)
     conflict = np.empty(classes.shape[0])
     flagged = np.empty(classes.shape[0], dtype=bool)
-    # The quadrature's four (n, (n + 1) // 2, rows) arrays hold about 2 n**2
-    # floats a row.
+    # The quadrature's three (n, (n + 1) // 2, rows) arrays hold about
+    # 1.5 n**2 floats a row; smaller blocks ran slower.
     rows = max(1, _BLOCK_FLOATS // (2 * n**2))
     for a in range(0, classes.shape[0], rows):
         block = slice(a, a + rows)
@@ -777,8 +766,8 @@ def _closed_form(
     singles = (big_a - big_u) * before * after
     gap = big_b - big_u
     nodes, weights = _gauss_legendre((n + 1) // 2)
-    below, above = _prods_around(gap[:, None] + big_u[:, None] * nodes[:, None])
-    bet = singles + big_u * np.einsum("k,ckr->cr", weights, below * above)
+    others = _prods_except(gap[:, None] + big_u[:, None] * nodes[:, None])
+    bet = singles + big_u * np.einsum("k,ckr->cr", weights, others)
     singles, gap, bet = (np.ascontiguousarray(x.T) for x in (singles, gap, bet))
     nonempty = singles.sum(axis=1) + before[-1] * big_b[-1] - np.prod(gap, axis=1)
     conflict = np.maximum(1.0 - nonempty, 0.0)
@@ -813,3 +802,16 @@ def _prods_around(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.multiply(before[c - 1], x[c - 1], out=before[c])
         np.multiply(after[-c], x[-c], out=after[-c - 1])
     return before, after
+
+
+def _prods_except(x: np.ndarray) -> np.ndarray:
+    """prod_{d < c} x[d] * prod_{d > c} x[d] for every class c of the first
+    axis, the bytes of multiplying the two arrays of ``_prods_around``,
+    with one such array alive instead of two."""
+    out, after = np.ones_like(x), np.ones_like(x[0])
+    for c in range(1, x.shape[0]):
+        np.multiply(out[c - 1], x[c - 1], out=out[c])
+    for c in range(x.shape[0] - 1, 0, -1):
+        np.multiply(after, x[c], out=after)
+        out[c - 1] *= after
+    return out

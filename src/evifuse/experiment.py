@@ -10,8 +10,7 @@ pooled over trials so rare classes with empty trial slices stay defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
-from itertools import groupby
+from functools import cache, lru_cache, partial
 from numbers import Real
 from typing import Sequence, get_args, get_origin, get_type_hints
 
@@ -30,17 +29,15 @@ from .simulate import Dataset, FusionSettings, SimConfig, simulate, trial_stream
 
 def _calibrate(fit, name: str, ds: Dataset, calib: np.ndarray) -> list:
     """``fit`` (vote_weights or conditional_probs) of each trial's per-source
-    confusion matrices, counted with one bincount over every trial's
-    calibration rows; a ValueError names the method and the trial."""
-    trials, m, n = calib.shape[0], ds.m_sources, ds.frame.n
-    check = ds.frame.check_classes
-    bins = check(ds.labels[calib])  # (trials, third, m), made into bin numbers in place
-    bins += check(ds.truth[calib])[..., None] * n
-    bins += (np.arange(trials)[:, None, None] * m + np.arange(m)) * n * n
-    counts = np.bincount(bins.ravel(), minlength=trials * m * n * n)
+    confusion matrices, each trial's counted with one bincount; a ValueError
+    names the method and the trial."""
+    n, m = ds.frame.n, ds.m_sources
     fitted = []
-    for t, trial_counts in enumerate(counts.reshape(trials, m, n, n)):
-        sources = zip(trial_counts, ds.source_ids)
+    for t, rows in enumerate(calib):
+        truth = ds.frame.check_classes(ds.truth[rows])[:, None]
+        bins = ds.frame.check_classes(ds.labels[rows]) + (truth + np.arange(m) * n) * n
+        counts = np.bincount(bins.ravel(), minlength=m * n * n).reshape(m, n, n)
+        sources = zip(counts, ds.source_ids)
         cms = [ConfusionMatrix(ds.frame, c, sid) for c, sid in sources]
         try:
             fitted.append(fit(cms))
@@ -63,10 +60,9 @@ def _vote_absolute(ds, settings, calib, trial, rows):
 def _vote_weighted(ds, settings, calib, trial, rows):
     weights = _calibrate(vote_weights, "vote_weighted", ds, calib)
     bounds = np.searchsorted(trial, np.arange(len(calib) + 1))
-    parts = zip(weights, bounds, bounds[1:])
-    counts = np.vstack(
-        [voting.tally_batch(ds.labels[rows[a:b]], ds.frame, w) for w, a, b in parts]
-    )
+    counts = np.empty((rows.shape[0], ds.frame.n))
+    for w, a, b in zip(weights, bounds, bounds[1:]):
+        counts[a:b] = voting.tally_batch(ds.labels[rows[a:b]], ds.frame, w)
     decided = voting.decide_threshold_batch(counts, settings.vote_c, settings.vote_b)
     return decided, np.zeros(rows.shape[0])
 
@@ -84,28 +80,14 @@ def _possibility(op, ds, settings, calib, trial, rows):
 
 
 def _belief_denoeux(ds, settings, calib, trial, rows):
-    """One training set and neighbour search per trial, all in one scratch
-    block buffer."""
     flat = ds.scores.reshape(ds.n_samples, -1)
     bounds = np.searchsorted(trial, np.arange(len(calib) + 1))
-    scratch: dict = {}
-    parts = [
-        belief.denoeux_decide_batch(
-            flat[rows[a:b]], _training_set(ds, settings, c, scratch), scratch
-        )
-        for c, a, b in zip(calib, bounds, bounds[1:])
-    ]
+    parts = []
+    for c, a, b in zip(calib, bounds, bounds[1:]):
+        k, alpha = min(settings.denoeux_k, len(c)), settings.denoeux_alpha
+        ts = belief.TrainingSet(ds.frame, flat[c], ds.truth[c], k, alpha)
+        parts.append(belief.denoeux_decide_batch(flat[rows[a:b]], ts))
     return tuple(np.concatenate(part) for part in zip(*parts))
-
-
-def _training_set(ds, settings, calib_rows, scratch):
-    """The Denoeux training set of one trial's calibration rows."""
-    prototypes = ds.scores.reshape(ds.n_samples, -1)[calib_rows]
-    classes = ds.truth[calib_rows]
-    gamma = belief.default_gamma(prototypes, classes, ds.frame.n, scratch)
-    k = min(settings.denoeux_k, len(calib_rows))
-    alpha = settings.denoeux_alpha
-    return belief.TrainingSet(ds.frame, prototypes, classes, k, alpha, gamma)
 
 
 KERNELS = {
@@ -125,9 +107,10 @@ ROW_WISE = frozenset(
     {"vote_majority", "vote_absolute"}
     | {f"possibility_{op}" for op in possibility.OPERATORS}
 )
-# Methods whose kernels read a row's scores; the others read its labels.
-SCORE_ROWS = frozenset(
-    {"belief_denoeux"} | {f"possibility_{op}" for op in possibility.OPERATORS}
+# Methods whose kernels read a row's labels and nothing else of it; rows of
+# equal labels are decided once. The others are keyed by row index.
+LABEL_ROWS = frozenset(
+    {"vote_majority", "vote_absolute", "vote_weighted", "belief_appriou"}
 )
 
 
@@ -208,53 +191,30 @@ class ExperimentReport:
         )
 
 
-def _row_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An id per row of ``values``, shared only by rows of equal bytes, and
-    one row of each id.
-
-    Rows are sorted by a 64-bit hash of their 8-byte words, and a row takes
-    a new id unless it equals the row before it word for word: rows of equal
-    bytes share an id unless a hash collision falls between them, which
-    costs one repeated decision and nothing else.
-    """
-    data = np.ascontiguousarray(values).reshape(values.shape[0], -1).view(np.uint8)
-    if data.shape[1] % 8:
-        data = np.pad(data, ((0, 0), (0, -data.shape[1] % 8)))
-    words = data.view(np.uint64)
-    mix = np.zeros(words.shape[0], dtype=np.uint64)
-    for column in words.T:
-        mix ^= column
-        mix *= np.uint64(0x9E3779B97F4A7C15)
-        mix ^= mix >> np.uint64(29)
-    order = np.argsort(mix)
-    new = np.zeros(order.shape[0], dtype=bool)
-    new[0] = True
-    for column in words.T:
-        column = column[order]
-        new[1:] |= column[1:] != column[:-1]
-    ids = np.empty(order.shape[0], dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ids, order[new]
+def _label_rows(ds: Dataset) -> np.ndarray:
+    """For each sample, the first sample whose label row equals its own."""
+    labels = ds.labels
+    if ds.frame.n**ds.m_sources < 2**63:  # a row as one mixed-radix integer
+        labels = labels @ ds.frame.n ** np.arange(ds.m_sources)
+    _, first, ids = np.unique(labels, axis=0, return_index=True, return_inverse=True)
+    return first[ids.reshape(-1)]
 
 
-def _pairs(values: np.ndarray, tests: np.ndarray, per_run: bool):
-    """The distinct (trial, row key) pairs of the (trials, third) test
-    thirds, or the distinct keys if ``per_run``, as sorted trial and
-    representative row arrays, and the inverse that maps them back. A row's
-    key is its ``_row_ids`` id in ``values``."""
-    ids, first = _row_ids(values)
-    pairs = ids[tests]
-    if not per_run:
-        pairs += np.arange(tests.shape[0])[:, None] * first.shape[0]
-    distinct, inverse = np.unique(pairs, return_inverse=True)
-    trial, key = np.divmod(distinct, first.shape[0])
-    return trial, first[key], inverse.reshape(tests.shape)
+def _pairs(keys: np.ndarray, n_samples: int, per_run: bool):
+    """The distinct (trial, key) pairs of the (trials, third) matrix of key
+    rows, or the distinct keys if ``per_run``, as sorted trial and row
+    arrays, and the inverse that maps them back."""
+    pairs = keys if per_run else keys + np.arange(keys.shape[0])[:, None] * n_samples
+    seen = np.zeros(n_samples * (1 if per_run else keys.shape[0]), dtype=bool)
+    seen[pairs] = True
+    trial, rows = np.divmod(np.flatnonzero(seen), n_samples)
+    return trial, rows, (np.cumsum(seen) - 1)[pairs]
 
 
 def _decide(name, ds, settings, calib, trial, rows, inverse):
     """Method ``name``'s decisions on every trial's test third, as a
     (trials, third) array, and each trial's mean conflict mass, from one
-    kernel call on the ``_pairs`` of its key kind; a ROW_WISE kernel gets
+    kernel call on the ``_pairs`` of its keys; a ROW_WISE kernel gets
     None for calib and trial, and at most one third of rows a call."""
     kernel = KERNELS[name]
     if name in ROW_WISE:
@@ -264,11 +224,6 @@ def _decide(name, ds, settings, calib, trial, rows, inverse):
         return np.concatenate(decided)[inverse], np.zeros(len(calib))
     decided, conflict_mass = kernel(ds, settings, calib, trial, rows)
     return decided[inverse], conflict_mass[inverse].mean(axis=1)
-
-
-def _reads(name: str) -> tuple[bool, bool]:
-    """(reads score rows, else label rows; decides once per run)."""
-    return name in SCORE_ROWS, name in ROW_WISE
 
 
 def _score(frame, truth, decided, conflict_mass):
@@ -299,11 +254,11 @@ def evaluate_dataset(
     """Run the repeated split protocol over an existing dataset.
 
     Works one method at a time: the method decides every trial's test
-    third, and those decisions are scored once. A row's key is its score
-    row for SCORE_ROWS methods and its label row for the others; a kernel
+    third, and those decisions are scored once. A row's key is its label
+    row for LABEL_ROWS methods and its index for the others; a kernel
     decides one row per distinct (trial, key) pair of the test thirds, or
-    per distinct key for a ROW_WISE method. Methods that share the key kind
-    and ROW_WISE run one after the other on one ``_pairs``.
+    per distinct key for a ROW_WISE method. Label keys are found once per
+    run, and the pairs once for each run of methods of one kind.
     """
     settings = settings or FusionSettings()
     methods = normalize_methods(methods, settings)
@@ -318,17 +273,24 @@ def evaluate_dataset(
     )
     calib, tests = perms[:, third : 2 * third], perms[:, 2 * third : 3 * third]
     truth = ds.truth[tests]
-    results = {}
-    for (scores, per_run), names in groupby(sorted(methods, key=_reads), _reads):
-        groups = _pairs(ds.scores if scores else ds.labels, tests, per_run)
-        for name in names:
-            decided, conflict_mass = _decide(name, ds, settings, calib, *groups)
-            results[name] = _score(ds.frame, truth, decided, conflict_mass)
-    results = {name: results[name] for name in methods}
     source_rates = (ds.labels[tests] == truth[..., None]).mean(axis=1).sum(axis=0)
     source_accuracy = {
         sid: float(source_rates[j] / n_trials) for j, sid in enumerate(ds.source_ids)
     }
+
+    @cache
+    def keys(by_label: bool) -> np.ndarray:
+        return _label_rows(ds)[tests] if by_label else tests
+
+    @lru_cache(maxsize=1)  # methods of one kind usually come together
+    def pairs(by_label: bool, per_run: bool):
+        return _pairs(keys(by_label), ds.n_samples, per_run)
+
+    results = {}
+    for name in methods:
+        found = pairs(name in LABEL_ROWS, name in ROW_WISE)
+        decided, conflict_mass = _decide(name, ds, settings, calib, *found)
+        results[name] = _score(ds.frame, truth, decided, conflict_mass)
     return ExperimentReport(seed, n_trials, results, source_accuracy)
 
 

@@ -20,9 +20,9 @@ from evifuse import (
 )
 from evifuse.experiment import (
     KERNELS,
+    LABEL_ROWS,
     METHODS,
     ROW_WISE,
-    SCORE_ROWS,
     ExperimentReport,
     MethodResult,
     normalize_methods,
@@ -304,10 +304,9 @@ def test_report_equals_the_per_trial_loop(config, methods):
 def test_row_wise_methods_are_decided_once_per_run(monkeypatch, n_trials):
     # Each kernel gets each distinct (trial, row key) pair of the test thirds
     # exactly once, in one call, with the run's calibration matrix; the key
-    # is the label row, or the score row for SCORE_ROWS methods. A ROW_WISE
+    # is the label row for LABEL_ROWS methods, or the row index. A ROW_WISE
     # kernel gets each distinct key of the run exactly once, in calls of at
-    # most one third of rows, with None for calib and trial. Crisp scores
-    # make score rows repeat as label rows do.
+    # most one third of rows, with None for calib and trial.
     calls = {name: [] for name in METHODS}
     for name, kernel in list(KERNELS.items()):
 
@@ -316,7 +315,7 @@ def test_row_wise_methods_are_decided_once_per_run(monkeypatch, n_trials):
             return kernel(ds, settings, calib, trial, rows)
 
         monkeypatch.setitem(KERNELS, name, counted)
-    config = _crisp(_small_config(n_samples=100, n_trials=n_trials))
+    config = _small_config(n_samples=100, n_trials=n_trials)
     ds = simulate(config)
     evaluate_dataset(ds, METHODS, n_trials=n_trials, seed=config.seed)
 
@@ -324,7 +323,7 @@ def test_row_wise_methods_are_decided_once_per_run(monkeypatch, n_trials):
     perms = [trial_stream(config.seed, t).permutation(100) for t in range(n_trials)]
     tests = [(t, r) for t, p in enumerate(perms) for r in p[2 * third : 3 * third]]
     for name, made in calls.items():
-        values = ds.scores if name in SCORE_ROWS else ds.labels
+        values = ds.labels if name in LABEL_ROWS else np.arange(100)
         if name in ROW_WISE:
             want = sorted({values[row].tobytes() for _, row in tests})
             assert len(made) == math.ceil(len(want) / third), name
@@ -338,7 +337,8 @@ def test_row_wise_methods_are_decided_once_per_run(monkeypatch, n_trials):
             assert trial.tolist() == sorted(trial.tolist()), name
             got = sorted((int(t), values[row].tobytes()) for t, row in zip(trial, rows))
         assert got == want, name
-        assert len(want) < len(tests), name  # some key repeats
+        if name in LABEL_ROWS:
+            assert len(want) < len(tests), name  # some key repeats
 
 
 def _with_score(ds, row, value):

@@ -828,9 +828,11 @@ def test_appriou_batch_over_trials_is_one_call_per_trial(
 def test_appriou_batch_rejects_bad_trials():
     params = appriou_params([[1.0, 0.5], [0.5, 1.0]], np.ones((2, 2)))
     labels = np.array([[0, 1], [1, 1]])
-    for trial in ([0, 2], [-1, 0], [0]):
-        with pytest.raises(ValueError, match="trial must give each row an index"):
+    for trial in ([0, 2], [-1, 0], [0], [0.0, 1.0], [False, True]):
+        with pytest.raises(ValueError, match="trial must give each row an integer"):
             appriou_decide_batch(labels, [params, params], trial=np.array(trial))
+    with pytest.raises(ValueError, match="at least one trial's parameters"):
+        appriou_decide_batch(labels, [], trial=np.array([0, 0]))
     other = appriou_params([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]], np.ones((2, 3)))
     with pytest.raises(ValueError, match="must share a frame and sources"):
         appriou_decide_batch(labels, [params, other], trial=np.array([0, 1]))
@@ -873,9 +875,8 @@ def test_decide_triples_gives_each_row_the_same_bytes_in_any_batch(monkeypatch, 
     monkeypatch.setattr(belief, "_BLOCK_FLOATS", 2 * n * n * 7)  # 7 rows a block
 
     def decide(at):
-        key_rows = keys[at]
         return belief._decide_triples(
-            classes[at], masses[:, at], n, key_rows.__getitem__, scalar
+            classes[at], masses[:, at], n, keys[at].__getitem__, scalar
         )
 
     whole = decide(slice(None))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -288,61 +288,35 @@ def appriou_mass(
 
 
 def appriou_decide_batch(
-    labels: np.ndarray,
-    params: AppriouParams | Sequence[AppriouParams],
-    as_printed: bool = False,
-    trial: np.ndarray | None = None,
+    labels: np.ndarray, params: AppriouParams, as_printed: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Appriou decisions and conflict masses for many rows of source labels.
 
-    ``params`` is one set of parameters, or one per trial with ``trial``
-    giving each row's trial (all 0 by default). Row by row this agrees with
-    ``decide_pignistic(combine_all([appriou_mass(j, labels[r, j],
-    params[trial[r]], as_printed) for j ...]))``: the same decision (-1 for
-    the conflict class) and the same conflict mass up to rounding. Source
-    j's masses (a, b, g) sit on {l_j}, its complement and the frame, and are
-    combined by the closed form of ``_decide_triples``; rows it hands to the
-    scalar path are combined once per distinct (trial, label row), from
-    source masses built once per (trial, source, label).
+    Row by row this agrees with ``decide_pignistic(combine_all([appriou_mass(j,
+    labels[r, j], params, as_printed) for j ...]))``: the same decision (-1
+    for the conflict class) and the same conflict mass up to rounding.
+    Source j's masses (a, b, g) sit on {l_j}, its complement and the frame,
+    and are combined by the closed form of ``_decide_triples``; rows it
+    hands to the scalar path are combined once per distinct label row, from
+    source masses built once per (source, label).
     """
-    params = [params] if isinstance(params, AppriouParams) else list(params)
-    if not params:
-        raise ValueError("params must hold at least one trial's parameters")
-    frame, m = params[0].frame, params[0].m_sources
-    if any(p.frame != frame or p.m_sources != m for p in params):
-        raise ValueError("every trial's parameters must share a frame and sources")
+    frame, m = params.frame, params.m_sources
     labels = frame.check_classes(labels)
     if labels.ndim != 2 or labels.shape[1] != m:
         raise ValueError(f"labels of shape {labels.shape} do not match {m} sources")
-    trial = np.zeros(len(labels), dtype=np.intp) if trial is None else np.asarray(trial)
-    if (
-        trial.dtype.kind not in "iu"
-        or trial.shape != labels.shape[:1]
-        or np.any((trial < 0) | (trial >= len(params)))
-    ):
-        raise ValueError(f"trial must give each row an integer below {len(params)}")
-    # (3, trials, m, n) mass tables, with the floating-point operations of
-    # appriou_mass.
-    cond = np.stack([p.cond_prob for p in params])
-    r = np.stack([p.r for p in params])[:, :, None]
-    alpha = np.stack([p.alpha for p in params])
-    tables = np.stack(appriou_raw_masses(cond, r, alpha, as_printed))
+    # (3, m, n) mass tables, with the floating-point operations of appriou_mass.
+    r = params.r[:, None]
+    tables = np.stack(appriou_raw_masses(params.cond_prob, r, params.alpha, as_printed))
     if as_printed:
         tables /= tables.sum(axis=0)
-    masses = tables[:, trial[:, None], np.arange(m), labels]
+    masses = tables[:, np.arange(m), labels]
 
-    @cache
-    def source_mass(t: int, j: int, k: int) -> MassFunction:
-        return appriou_mass(j, k, params[t], as_printed)
+    source_mass = cache(partial(appriou_mass, params=params, as_printed=as_printed))
 
-    def scalar(key: np.ndarray) -> MassFunction:
-        t = int(key[0])
-        return combine_all([source_mass(t, j, int(k)) for j, k in enumerate(key[1:])])
+    def scalar(row: np.ndarray) -> MassFunction:
+        return combine_all([source_mass(j, int(k)) for j, k in enumerate(row)])
 
-    def keys(tied: np.ndarray) -> np.ndarray:
-        return np.column_stack((trial[tied], labels[tied]))
-
-    return _decide_triples(labels, masses, frame.n, keys, scalar)
+    return _decide_triples(labels, masses, frame.n, labels, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +564,8 @@ def denoeux_decide_batch(
     support = ts.alpha * np.exp(-ts.gamma[classes] * d2)
     masses = np.stack([support, np.zeros_like(support), 1.0 - support])
 
-    def scalar(x: np.ndarray) -> MassFunction:
-        return denoeux_classify_mass(x, ts)
-
-    return _decide_triples(classes, masses, ts.frame.n, queries.__getitem__, scalar)
+    scalar = partial(denoeux_classify_mass, ts=ts)
+    return _decide_triples(classes, masses, ts.frame.n, queries, scalar)
 
 
 def _k_nearest(
@@ -699,7 +671,7 @@ def _decide_triples(
     classes: np.ndarray,
     masses: np.ndarray,
     n: int,
-    keys: Callable[[np.ndarray], np.ndarray],
+    keys: np.ndarray,
     scalar: Callable[[np.ndarray], MassFunction],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decisions and conflict masses for rows of mass triples, one per source.
@@ -707,9 +679,8 @@ def _decide_triples(
     In row r, source j puts masses[:, r, j] = (a, b, g) on {classes[r, j]},
     its complement and the frame; a Denoeux neighbour's simple support s is
     the triple (s, 0, 1 - s). Rows whose top two pignistic values the closed
-    form flags as a near tie are decided by ``scalar(key)`` instead, once per
-    distinct key of ``keys(tied)``, the key rows of the flagged rows ``tied``
-    (built for those rows only).
+    form flags as a near tie are decided by ``scalar(keys[r])`` instead, once
+    per distinct key (rows of equal bytes).
     """
     decided = np.empty(classes.shape[0], dtype=np.int64)
     conflict = np.empty(classes.shape[0])
@@ -722,16 +693,14 @@ def _decide_triples(
         decided[block], conflict[block], flagged[block] = _closed_form(
             classes[block], masses[:, block], n
         )
-    tied = np.flatnonzero(flagged)
-    if tied.size == 0:
-        return decided, conflict
-    distinct, inverse = np.unique(keys(tied), axis=0, return_inverse=True)
-    outcomes = np.empty((distinct.shape[0], 2))
-    for p, key in enumerate(distinct):
-        m = scalar(key)
-        d = decide_pignistic(m)
-        outcomes[p] = -1 if d.is_conflict else d.index, m.conflict_mass()
-    decided[tied], conflict[tied] = outcomes[inverse.reshape(-1)].T
+    outcomes = {}
+    for r in np.flatnonzero(flagged):
+        key = keys[r].tobytes()
+        if key not in outcomes:
+            m = scalar(keys[r])
+            d = decide_pignistic(m)
+            outcomes[key] = -1 if d.is_conflict else d.index, m.conflict_mass()
+        decided[r], conflict[r] = outcomes[key]
     return decided, conflict
 
 

@@ -21,73 +21,56 @@ from .calibration import ConfusionMatrix, conditional_probs, vote_weights
 from .frame import check_integer, check_number, check_seed
 from .simulate import Dataset, FusionSettings, SimConfig, simulate, trial_stream
 
-# A kernel: (ds, settings, calib, trial, rows) -> (decided, conflict_mass), one
-# entry per row, -1 = conflict class. Row rows[r] is decided with the
-# calibration that the kernel fits from row trial[r] of the (trials, third)
-# calibration matrix calib; trial is sorted. A ROW_WISE kernel reads neither.
+# A kernel: (ds, settings, calib, rows) -> (decided, conflict_mass), one entry
+# per row, -1 = conflict class. It fits what it needs from calib, one trial's
+# calibration rows; a ROW_WISE kernel gets None and reads only rows.
 
 
-def _calibrate(fit, name: str, ds: Dataset, calib: np.ndarray) -> list:
-    """``fit`` (vote_weights or conditional_probs) of each trial's per-source
-    confusion matrices, each trial's counted with one bincount; a ValueError
-    names the method and the trial."""
+def _calibrate(fit, ds: Dataset, calib: np.ndarray):
+    """``fit`` (vote_weights or conditional_probs) of the per-source
+    confusion matrices over the calibration rows, counted with one bincount."""
     n, m = ds.frame.n, ds.m_sources
-    fitted = []
-    for t, rows in enumerate(calib):
-        truth = ds.frame.check_classes(ds.truth[rows])[:, None]
-        bins = ds.frame.check_classes(ds.labels[rows]) + (truth + np.arange(m) * n) * n
-        counts = np.bincount(bins.ravel(), minlength=m * n * n).reshape(m, n, n)
-        sources = zip(counts, ds.source_ids)
-        cms = [ConfusionMatrix(ds.frame, c, sid) for c, sid in sources]
-        try:
-            fitted.append(fit(cms))
-        except ValueError as err:
-            raise ValueError(f"{name}, trial {t}: {err}") from None
-    return fitted
+    truth = ds.frame.check_classes(ds.truth[calib])[:, None]
+    bins = ds.frame.check_classes(ds.labels[calib]) + (truth + np.arange(m) * n) * n
+    counts = np.bincount(bins.ravel(), minlength=m * n * n).reshape(m, n, n)
+    return fit([ConfusionMatrix(ds.frame, c, s) for c, s in zip(counts, ds.source_ids)])
 
 
-def _vote_majority(ds, settings, calib, trial, rows):
+def _vote_majority(ds, settings, calib, rows):
     counts = voting.tally_batch(ds.labels[rows], ds.frame)
     return voting.decide_threshold_batch(counts, 0.0), np.zeros(rows.shape[0])
 
 
-def _vote_absolute(ds, settings, calib, trial, rows):
+def _vote_absolute(ds, settings, calib, rows):
     counts = voting.tally_batch(ds.labels[rows], ds.frame)
     decided = voting.decide_absolute_majority_batch(counts, ds.m_sources)
     return decided, np.zeros(rows.shape[0])
 
 
-def _vote_weighted(ds, settings, calib, trial, rows):
-    weights = _calibrate(vote_weights, "vote_weighted", ds, calib)
-    bounds = np.searchsorted(trial, np.arange(len(calib) + 1))
-    counts = np.empty((rows.shape[0], ds.frame.n))
-    for w, a, b in zip(weights, bounds, bounds[1:]):
-        counts[a:b] = voting.tally_batch(ds.labels[rows[a:b]], ds.frame, w)
+def _vote_weighted(ds, settings, calib, rows):
+    weights = _calibrate(vote_weights, ds, calib)
+    counts = voting.tally_batch(ds.labels[rows], ds.frame, weights)
     decided = voting.decide_threshold_batch(counts, settings.vote_c, settings.vote_b)
     return decided, np.zeros(rows.shape[0])
 
 
-def _belief_appriou(ds, settings, calib, trial, rows):
-    params = _calibrate(conditional_probs, "belief_appriou", ds, calib)
+def _belief_appriou(ds, settings, calib, rows):
+    params = _calibrate(conditional_probs, ds, calib)
     return belief.appriou_decide_batch(
-        ds.labels[rows], params, settings.appriou_as_printed, trial
+        ds.labels[rows], params, settings.appriou_as_printed
     )
 
 
-def _possibility(op, ds, settings, calib, trial, rows):
+def _possibility(op, ds, settings, calib, rows):
     decided = possibility.decide_batch(ds.scores[rows], op)
     return decided, np.zeros(rows.shape[0])
 
 
-def _belief_denoeux(ds, settings, calib, trial, rows):
+def _belief_denoeux(ds, settings, calib, rows):
     flat = ds.scores.reshape(ds.n_samples, -1)
-    bounds = np.searchsorted(trial, np.arange(len(calib) + 1))
-    parts = []
-    for c, a, b in zip(calib, bounds, bounds[1:]):
-        k, alpha = min(settings.denoeux_k, len(c)), settings.denoeux_alpha
-        ts = belief.TrainingSet(ds.frame, flat[c], ds.truth[c], k, alpha)
-        parts.append(belief.denoeux_decide_batch(flat[rows[a:b]], ts))
-    return tuple(np.concatenate(part) for part in zip(*parts))
+    k, alpha = min(settings.denoeux_k, len(calib)), settings.denoeux_alpha
+    ts = belief.TrainingSet(ds.frame, flat[calib], ds.truth[calib], k, alpha)
+    return belief.denoeux_decide_batch(flat[rows], ts)
 
 
 KERNELS = {
@@ -101,8 +84,8 @@ KERNELS = {
 
 METHODS = tuple(KERNELS)
 
-# Methods whose kernels read only the row, never calib or trial: a row's
-# decision does not depend on the trial, so each row is decided once per run.
+# Methods whose kernels read only the row, never calib: a row's decision does
+# not depend on the trial, so each row is decided once per run.
 ROW_WISE = frozenset(
     {"vote_majority", "vote_absolute"}
     | {f"possibility_{op}" for op in possibility.OPERATORS}
@@ -213,17 +196,25 @@ def _pairs(keys: np.ndarray, n_samples: int, per_run: bool):
 
 def _decide(name, ds, settings, calib, trial, rows, inverse):
     """Method ``name``'s decisions on every trial's test third, as a
-    (trials, third) array, and each trial's mean conflict mass, from one
-    kernel call on the ``_pairs`` of its keys; a ROW_WISE kernel gets
-    None for calib and trial, and at most one third of rows a call."""
-    kernel = KERNELS[name]
+    (trials, third) array, and each trial's mean conflict mass. The kernel
+    decides the ``_pairs`` of its keys, one call per trial with that trial's
+    calibration rows; a ROW_WISE kernel gets None and at most one third of
+    rows a call. A calibrated kernel's ValueError names the method and trial."""
+    kernel, third = KERNELS[name], calib.shape[1]
     if name in ROW_WISE:
-        third = calib.shape[1]
-        chunks = [rows[a : a + third] for a in range(0, len(rows), third)]
-        decided = [kernel(ds, settings, None, None, c)[0] for c in chunks]
-        return np.concatenate(decided)[inverse], np.zeros(len(calib))
-    decided, conflict_mass = kernel(ds, settings, calib, trial, rows)
-    return decided[inverse], conflict_mass[inverse].mean(axis=1)
+        calls = [(None, rows[a : a + third]) for a in range(0, len(rows), third)]
+    else:
+        calls = zip(calib, np.split(rows, np.searchsorted(trial, range(1, len(calib)))))
+    parts = []
+    for t, (trial_calib, chunk) in enumerate(calls):
+        try:
+            parts.append(kernel(ds, settings, trial_calib, chunk))
+        except ValueError as err:
+            if trial_calib is None:
+                raise
+            raise ValueError(f"{name}, trial {t}: {err}") from None
+    decided, conflict_mass = (np.concatenate(part)[inverse] for part in zip(*parts))
+    return decided, conflict_mass.mean(axis=1)
 
 
 def _score(frame, truth, decided, conflict_mass):
@@ -255,10 +246,11 @@ def evaluate_dataset(
 
     Works one method at a time: the method decides every trial's test
     third, and those decisions are scored once. A row's key is its label
-    row for LABEL_ROWS methods and its index for the others; a kernel
-    decides one row per distinct (trial, key) pair of the test thirds, or
-    per distinct key for a ROW_WISE method. Label keys are found once per
-    run, and the pairs once for each run of methods of one kind.
+    row for LABEL_ROWS methods and its index for the others. A calibrated
+    kernel is called once per trial and decides one row per distinct key
+    of that trial's test third; a ROW_WISE kernel decides each distinct key
+    of the run once. Label keys are found once per run, and the pairs once
+    for each run of methods of one kind.
     """
     settings = settings or FusionSettings()
     methods = normalize_methods(methods, settings)

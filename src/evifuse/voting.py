@@ -106,6 +106,7 @@ def decide_threshold(t: VoteTally, c: float, b: float = 0.0) -> Decision:
     threshold.
     """
     c = check_number("threshold coefficient c", c, 0, 1)
+    b = check_number("threshold offset b", b)
     counts = t.counts
     k = int(np.argmax(counts))
     top = counts[k]
@@ -146,6 +147,7 @@ def decide_absolute_majority_batch(counts: np.ndarray, m_sources: int) -> np.nda
 def decide_threshold_batch(counts: np.ndarray, c: float, b: float = 0.0) -> np.ndarray:
     """``decide_threshold`` per row of counts; -1 is conflict."""
     c = check_number("threshold coefficient c", c, 0, 1)
+    b = check_number("threshold offset b", b)
     top = counts.max(axis=1)
     unique = np.count_nonzero(counts == top[:, None], axis=1) == 1
     wins = (top > 0.0) & unique & (top >= c * counts.sum(axis=1) + b)

@@ -227,9 +227,7 @@ def _reference_report(ds, methods, settings, n_trials, seed):
         truth = ds.truth[test_idx]
         np.add.at(class_total, truth, 1.0)
         for name in names:
-            decided, conflict_mass = KERNELS[name](
-                ds, settings, calib_idx[None], np.zeros(third, dtype=np.intp), test_idx
-            )
+            decided, conflict_mass = KERNELS[name](ds, settings, calib_idx, test_idx)
             accuracy, rate, mass, class_correct = sums[name]
             correct = decided == truth
             accuracy.append(float(correct.mean()))
@@ -302,17 +300,18 @@ def test_report_equals_the_per_trial_loop(config, methods):
 
 @pytest.mark.parametrize("n_trials", [1, 4, 12])
 def test_row_wise_methods_are_decided_once_per_run(monkeypatch, n_trials):
-    # Each kernel gets each distinct (trial, row key) pair of the test thirds
-    # exactly once, in one call, with the run's calibration matrix; the key
-    # is the label row for LABEL_ROWS methods, or the row index. A ROW_WISE
-    # kernel gets each distinct key of the run exactly once, in calls of at
-    # most one third of rows, with None for calib and trial.
+    # A calibrated kernel is called once per trial, in trial order, with that
+    # trial's calibration rows, and gets each distinct row key of that trial's
+    # test third exactly once; the key is the label row for LABEL_ROWS
+    # methods, or the row index. A ROW_WISE kernel gets each distinct key of
+    # the run exactly once, in calls of at most one third of rows, with None
+    # for calib.
     calls = {name: [] for name in METHODS}
     for name, kernel in list(KERNELS.items()):
 
-        def counted(ds, settings, calib, trial, rows, name=name, kernel=kernel):
-            calls[name].append((calib, trial, rows))
-            return kernel(ds, settings, calib, trial, rows)
+        def counted(ds, settings, calib, rows, name=name, kernel=kernel):
+            calls[name].append((calib, rows))
+            return kernel(ds, settings, calib, rows)
 
         monkeypatch.setitem(KERNELS, name, counted)
     config = _small_config(n_samples=100, n_trials=n_trials)
@@ -327,15 +326,19 @@ def test_row_wise_methods_are_decided_once_per_run(monkeypatch, n_trials):
         if name in ROW_WISE:
             want = sorted({values[row].tobytes() for _, row in tests})
             assert len(made) == math.ceil(len(want) / third), name
-            for calib, trial, rows in made:
-                assert calib is None and trial is None and len(rows) <= third, name
-            got = sorted(values[row].tobytes() for _, _, rows in made for row in rows)
+            for calib, rows in made:
+                assert calib is None and len(rows) <= third, name
+            got = sorted(values[row].tobytes() for _, rows in made for row in rows)
         else:
             want = sorted({(t, values[row].tobytes()) for t, row in tests})
-            [(calib, trial, rows)] = made
-            assert calib.tolist() == [p[third : 2 * third].tolist() for p in perms]
-            assert trial.tolist() == sorted(trial.tolist()), name
-            got = sorted((int(t), values[row].tobytes()) for t, row in zip(trial, rows))
+            assert len(made) == n_trials, name
+            for (calib, _), p in zip(made, perms):
+                assert calib.tolist() == p[third : 2 * third].tolist(), name
+            got = sorted(
+                (t, values[row].tobytes())
+                for t, (_, rows) in enumerate(made)
+                for row in rows
+            )
         assert got == want, name
         if name in LABEL_ROWS:
             assert len(want) < len(tests), name  # some key repeats

@@ -126,13 +126,6 @@ def scalar_outputs(name, ds, calib_idx, test_idx, settings):
     return decided, conflict
 
 
-def run_kernel(name, ds, settings, calib_idx, rows):
-    """Method ``name``'s kernel on ``rows``, as one trial calibrated on
-    ``calib_idx``."""
-    trial = np.zeros(len(rows), dtype=np.intp)
-    return KERNELS[name](ds, settings, np.asarray(calib_idx)[None], trial, rows)
-
-
 def assert_kernels_match(ds, calib_idx, test_idx, settings, methods=METHODS):
     """Each kernel equals the scalar path, or both raise ValueError."""
     for name in methods:
@@ -140,9 +133,9 @@ def assert_kernels_match(ds, calib_idx, test_idx, settings, methods=METHODS):
             want, want_conflict = scalar_outputs(name, ds, calib_idx, test_idx, settings)
         except ValueError:
             with pytest.raises(ValueError):
-                run_kernel(name, ds, settings, calib_idx, test_idx)
+                KERNELS[name](ds, settings, calib_idx, test_idx)
             continue
-        decided, conflict = run_kernel(name, ds, settings, calib_idx, test_idx)
+        decided, conflict = KERNELS[name](ds, settings, calib_idx, test_idx)
         assert decided.dtype == np.int64, name
         assert decided.tolist() == want, name
         np.testing.assert_allclose(
@@ -587,7 +580,7 @@ def test_total_conflict_gives_conflict_class():
     )
     calib_idx, test_idx = np.array([2, 3]), np.array([4, 5])
     fusion = FusionSettings(denoeux_k=2, denoeux_alpha=1.0)
-    decided, conflict = run_kernel("belief_denoeux", ds, fusion, calib_idx, test_idx)
+    decided, conflict = KERNELS["belief_denoeux"](ds, fusion, calib_idx, test_idx)
     assert decided.tolist() == [-1, -1]
     assert conflict.tolist() == [1.0, 1.0]
     assert_kernels_match(ds, calib_idx, test_idx, fusion)
@@ -612,7 +605,7 @@ def test_tied_possibility_values():
     possibility = [name for name in METHODS if name.startswith("possibility_")]
     assert_kernels_match(ds, calib_idx, test_idx, FusionSettings(), possibility)
     fusion = FusionSettings()
-    decided, _ = run_kernel("possibility_max", ds, fusion, calib_idx, test_idx)
+    decided, _ = KERNELS["possibility_max"](ds, fusion, calib_idx, test_idx)
     assert 1 not in decided.tolist()
 
 
@@ -745,6 +738,9 @@ def test_vote_batch_rejects_what_scalar_rejects():
         tally_batch(np.array([[0, 1]]), frame, VoteWeights(np.full((3, 2), 1 / 6)))
     with pytest.raises(ValueError, match="threshold coefficient"):
         decide_threshold_batch(np.ones((1, 2)), 1.5)
+    for b in (float("nan"), float("inf"), True):
+        with pytest.raises(ValueError, match="threshold offset b"):
+            decide_threshold_batch(np.array([[2.0, 1.0]]), 0.0, b)
 
 
 # ---------------------------------------------------------------------------
@@ -796,48 +792,6 @@ def test_appriou_batch_matches_scalar(seed, n, m, coarse, as_printed):
     assert_appriou_matches(labels, appriou_params(cond, alpha), as_printed)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 6),
-    m=st.integers(1, 4),
-    trials=st.integers(1, 4),
-    as_printed=st.booleans(),
-)
-def test_appriou_batch_over_trials_is_one_call_per_trial(
-    seed, n, m, trials, as_printed
-):
-    # Rows of several trials in one call, each with its own trial's
-    # parameters, give the bytes of one call per trial, near ties included
-    # (coarse rates make them).
-    rng = np.random.default_rng(seed)
-    params = []
-    for _ in range(trials):
-        cond = rng.integers(0, 5, (m, n)) / 4.0
-        cond[cond.max(axis=1) == 0.0, 0] = 1.0
-        params.append(appriou_params(cond, rng.integers(0, 5, (m, n)) / 4.0))
-    labels = rng.integers(0, n, (40, m))
-    trial = np.sort(rng.integers(0, trials, 40))
-    decided, conflict = appriou_decide_batch(labels, params, as_printed, trial)
-    for t, p in enumerate(params):
-        want = appriou_decide_batch(labels[trial == t], p, as_printed)
-        assert decided[trial == t].tobytes() == want[0].tobytes()
-        assert conflict[trial == t].tobytes() == want[1].tobytes()
-
-
-def test_appriou_batch_rejects_bad_trials():
-    params = appriou_params([[1.0, 0.5], [0.5, 1.0]], np.ones((2, 2)))
-    labels = np.array([[0, 1], [1, 1]])
-    for trial in ([0, 2], [-1, 0], [0], [0.0, 1.0], [False, True]):
-        with pytest.raises(ValueError, match="trial must give each row an integer"):
-            appriou_decide_batch(labels, [params, params], trial=np.array(trial))
-    with pytest.raises(ValueError, match="at least one trial's parameters"):
-        appriou_decide_batch(labels, [], trial=np.array([0, 0]))
-    other = appriou_params([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]], np.ones((2, 3)))
-    with pytest.raises(ValueError, match="must share a frame and sources"):
-        appriou_decide_batch(labels, [params, other], trial=np.array([0, 1]))
-
-
 @pytest.mark.parametrize("n", range(1, 17))
 def test_decide_triples_gives_each_row_the_same_bytes_in_any_batch(monkeypatch, n):
     # Rows decided in one call of several blocks, one at a time, or shuffled
@@ -875,9 +829,7 @@ def test_decide_triples_gives_each_row_the_same_bytes_in_any_batch(monkeypatch, 
     monkeypatch.setattr(belief, "_BLOCK_FLOATS", 2 * n * n * 7)  # 7 rows a block
 
     def decide(at):
-        return belief._decide_triples(
-            classes[at], masses[:, at], n, keys[at].__getitem__, scalar
-        )
+        return belief._decide_triples(classes[at], masses[:, at], n, keys[at], scalar)
 
     whole = decide(slice(None))
     one_by_one = [decide(slice(r, r + 1)) for r in range(rows)]
@@ -1132,7 +1084,7 @@ def test_mass_lost_by_appriou_combination_is_bounded():
 
 # ---------------------------------------------------------------------------
 # The kernel contract the protocol relies on: a kernel reads the dataset only
-# at its trials' calibration rows and at its rows, and a ROW_WISE kernel not
+# at its trial's calibration rows and at its rows, and a ROW_WISE kernel not
 # even at the calibration rows.
 
 
@@ -1150,8 +1102,8 @@ def test_kernel_reads_only_calibration_rows_and_its_rows(name, scores):
     values[other] = rng.random(values[other].shape)
     changed = Dataset(ds.frame, ds.source_ids, ds.sample_ids, truth, labels, values)
     settings = FusionSettings(denoeux_k=4)
-    want = run_kernel(name, ds, settings, calib_idx, rows)
-    got = run_kernel(name, changed, settings, calib_idx, rows)
+    want = KERNELS[name](ds, settings, calib_idx, rows)
+    got = KERNELS[name](changed, settings, calib_idx, rows)
     for w, g in zip(want, got):
         assert w.dtype == g.dtype and w.tobytes() == g.tobytes(), name
 
@@ -1161,7 +1113,7 @@ def test_row_wise_kernel_does_not_need_a_calibration_split(name):
     ds = make_dataset(14, n=3, m=4, size=60)
     calib_idx, rows = protocol_split(60, 14)
     settings = FusionSettings()
-    want = run_kernel(name, ds, settings, calib_idx, rows)
-    got = KERNELS[name](ds, settings, None, None, rows)
+    want = KERNELS[name](ds, settings, calib_idx, rows)
+    got = KERNELS[name](ds, settings, None, rows)
     for w, g in zip(want, got):
         assert w.dtype == g.dtype and w.tobytes() == g.tobytes(), name

@@ -89,6 +89,9 @@ def test_decide_threshold():
     assert decide_threshold(tally([0, 0, 1], FRAME3), c=1.0, b=0.0) == CONFLICT
     with pytest.raises(ValueError):
         decide_threshold(t, c=1.5)
+    for b in (float("nan"), float("inf"), True):
+        with pytest.raises(ValueError, match="threshold offset b"):
+            decide_threshold(tally([0, 0, 1], FRAME3), 0.0, b)
 
 
 def test_threshold_offset_shifts_bar():

@@ -731,14 +731,15 @@ def _closed_form(
         big_a[c, at] *= a[:, j] + g[:, j]
         big_b[c, at] *= b[:, j] + g[:, j]
         big_u[c, at] *= g[:, j]
-    before, after = _prods_around(big_b)
-    singles = (big_a - big_u) * before * after
+    singles = big_a - big_u
+    prod_b = _times_others(singles, big_b)
     gap = big_b - big_u
     nodes, weights = _gauss_legendre((n + 1) // 2)
-    others = _prods_except(gap[:, None] + big_u[:, None] * nodes[:, None])
+    others = np.ones((n, nodes.size, classes.shape[0]))
+    _times_others(others, gap[:, None] + big_u[:, None] * nodes[:, None])
     bet = singles + big_u * np.einsum("k,ckr->cr", weights, others)
     singles, gap, bet = (np.ascontiguousarray(x.T) for x in (singles, gap, bet))
-    nonempty = singles.sum(axis=1) + before[-1] * big_b[-1] - np.prod(gap, axis=1)
+    nonempty = singles.sum(axis=1) + prod_b - np.prod(gap, axis=1)
     conflict = np.maximum(1.0 - nonempty, 0.0)
     decided = np.where(nonempty > 0.0, np.argmax(bet, axis=1), -1)
     # Top-two pignistic values within _TIE_RTOL may be ordered either way by
@@ -763,24 +764,15 @@ def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     return (1.0 - x) / 2.0, 1.0 / ((1.0 - x * x) * slope * slope)
 
 
-def _prods_around(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """prod_{d < c} x[d] and prod_{d > c} x[d] for every class c of the first
-    axis, multiplied in the order of a cumulative product."""
-    before, after = np.ones_like(x), np.ones_like(x)
-    for c in range(1, x.shape[0]):
-        np.multiply(before[c - 1], x[c - 1], out=before[c])
-        np.multiply(after[-c], x[-c], out=after[-c - 1])
-    return before, after
-
-
-def _prods_except(x: np.ndarray) -> np.ndarray:
-    """prod_{d < c} x[d] * prod_{d > c} x[d] for every class c of the first
-    axis, the bytes of multiplying the two arrays of ``_prods_around``,
-    with one such array alive instead of two."""
-    out, after = np.ones_like(x), np.ones_like(x[0])
-    for c in range(1, x.shape[0]):
-        np.multiply(out[c - 1], x[c - 1], out=out[c])
+def _times_others(out: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Multiply out[c] in place by prod_{d < c} x[d], then by prod_{d > c}
+    x[d], for every class c of the first axis, each product in the order of
+    a cumulative product; return prod_d x[d], in the same order."""
+    total, after = np.ones_like(x[0]), np.ones_like(x[0])
+    for c in range(x.shape[0]):
+        out[c] *= total
+        total *= x[c]
     for c in range(x.shape[0] - 1, 0, -1):
-        np.multiply(after, x[c], out=after)
+        after *= x[c]
         out[c - 1] *= after
-    return out
+    return total

@@ -10,7 +10,7 @@ pooled over trials so rare classes with empty trial slices stay defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from numbers import Real
 from typing import Sequence, get_args, get_origin, get_type_hints
 
@@ -183,37 +183,32 @@ def _label_rows(ds: Dataset) -> np.ndarray:
     return first[ids.reshape(-1)]
 
 
-def _pairs(keys: np.ndarray, n_samples: int, per_run: bool):
-    """The distinct (trial, key) pairs of the (trials, third) matrix of key
-    rows, or the distinct keys if ``per_run``, as sorted trial and row
-    arrays, and the inverse that maps them back."""
-    pairs = keys if per_run else keys + np.arange(keys.shape[0])[:, None] * n_samples
-    seen = np.zeros(n_samples * (1 if per_run else keys.shape[0]), dtype=bool)
-    seen[pairs] = True
-    trial, rows = np.divmod(np.flatnonzero(seen), n_samples)
-    return trial, rows, (np.cumsum(seen) - 1)[pairs]
-
-
-def _decide(name, ds, settings, calib, trial, rows, inverse):
+def _decide(name, ds, settings, calib, keys):
     """Method ``name``'s decisions on every trial's test third, as a
-    (trials, third) array, and each trial's mean conflict mass. The kernel
-    decides the ``_pairs`` of its keys, one call per trial with that trial's
-    calibration rows; a ROW_WISE kernel gets None and at most one third of
-    rows a call. A calibrated kernel's ValueError names the method and trial."""
+    (trials, third) array, and each trial's mean conflict mass, from the
+    (trials, third) matrix of row keys. A calibrated kernel is called once
+    per trial, with that trial's calibration rows, on one row per distinct
+    key of its test third; a ROW_WISE kernel gets None and one row per
+    distinct key of the run, at most one third of rows a call. A calibrated
+    kernel's ValueError names the method and trial."""
     kernel, third = KERNELS[name], calib.shape[1]
-    if name in ROW_WISE:
-        calls = [(None, rows[a : a + third]) for a in range(0, len(rows), third)]
-    else:
-        calls = zip(calib, np.split(rows, np.searchsorted(trial, range(1, len(calib)))))
-    parts = []
-    for t, (trial_calib, chunk) in enumerate(calls):
-        try:
-            parts.append(kernel(ds, settings, trial_calib, chunk))
-        except ValueError as err:
-            if trial_calib is None:
-                raise
-            raise ValueError(f"{name}, trial {t}: {err}") from None
-    decided, conflict_mass = (np.concatenate(part)[inverse] for part in zip(*parts))
+    decided, conflict_mass = np.empty(keys.shape, dtype=np.int64), np.empty(keys.shape)
+    groups = [(None, ...)] if name in ROW_WISE else zip(calib, range(len(calib)))
+    for trial_calib, at in groups:  # the whole run, or one trial's row
+        seen = np.zeros(ds.n_samples, dtype=bool)
+        seen[keys[at]] = True
+        rows = np.flatnonzero(seen)
+        parts = []
+        for a in range(0, len(rows), third):
+            try:
+                parts.append(kernel(ds, settings, trial_calib, rows[a : a + third]))
+            except ValueError as err:
+                if trial_calib is None:
+                    raise
+                raise ValueError(f"{name}, trial {at}: {err}") from None
+        inverse = (np.cumsum(seen) - 1)[keys[at]]
+        out = (np.concatenate(part)[inverse] for part in zip(*parts))
+        decided[at], conflict_mass[at] = out
     return decided, conflict_mass.mean(axis=1)
 
 
@@ -246,11 +241,9 @@ def evaluate_dataset(
 
     Works one method at a time: the method decides every trial's test
     third, and those decisions are scored once. A row's key is its label
-    row for LABEL_ROWS methods and its index for the others. A calibrated
-    kernel is called once per trial and decides one row per distinct key
-    of that trial's test third; a ROW_WISE kernel decides each distinct key
-    of the run once. Label keys are found once per run, and the pairs once
-    for each run of methods of one kind.
+    row for LABEL_ROWS methods, found once per run, and its index for the
+    others; ``_decide`` decides one row per distinct key of each trial, or
+    of the whole run for a ROW_WISE method.
     """
     settings = settings or FusionSettings()
     methods = normalize_methods(methods, settings)
@@ -270,18 +263,11 @@ def evaluate_dataset(
         sid: float(source_rates[j] / n_trials) for j, sid in enumerate(ds.source_ids)
     }
 
-    @cache
-    def keys(by_label: bool) -> np.ndarray:
-        return _label_rows(ds)[tests] if by_label else tests
-
-    @lru_cache(maxsize=1)  # methods of one kind usually come together
-    def pairs(by_label: bool, per_run: bool):
-        return _pairs(keys(by_label), ds.n_samples, per_run)
-
+    labels = _label_rows(ds)[tests] if LABEL_ROWS.intersection(methods) else None
     results = {}
     for name in methods:
-        found = pairs(name in LABEL_ROWS, name in ROW_WISE)
-        decided, conflict_mass = _decide(name, ds, settings, calib, *found)
+        keys = labels if name in LABEL_ROWS else tests
+        decided, conflict_mass = _decide(name, ds, settings, calib, keys)
         results[name] = _score(ds.frame, truth, decided, conflict_mass)
     return ExperimentReport(seed, n_trials, results, source_accuracy)
 

@@ -61,10 +61,9 @@ class FusionSettings:
         if not isinstance(flag, (bool, np.bool_)):
             raise ValueError(f"appriou_as_printed must be a boolean, got {flag!r}")
         object.__setattr__(self, "appriou_as_printed", bool(flag))
-        if self.possibility_operator not in OPERATORS:
-            raise ValueError(
-                f"unknown possibility operator {self.possibility_operator!r}"
-            )
+        op = self.possibility_operator
+        if not isinstance(op, str) or op not in OPERATORS:  # a list is unhashable
+            raise ValueError(f"unknown possibility operator {op!r}")
 
 
 @dataclass(frozen=True)

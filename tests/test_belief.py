@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evifuse import (
@@ -596,15 +596,10 @@ def test_default_gamma_matches_eager_fit(seed, d, shapes):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def _mean_pairwise_distance_full(x):
-    """The t-by-t formula the blocked sum replaced, kept as its reference."""
-    t = x.shape[0]
-    if t < 2:
-        return None
-    sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    mean = float(np.sqrt(np.maximum(d2[np.triu_indices(t, k=1)], 0.0)).mean())
-    return mean if mean > 0.0 else None
+def _pairwise_distances_exact(x):
+    """Each pair's distance from its direct differences, by math.dist (within
+    about an ulp): the reference the blocked sum is checked against."""
+    return [math.dist(p, q) for p, q in itertools.combinations(x.tolist(), 2)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -614,6 +609,9 @@ def _mean_pairwise_distance_full(x):
     d=st.integers(1, 8),
     duplicates=st.booleans(),
 )
+# Two of the points lie 1.5e-7 apart, where the |x|^2 + |y|^2 - 2 x.y
+# expansion errs by far more than a relative 1e-12.
+@example(seed=275, t=6, d=1, duplicates=False)
 def test_mean_pairwise_distance_matches_full_formula(seed, t, d, duplicates):
     rng = np.random.default_rng(seed)
     if duplicates:
@@ -621,11 +619,20 @@ def test_mean_pairwise_distance_matches_full_formula(seed, t, d, duplicates):
         x = np.tile(rng.integers(0, 9, d) / 8.0, (t, 1))
     else:
         x = rng.random((t, d))
-    got, want = _mean_pairwise_distance(x), _mean_pairwise_distance_full(x)
-    if want is None:
+    got, dist = _mean_pairwise_distance(x), np.array(_pairwise_distances_exact(x))
+    want = math.fsum(dist) / len(dist) if t > 1 else 0.0
+    if want == 0.0:
         assert got is None
-    else:
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        return
+    # The docstring bounds each squared distance's error by e = 4 (d + 2) u
+    # (|x_i|^2 + |x_j|^2), so |got_ij - dist| <= e / (got_ij + dist) <= e /
+    # dist, and a pair the bound sets to 0 has dist**2 <= 2 e: 2 e / dist
+    # covers both. Their mean, plus a few ulps of rounding, bounds the error.
+    sq = np.einsum("td,td->t", x, x)
+    i, j = np.triu_indices(t, k=1)
+    e = 4 * (d + 2) * 2.0**-53 * (sq[i] + sq[j])
+    bound = math.fsum(2.0 * e / dist) / len(dist)
+    assert abs(got - want) <= bound + 4 * math.ulp(want)
 
 
 def test_mean_pairwise_distance_two_points_and_blocks(monkeypatch):

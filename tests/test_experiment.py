@@ -25,6 +25,7 @@ from evifuse.experiment import (
     ROW_WISE,
     ExperimentReport,
     MethodResult,
+    _label_rows,
     normalize_methods,
 )
 from evifuse.io import report_to_dict
@@ -285,10 +286,25 @@ def _reference_report(ds, methods, settings, n_trials, seed):
             ),
             METHODS,
         ),
+        # 16 ** 16 label rows do not fit in 63 bits, so the label keys come
+        # from np.unique over the 2-D rows; reliable sources repeat rows.
+        (
+            _small_config(
+                classes=tuple("abcdefghijklmnop"),
+                priors=(1 / 16,) * 16,
+                sources=tuple(
+                    SourceProfile(f"s{j}", (0.95,) * 16, temperature=0.2)
+                    for j in range(16)
+                ),
+                n_samples=300,
+                n_trials=2,
+            ),
+            METHODS,
+        ),
     ],
     ids=[
         "default", "row-wise", "calibrated", "31-samples", "one-trial", "seven-trials",
-        "alias", "reversed", "crisp", "csv-shaped",
+        "alias", "reversed", "crisp", "csv-shaped", "16-by-16",
     ],
 )
 def test_report_equals_the_per_trial_loop(config, methods):
@@ -296,6 +312,29 @@ def test_report_equals_the_per_trial_loop(config, methods):
     args = (ds, methods, config.fusion, config.n_trials, config.seed)
     want = report_to_dict(_reference_report(*args))
     assert report_to_dict(evaluate_dataset(*args)) == want
+
+
+@pytest.mark.parametrize("n_classes, n_sources", [(6, 4), (2, 64), (16, 16)])
+def test_label_rows_map_each_sample_to_the_first_with_its_labels(
+    n_classes, n_sources
+):
+    # Rows of 2 x 64 and 16 x 16 labels do not fit in 63 bits as one integer.
+    classes = tuple("abcdefghijklmnop"[:n_classes])
+    config = _small_config(
+        classes=classes,
+        priors=(1 / n_classes,) * n_classes,
+        sources=tuple(
+            SourceProfile(f"s{j}", (0.5,) * n_classes) for j in range(n_sources)
+        ),
+        n_samples=60,
+    )
+    rng = np.random.default_rng(n_sources)
+    labels = rng.integers(0, n_classes, (8, n_sources))[rng.integers(0, 8, 60)]
+    first = {}
+    want = [first.setdefault(row.tobytes(), i) for i, row in enumerate(labels)]
+    assert len(first) < 60  # rows repeat
+    ds = replace(simulate(config), labels=labels)
+    assert _label_rows(ds).tolist() == want
 
 
 @pytest.mark.parametrize("n_trials", [1, 4, 12])

@@ -162,6 +162,13 @@ def test_fusion_settings_reject_non_integer_k():
     assert FusionSettings(denoeux_k=np.int64(4)).denoeux_k == 4
 
 
+@pytest.mark.parametrize("op", ["maximum", "", ["max"], 1, None])
+def test_fusion_settings_reject_unknown_operator(op):
+    # A list is unhashable, so the lookup alone would raise TypeError.
+    with pytest.raises(ValueError, match="unknown possibility operator"):
+        FusionSettings(possibility_operator=op)
+
+
 @pytest.mark.parametrize("field", ["n_samples", "n_trials", "seed"])
 @pytest.mark.parametrize("value", [True, np.True_, 2.5, 30.5, 2.0, "2"])
 def test_config_rejects_non_integer_sizes_and_seed(field, value):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, partial, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -208,31 +208,29 @@ class AppriouParams:
     """Recognition-rate parameters for the Appriou evidence model.
 
     cond_prob[j, i] is the probability that source j answers correctly when
-    the true class is i, r[j] the reciprocal of source j's best rate, and
-    alpha[j, i] a discount moving mass toward ignorance for shaky sources.
+    the true class is i, alpha[j, i] a discount moving mass toward
+    ignorance for shaky sources, and r[j], derived from cond_prob, the
+    reciprocal of source j's best rate.
     """
 
     frame: Frame
     cond_prob: np.ndarray  # (m, n)
-    r: np.ndarray  # (m,)
     alpha: np.ndarray  # (m, n)
+    r: np.ndarray = field(init=False)  # (m,)
 
     def __post_init__(self) -> None:
         cond = check_number("cond_prob", np.array(self.cond_prob), 0, 1)
-        r = check_number("r", np.array(self.r))
         alpha = check_number("alpha", np.array(self.alpha), 0, 1)
         if cond.ndim != 2 or cond.shape[1] != self.frame.n:
             raise ValueError("cond_prob must be an (m, n) matrix over the frame")
-        m = cond.shape[0]
-        if r.shape != (m,) or alpha.shape != (m, self.frame.n):
-            raise ValueError("r and alpha shapes must match cond_prob")
+        if alpha.shape != cond.shape:
+            raise ValueError("alpha shape must match cond_prob")
         maxes = cond.max(axis=1)
         if np.any(maxes <= 0.0):
             raise ValueError(
                 "every source needs one class it recognizes with positive probability"
             )
-        if np.max(np.abs(r * maxes - 1.0)) > SUM_TOL:
-            raise ValueError("r must be the reciprocal of each source's best rate")
+        r = 1.0 / maxes
         for arr in (cond, r, alpha):
             arr.setflags(write=False)
         object.__setattr__(self, "cond_prob", cond)

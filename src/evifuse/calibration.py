@@ -80,9 +80,9 @@ def conditional_probs(
 ) -> AppriouParams:
     """Appriou parameters from confusion diagonals.
 
-    cond_prob[j, i] is source j's success rate on true class i and r[j] the
-    reciprocal of its best rate. Discounts default to 1 (sources taken at
-    face value).
+    cond_prob[j, i] is source j's success rate on true class i, from which
+    AppriouParams derives r. Discounts default to 1 (sources taken at face
+    value).
     """
     frame = _common_frame(cms)
     cond = np.vstack([cm.diagonal_rates() for cm in cms])
@@ -92,7 +92,6 @@ def conditional_probs(
             raise ValueError(
                 f"source {cm.source_id!r} has zero success rate on every class"
             )
-    r = 1.0 / maxes
     if alpha is None:
         alpha = np.ones_like(cond)
-    return AppriouParams(frame, cond, r, alpha)
+    return AppriouParams(frame, cond, alpha)

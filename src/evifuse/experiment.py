@@ -9,7 +9,7 @@ pooled over trials so rare classes with empty trial slices stay defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, partial
 from numbers import Real
 from typing import Sequence, get_args, get_origin, get_type_hints
@@ -28,23 +28,17 @@ from .simulate import Dataset, FusionSettings, SimConfig, simulate, trial_stream
 
 def _calibrate(fit, ds: Dataset, calib: np.ndarray):
     """``fit`` (vote_weights or conditional_probs) of the per-source
-    confusion matrices over the calibration rows, counted with one bincount."""
+    confusion matrices over the calibration rows, counted with one bincount;
+    evaluate_dataset has checked every class index."""
     n, m = ds.frame.n, ds.m_sources
-    truth = ds.frame.check_classes(ds.truth[calib])[:, None]
-    bins = ds.frame.check_classes(ds.labels[calib]) + (truth + np.arange(m) * n) * n
+    bins = ds.labels[calib] + (ds.truth[calib][:, None] + np.arange(m) * n) * n
     counts = np.bincount(bins.ravel(), minlength=m * n * n).reshape(m, n, n)
     return fit([ConfusionMatrix(ds.frame, c, s) for c, s in zip(counts, ds.source_ids)])
 
 
-def _vote_majority(ds, settings, calib, rows):
+def _vote(c, b, ds, settings, calib, rows):
     counts = voting.tally_batch(ds.labels[rows], ds.frame)
-    return voting.decide_threshold_batch(counts, 0.0), np.zeros(rows.shape[0])
-
-
-def _vote_absolute(ds, settings, calib, rows):
-    counts = voting.tally_batch(ds.labels[rows], ds.frame)
-    decided = voting.decide_absolute_majority_batch(counts, ds.m_sources)
-    return decided, np.zeros(rows.shape[0])
+    return voting.decide_threshold_batch(counts, c, b), np.zeros(rows.shape[0])
 
 
 def _vote_weighted(ds, settings, calib, rows):
@@ -74,8 +68,10 @@ def _belief_denoeux(ds, settings, calib, rows):
 
 
 KERNELS = {
-    "vote_majority": _vote_majority,
-    "vote_absolute": _vote_absolute,
+    "vote_majority": partial(_vote, 0.0, 0.0),
+    # m whole votes give more than m/2 exactly when they give at least
+    # m/2 + 1/2, and no other class can tie with such a count.
+    "vote_absolute": partial(_vote, 0.5, 0.5),
     "vote_weighted": _vote_weighted,
     **{f"possibility_{op}": partial(_possibility, op) for op in possibility.OPERATORS},
     "belief_appriou": _belief_appriou,
@@ -161,17 +157,16 @@ class ExperimentReport:
     methods: dict[str, MethodResult]
     source_accuracy: dict[str, float]
 
-    def checked(self) -> ExperimentReport:
-        """A copy of Python ints and floats, as save_report writes it: the
-        seed passes check_seed, n_trials is at least 1, and every rate and
-        mass lies in [0, 1]; else ValueError naming the report key."""
-        hints = _hints(ExperimentReport)
-        return ExperimentReport(
-            check_seed(self.seed),
-            check_integer("report key n_trials", self.n_trials, 1),
-            _checked("methods", self.methods, hints["methods"]),
-            _checked("source_accuracy", self.source_accuracy, hints["source_accuracy"]),
-        )
+    def __post_init__(self) -> None:
+        """Holds Python ints and floats: the seed passes check_seed, n_trials
+        is at least 1, and every rate and mass lies in [0, 1]; else
+        ValueError naming the report key."""
+        object.__setattr__(self, "seed", check_seed(self.seed))
+        n_trials = check_integer("report key n_trials", self.n_trials, 1)
+        object.__setattr__(self, "n_trials", n_trials)
+        for key in ("methods", "source_accuracy"):
+            value = _checked(key, getattr(self, key), _hints(ExperimentReport)[key])
+            object.__setattr__(self, key, value)
 
 
 def _label_rows(ds: Dataset) -> np.ndarray:
@@ -239,16 +234,20 @@ def evaluate_dataset(
 ) -> ExperimentReport:
     """Run the repeated split protocol over an existing dataset.
 
-    Works one method at a time: the method decides every trial's test
-    third, and those decisions are scored once. A row's key is its label
-    row for LABEL_ROWS methods, found once per run, and its index for the
-    others; ``_decide`` decides one row per distinct key of each trial, or
-    of the whole run for a ROW_WISE method.
+    Every class index in ``ds.truth`` and ``ds.labels`` is checked once,
+    up front, whichever methods are asked for; scores are checked by the
+    kernels, only in the rows they read. Works one method at a time: the
+    method decides every trial's test third, and those decisions are scored
+    once. A row's key is its label row for LABEL_ROWS methods, found once
+    per run, and its index for the others; ``_decide`` decides one row per
+    distinct key of each trial, or of the whole run for a ROW_WISE method.
     """
     settings = settings or FusionSettings()
     methods = normalize_methods(methods, settings)
     n_trials = check_integer("n_trials", n_trials, 1)
     seed = check_seed(seed)
+    truth, labels = map(ds.frame.check_classes, (ds.truth, ds.labels))
+    ds = replace(ds, truth=truth, labels=labels)
     third = ds.n_samples // 3
     if third < 1:
         raise ValueError("dataset too small to split into three non-empty parts")

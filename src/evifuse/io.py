@@ -13,7 +13,6 @@ import math
 from collections.abc import Iterable
 from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from itertools import cycle, islice
-from numbers import Real
 from types import SimpleNamespace
 from typing import Any, get_args, get_origin, get_type_hints
 
@@ -202,19 +201,9 @@ def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
 # by _from_json from the same fields and their type hints
 
 
-def _json_text(data: Any, path: str, **options: Any) -> str:
-    """json.dumps(data, **options); a non-finite number, which _load_json
-    would reject, is refused."""
-    try:
-        return json.dumps(data, allow_nan=False, **options)
-    except ValueError as exc:
-        raise ValidationError(
-            f"{path}: cannot write a non-finite number: {exc}"
-        ) from None
-
-
 def _save_json(data: dict[str, Any], path: str) -> None:
-    text = _json_text(data, path, indent=2, sort_keys=True)  # before opening
+    # SimConfig and ExperimentReport refuse non-finite numbers; this is a last guard
+    text = json.dumps(data, allow_nan=False, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text + "\n")
 
@@ -342,35 +331,20 @@ def save_config(config: SimConfig, path: str) -> None:
     _save_json(config_to_dict(config), path)
 
 
-# The report JSON is the ExperimentReport and MethodResult fields.
+# The report JSON: ExperimentReport and MethodResult fields, checked on construction.
 def report_to_dict(report: ExperimentReport) -> dict[str, Any]:
     return asdict(report)
 
 
 def report_from_dict(data: dict[str, Any]) -> ExperimentReport:
-    """The report, typed by _from_json and checked by
-    ExperimentReport.checked()."""
+    """The report, typed by _from_json and checked by its constructor."""
     try:
-        return _from_json(data, ExperimentReport, "", "report").checked()
+        return _from_json(data, ExperimentReport, "", "report")
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"invalid report: {exc}") from exc
 
 
 def save_report(report: ExperimentReport, path: str) -> None:
-    """Write the report JSON from ExperimentReport.checked(); a report that
-    load_report would reject is refused before the file is opened. JSON
-    holds no NaN or infinity, so a non-finite number, a numpy one included,
-    is refused as such before checked() sees it."""
-    _json_text(
-        report_to_dict(report),
-        path,
-        skipkeys=True,
-        default=lambda x: float(x) if isinstance(x, Real) else None,
-    )
-    try:
-        report = report.checked()
-    except ValueError as exc:
-        raise ValidationError(f"{path}: cannot write: invalid report: {exc}") from None
     _save_json(report_to_dict(report), path)
 
 

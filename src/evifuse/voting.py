@@ -138,12 +138,6 @@ def tally_batch(
     return counts
 
 
-def decide_absolute_majority_batch(counts: np.ndarray, m_sources: int) -> np.ndarray:
-    """``decide_absolute_majority`` per row of plain counts; -1 is conflict."""
-    top = counts.max(axis=1)
-    return np.where(top > m_sources / 2.0, np.argmax(counts, axis=1), -1)
-
-
 def decide_threshold_batch(counts: np.ndarray, c: float, b: float = 0.0) -> np.ndarray:
     """``decide_threshold`` per row of counts; -1 is conflict."""
     c = check_number("threshold coefficient c", c, 0, 1)

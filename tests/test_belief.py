@@ -304,10 +304,9 @@ def test_pignistic_matches_brute_force(m):
 
 def _params(cond, alpha=None):
     cond = np.asarray(cond, dtype=float)
-    r = 1.0 / cond.max(axis=1)
     if alpha is None:
         alpha = np.ones_like(cond)
-    return AppriouParams(FRAME3, cond, r, alpha)
+    return AppriouParams(FRAME3, cond, alpha)
 
 
 def test_appriou_halfway_point():
@@ -360,23 +359,16 @@ def test_appriou_as_printed_mass_is_renormalized():
 
 
 def test_appriou_params_validate_r():
-    with pytest.raises(ValueError):
-        AppriouParams(
-            FRAME3, np.array([[0.5, 0.3, 0.1]]), np.array([3.0]), np.ones((1, 3))
-        )
-    with pytest.raises(ValueError):
-        AppriouParams(
-            FRAME3, np.zeros((1, 3)), np.array([1.0]), np.ones((1, 3))
-        )
+    # r is the reciprocal of each source's best rate, so one rate must be positive.
+    with pytest.raises(ValueError, match="positive probability"):
+        AppriouParams(FRAME3, np.zeros((1, 3)), np.ones((1, 3)))
 
 
-@pytest.mark.parametrize("field", ["cond_prob", "r", "alpha"])
+@pytest.mark.parametrize("field", ["cond_prob", "alpha"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_appriou_params_reject_non_finite(field, bad):
-    # NaN passes every range and reciprocal check, so it is rejected by name.
-    values = dict(
-        cond_prob=np.array([[0.5, 0.25, 0.1]]), r=np.array([2.0]), alpha=np.ones((1, 3))
-    )
+    # NaN passes every range check, so it is rejected by name.
+    values = dict(cond_prob=np.array([[0.5, 0.25, 0.1]]), alpha=np.ones((1, 3)))
     values[field] = values[field].copy()
     values[field].flat[0] = bad
     with pytest.raises(ValueError, match=f"{field} must be finite"):

@@ -449,3 +449,36 @@ def test_evaluate_reports_numpy_integers_as_int(tmp_path):
     assert type(report.n_trials) is int and type(report.seed) is int
     save_report(report, str(tmp_path / "report.json"))
     assert load_report(str(tmp_path / "report.json")) == report
+
+
+def _with_classes(ds, truth=None, labels=None):
+    truth = ds.truth if truth is None else truth
+    labels = ds.labels if labels is None else labels
+    return Dataset(ds.frame, ds.source_ids, ds.sample_ids, truth, labels, ds.scores)
+
+
+def test_label_row_that_collides_with_a_valid_one_raises():
+    # [7, 0, 3, 1] over 6 classes has the mixed-radix key of [1, 1, 3, 1],
+    # so it must be refused before label rows are keyed.
+    config = default_config(n_samples=600, n_trials=3)
+    ds = simulate(config)
+    labels = np.array(ds.labels)
+    labels[-1] = labels[0] + [6, -1, 0, 0]
+    with pytest.raises(ValueError, match="class index 7 out of range"):
+        evaluate_dataset(_with_classes(ds, labels=labels), ["vote_majority"])
+
+
+def test_true_class_out_of_range_raises():
+    ds = simulate(_small_config(n_samples=30))
+    truth = np.array(ds.truth)
+    truth[-1] = 9
+    with pytest.raises(ValueError, match="class index 9 out of range"):
+        evaluate_dataset(_with_classes(ds, truth=truth), ["vote_majority"])
+
+
+def test_whole_float_classes_give_the_report_of_their_integers():
+    config = _small_config(n_samples=60, n_trials=3)
+    ds = simulate(config)
+    floats = _with_classes(ds, ds.truth.astype(float), ds.labels.astype(float))
+    want = evaluate_dataset(ds, METHODS, n_trials=3, seed=config.seed)
+    assert evaluate_dataset(floats, METHODS, n_trials=3, seed=config.seed) == want

@@ -1012,16 +1012,14 @@ def test_report_rejects_unknown_keys(keys):
         report_from_dict(data)
 
 
-def test_save_report_refuses_non_finite_numbers_before_opening(tmp_path):
-    # load_report rejects NaN and the infinities, so save_report must not
-    # write them; the file is not even created.
+def test_save_report_refuses_non_finite_numbers_before_opening():
+    # load_report rejects NaN and the infinities, so no report holds them:
+    # the constructor refuses them, and save_report never sees one.
     report = report_from_dict(small_report_dict())
-    path = tmp_path / "report.json"
     for bad in (math.nan, math.inf, -math.inf):
-        broken = replace(report, source_accuracy={"s1": bad})
-        with pytest.raises(ValidationError, match="cannot write a non-finite number"):
-            save_report(broken, str(path))
-        assert not path.exists()
+        message = "report key source_accuracy.s1 must be finite"
+        with pytest.raises(ValueError, match=message):
+            replace(report, source_accuracy={"s1": bad})
 
 
 @pytest.mark.parametrize(
@@ -1034,15 +1032,12 @@ def test_save_report_refuses_non_finite_numbers_before_opening(tmp_path):
     ],
     ids=["n_trials", "negative seed", "large seed", "rate"],
 )
-def test_save_report_refuses_what_load_report_rejects(tmp_path, change, message):
-    report = replace(report_from_dict(small_report_dict()), **change)
-    path = tmp_path / "report.json"
-    pattern = "report.json: cannot write: invalid report: .*" + message
-    with pytest.raises(ValidationError, match=pattern):
-        save_report(report, str(path))
-    assert not path.exists()
+def test_save_report_refuses_what_load_report_rejects(change, message):
+    # The constructor runs load_report's checks, so save_report is never
+    # handed a report that load_report would reject.
+    report = report_from_dict(small_report_dict())
     with pytest.raises(ValueError, match=message):
-        report.checked()
+        replace(report, **change)
 
 
 def _with_scalars(report, ints, floats):
@@ -1072,23 +1067,29 @@ def _with_scalars(report, ints, floats):
 
 @pytest.mark.parametrize("floats", [np.float32, np.float64])
 def test_save_report_writes_numpy_scalars_as_python_numbers(tmp_path, floats):
-    # The same bytes as its twin of int() and float() values, and read back
-    # equal to the twin; json.dumps alone raises TypeError on np.int64 and
-    # np.float32.
+    # The constructor stores Python ints and floats, so the report has the
+    # same bytes as its twin of int() and float() values and reads back equal
+    # to it; json.dumps alone raises TypeError on np.int64 and np.float32.
     cfg = default_config(n_samples=120, n_trials=2)
     report = _with_scalars(
         run_experiment(cfg, ["vote_majority", "belief_appriou"]), np.int64, floats
     )
+    assert type(report.seed) is type(report.n_trials) is int
+    rates = [*report.source_accuracy.values()]
+    for r in report.methods.values():
+        rates += [r.accuracy, r.conflict_rate, r.mean_conflict_mass]
+        rates += r.per_class.values()
+    assert {type(x) for x in rates} == {float}
     twin = _with_scalars(report, int, float)
     numpy_path, twin_path = tmp_path / "numpy.json", tmp_path / "twin.json"
     save_report(report, str(numpy_path))
     save_report(twin, str(twin_path))
     assert numpy_path.read_bytes() == twin_path.read_bytes()
     assert load_report(str(numpy_path)) == twin
-    for bad in (floats(math.nan), floats(1.5)):
-        broken = replace(report, source_accuracy={"s1": bad})
-        with pytest.raises(ValidationError, match="bad.json: cannot write"):
-            save_report(broken, str(tmp_path / "bad.json"))
+    for bad, rule in [(floats(math.nan), "be finite"), (floats(1.5), "lie in")]:
+        message = f"report key source_accuracy.s1 must {rule}"
+        with pytest.raises(ValueError, match=message):
+            replace(report, source_accuracy={"s1": bad})
 
 
 @pytest.mark.parametrize(

@@ -45,12 +45,7 @@ from evifuse import belief
 from evifuse.belief import appriou_decide_batch, appriou_mass, denoeux_decide_batch
 from evifuse.experiment import KERNELS, METHODS, ROW_WISE
 from evifuse.simulate import SourceProfile
-from evifuse.voting import (
-    VoteWeights,
-    decide_absolute_majority_batch,
-    decide_threshold_batch,
-    tally_batch,
-)
+from evifuse.voting import VoteWeights, decide_threshold_batch, tally_batch
 
 CONFLICT_ATOL = 1e-10
 FRAME_ABC = make_frame(["a", "b", "c"])
@@ -685,11 +680,24 @@ def test_vote_batch_matches_scalar(seed, n, m, coarse, c, b):
         assert decide_threshold_batch(counts, c, b).tolist() == [
             -1 if d.is_conflict else d.index for d in want
         ]
-    counts = tally_batch(labels, frame)
     want = [decide_absolute_majority(tally(row, frame)) for row in labels]
-    assert decide_absolute_majority_batch(counts, m).tolist() == [
+    assert vote_absolute(labels, frame).tolist() == [
         -1 if d.is_conflict else d.index for d in want
     ]
+
+
+def vote_absolute(labels, frame):
+    """KERNELS["vote_absolute"] on every row of a (rows, sources) label matrix."""
+    size, m = labels.shape
+    ds = Dataset(
+        frame,
+        tuple(f"s{j}" for j in range(m)),
+        np.arange(size),
+        np.zeros(size, dtype=np.int64),
+        labels,
+        np.zeros((size, m, frame.n)),
+    )
+    return KERNELS["vote_absolute"](ds, FusionSettings(), None, np.arange(size))[0]
 
 
 def test_weighted_vote_exact_tie_is_conflict():
@@ -711,9 +719,9 @@ def test_weighted_vote_exact_tie_is_conflict():
 def test_absolute_majority_at_half_is_conflict():
     frame = make_frame(["a", "b", "c"])
     labels = np.array([[0, 0, 1, 2], [0, 0, 0, 1], [1, 1, 2, 2]])
-    counts = tally_batch(labels, frame)
-    assert decide_absolute_majority_batch(counts, 4).tolist() == [-1, 0, -1]
-    for row, d in zip(labels, decide_absolute_majority_batch(counts, 4)):
+    decided = vote_absolute(labels, frame)
+    assert decided.tolist() == [-1, 0, -1]
+    for row, d in zip(labels, decided):
         want = decide_absolute_majority(tally(row, frame))
         assert d == (-1 if want.is_conflict else want.index)
 
@@ -763,7 +771,7 @@ def assert_appriou_matches(labels, params, as_printed=False):
 def appriou_params(cond, alpha):
     cond = np.asarray(cond, dtype=float)
     frame = make_frame([f"c{i}" for i in range(cond.shape[1])])
-    return AppriouParams(frame, cond, 1.0 / cond.max(axis=1), alpha)
+    return AppriouParams(frame, cond, alpha)
 
 
 @settings(max_examples=150, deadline=None)

@@ -190,19 +190,26 @@ def test_config_accepts_largest_seed():
     assert simulate(cfg).n_samples == 30
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_config_rejects_non_finite_priors(bad):
-    # NaN passes both the sign and the sum check, and would fail only in
-    # simulate's draw of the classes.
-    with pytest.raises(ValueError, match="priors must be finite"):
-        _config(priors=(bad, 0.5, 0.5))
+_FLOAT_FIELDS = {
+    "reliability": (lambda x: SourceProfile("s", (x, 0.5)), "reliabilities"),
+    "temperature": (lambda x: SourceProfile("s", (0.5,), x), "temperature"),
+    "priors": (lambda x: _config(priors=(x, 0.5, 0.5)), "priors"),
+    "vote_c": (lambda x: FusionSettings(vote_c=x), "coefficient"),
+    "vote_b": (lambda x: FusionSettings(vote_b=x), "offset"),
+    "denoeux_alpha": (lambda x: FusionSettings(denoeux_alpha=x), "discount"),
+}
 
 
+@pytest.mark.parametrize("field", list(_FLOAT_FIELDS))
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_fusion_settings_reject_non_finite_vote_b(bad):
-    # With b = NaN every weighted vote would decide the conflict class.
-    with pytest.raises(ValueError, match="offset must be finite"):
-        FusionSettings(vote_b=bad)
+def test_config_rejects_non_finite_numbers(field, bad):
+    # NaN passes every sign, range and sum check (priors would fail only in
+    # simulate's draw of the classes, and with vote_b = NaN every weighted
+    # vote would decide the conflict class), so each float field refuses it
+    # by name. save_config relies on this: JSON holds no NaN or infinity.
+    make, name = _FLOAT_FIELDS[field]
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        make(bad)
 
 
 def test_config_stores_numpy_integers_as_int(tmp_path):

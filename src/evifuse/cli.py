@@ -1,4 +1,9 @@
-"""Command line interface: simulate datasets, run and evaluate benchmarks."""
+"""Command line interface: simulate datasets, run and evaluate benchmarks.
+
+The commands that fuse import the protocol (and with it the fusion rules)
+when they run, so `evifuse simulate` loads only what simulating and writing
+the CSV need.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,6 @@ from functools import wraps
 import click
 
 from . import __version__
-from .experiment import evaluate_dataset, normalize_methods, run_experiment
 from .frame import MAX_SEED
 from .io import load_config, load_dataset, save_dataset, save_report
 from .simulate import FusionSettings, SimConfig, simulate as simulate_dataset
@@ -30,6 +34,8 @@ def _guarded(fn):
 
 
 def _parse_methods(raw: str, settings: FusionSettings) -> list[str]:
+    from .experiment import normalize_methods
+
     names = [part for part in raw.split(",") if part.strip()]
     return normalize_methods(names, settings)
 
@@ -62,6 +68,8 @@ def simulate(config_path: str, out_path: str, seed: int | None) -> None:
 @_guarded
 def run(config_path: str, methods: str, out_path: str, seed: int | None) -> None:
     """Simulate the scenario and run the repeated split protocol."""
+    from .experiment import run_experiment
+
     config = load_config(config_path)
     if seed is not None:
         config = replace(config, seed=seed)
@@ -95,6 +103,8 @@ def eval_cmd(
     seed: int | None,
 ) -> None:
     """Run the repeated split protocol over an existing dataset CSV."""
+    from .experiment import evaluate_dataset
+
     # the config and methods first, so a mistake in either shows before the
     # dataset, which may be large, is read
     if config_path is not None:

@@ -41,19 +41,22 @@ def check_number(name: str, value, low: float = -math.inf, high: float = math.in
     than a bool, finite and in [low, high]."""
     if isinstance(value, Real) and not isinstance(value, bool):
         try:
-            x = np.asarray(float(value))
+            x = float(value)  # a Python or numpy scalar, checked without an array
         except OverflowError:  # an int beyond the largest float
             raise ValueError(f"{name} does not fit in a float") from None
+        extremes = (x,)
     else:
         x = np.asarray(value)
         if x.dtype.kind not in "iuf":
             raise ValueError(f"{name} must be a number, got {value!r}")
-    x = x.astype(np.float64, copy=False)
-    if not np.isfinite(x).all():
+        x = x.astype(np.float64, copy=False)
+        extremes = (x.min(), x.max()) if x.size else ()  # a NaN propagates
+        x = float(x) if x.ndim == 0 else x
+    if not all(map(math.isfinite, extremes)):
         raise ValueError(f"{name} must be finite")
-    if x.size and not (low <= x.min() and x.max() <= high):
+    if not all(low <= v <= high for v in extremes):
         raise ValueError(f"{name} must lie in [{low:g}, {high:g}]")
-    return float(x) if x.ndim == 0 else x
+    return x
 
 
 def check_seed(value) -> int:

@@ -12,15 +12,17 @@ import json
 import math
 from collections.abc import Iterable
 from dataclasses import MISSING, asdict, fields, is_dataclass, replace
-from itertools import cycle, islice
+from itertools import islice
 from types import SimpleNamespace
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .experiment import ExperimentReport
 from .frame import make_frame
 from .simulate import Dataset, FusionSettings, SimConfig
+
+if TYPE_CHECKING:  # imported where reports are read, so datasets load without it
+    from .experiment import ExperimentReport
 
 
 class ValidationError(ValueError):
@@ -33,15 +35,69 @@ class ValidationError(ValueError):
 # The leading columns, then one score_<class> column per class.
 _COLUMNS = ("sample_id", "true_class", "source_id", "label")
 
-# Data rows read or written at a time: a file's fields are Python objects for
-# one block only, so memory follows the arrays, not the field count.
+# Data rows read or written at a time: a file's fields are Python objects (when
+# read) or byte arrays (when written) for one block only, so memory follows the
+# dataset's arrays, not the field count.
 _BLOCK_ROWS = 4096
+
+
+def _words(texts: Iterable[str]) -> np.ndarray:
+    """ASCII texts of four characters each as native uint32 words."""
+    return np.frombuffer("".join(texts).encode(), np.uint32)
+
+
+# A score in [0, 1] as '%.9f' writes it, plus its separator, is three words
+# "d.dd" "dddd" "ddd," looked up by q // 10**7, q // 1000 % 10**4 and
+# q % 1000, where q is the score times 1e9 rounded to an integer.
+_SCORE_WORDS = (
+    _words("%d.%02d" % divmod(i, 100) for i in range(101)),
+    _words("%04d" % i for i in range(10000)),
+    _words("%03d," % i for i in range(1000)),
+)
+
+
+def _texts(texts: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+    """UTF-8 texts as the rows of a uint8 array padded to one width, and a
+    mask of each row's bytes without the padding."""
+    raw = [text.encode() for text in texts]
+    width = max(map(len, raw))
+    table = np.frombuffer(b"".join(b.ljust(width, b"\0") for b in raw), np.uint8)
+    lengths = np.array([len(b) for b in raw])
+    return table.reshape(len(raw), width), np.arange(width) < lengths[:, None]
+
+
+def _score_texts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of scores in [0, 1] as '%.9f' writes them, each followed by a comma
+    and the last by a newline: (rows, 13 * columns) bytes, where each score's
+    13 start with a sign byte, and the mask of the bytes to write. The sign
+    is kept for -0.0 only, which '%.9f' writes as -0.000000000.
+
+    q = rint(x * 1e9) gives the digits '%.9f' rounds to, unless x * 1e9 lies
+    within 2**-20 of a half-integer: the float product errs by less than
+    2**-23 and may sit on the other side of a tie. Those go through '%.9f'."""
+    y = x * 1e9
+    q = np.rint(y).astype(np.int64)
+    keys = (q // 10**7, q // 1000 % 10**4, q % 1000)
+    words = np.stack([table[key] for table, key in zip(_SCORE_WORDS, keys)], axis=-1)
+    text = np.empty((*x.shape, 13), np.uint8)
+    text[..., 0] = ord("-")
+    text[..., 1:] = words.view(np.uint8).reshape(*x.shape, 12)
+    tie = np.abs(y - np.floor(y) - 0.5) <= 2.0**-20
+    if tie.any():
+        fields = "".join("%.9f," % v for v in x[tie].tolist()).encode()
+        text[tie, 1:] = np.frombuffer(fields, np.uint8).reshape(-1, 12)
+    text[:, -1, -1] = ord("\n")
+    keep = np.ones(text.shape, bool)
+    keep[..., 0] = np.signbit(x)
+    return text.reshape(len(x), -1), keep.reshape(len(x), -1)
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
     """Write the dataset CSV from Dataset.checked(): a dataset it refuses,
     which load_dataset would reject, is refused before the file is opened.
-    Whole-float ids and classes are written as integers."""
+    Whole-float ids and classes are written as integers, scores as '%.9f'
+    writes them. Each block of rows is assembled as one byte array, from the
+    padded bytes of its fields and a mask that drops the padding."""
     try:
         dataset = dataset.checked()
     except ValueError as exc:
@@ -50,22 +106,28 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     # writerow returns what the file's write() returns, here the line itself;
     # a name is quoted as the second of two fields, as in a data row
     line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
-    names = np.array([line(["", c])[1:-1] for c in labels], dtype=object)
-    sources = [line(["", s])[1:-1] for s in dataset.source_ids]
+    quoted = [line(["", c])[1:-1] for c in labels]
+    truths, names = _texts(f",{c}," for c in quoted), _texts(f"{c}," for c in quoted)
+    sources = _texts(line(["", s])[1:-1] + "," for s in dataset.source_ids)
     m, k = dataset.m_sources, dataset.frame.n
-    row = "%d,%s,%s,%s," + ",".join(["%.9f"] * k) + "\n"
     step = max(1, _BLOCK_ROWS // m)  # samples per block
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(line([*_COLUMNS, *(f"score_{c}" for c in labels)]))
+    with open(path, "wb") as fh:
+        fh.write(line([*_COLUMNS, *(f"score_{c}" for c in labels)]).encode())
         for block in (slice(i, i + step) for i in range(0, dataset.n_samples, step)):
-            rows = zip(
-                np.repeat(dataset.sample_ids[block], m).tolist(),
-                names[np.repeat(dataset.truth[block], m)].tolist(),
-                cycle(sources),
-                names[dataset.labels[block].ravel()].tolist(),
-                dataset.scores[block].reshape(-1, k).tolist(),
-            )
-            fh.write("".join(row % (i, t, s, c, *x) for i, t, s, c, x in rows))
+            ids = dataset.sample_ids[block].astype("S20").view(np.uint8)
+            ids = np.repeat(ids.reshape(-1, 20), m, axis=0)  # an int64 is 20 chars at most
+            truth = np.repeat(dataset.truth[block], m)
+            source = np.tile(np.arange(m), len(ids) // m)
+            label = dataset.labels[block].ravel()
+            fields = [
+                (ids, ids != 0),  # padded with NUL, which no digit or sign is
+                (truths[0][truth], truths[1][truth]),
+                (sources[0][source], sources[1][source]),
+                (names[0][label], names[1][label]),
+                _score_texts(dataset.scores[block].reshape(len(ids), k)),
+            ]
+            text, keep = (np.concatenate(parts, axis=1) for parts in zip(*fields))
+            fh.write(text[keep].tobytes())
 
 
 def _parse(cells: np.ndarray, dtype: type) -> tuple[np.ndarray, np.ndarray]:
@@ -338,6 +400,8 @@ def report_to_dict(report: ExperimentReport) -> dict[str, Any]:
 
 def report_from_dict(data: dict[str, Any]) -> ExperimentReport:
     """The report, typed by _from_json and checked by its constructor."""
+    from .experiment import ExperimentReport
+
     try:
         return _from_json(data, ExperimentReport, "", "report")
     except (TypeError, ValueError) as exc:

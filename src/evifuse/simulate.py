@@ -166,7 +166,8 @@ class Dataset:
         scores = check_number("scores", self.scores, 0, 1)
         truth, labels = map(self.frame.check_classes, (self.truth, self.labels))
         ids = _check_sample_ids(np.asarray(self.sample_ids))
-        if np.unique(ids).size != self.n_samples:
+        ordered = np.sort(ids)  # not np.unique, which imports numpy.ma
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("sample ids must be unique")
         return replace(self, sample_ids=ids, truth=truth, labels=labels, scores=scores)
 

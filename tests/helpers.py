@@ -1,15 +1,18 @@
 """Shared test utilities: brute-force oracles and random mass generators.
 
-The oracles here compute over dense vectors indexed by subset bitmask and
-never touch the library's sparse paths, so they stay independent of what
-they check.
+The mass oracles here compute over dense vectors indexed by subset bitmask
+and never touch the library's sparse paths, so they stay independent of
+what they check. The dataset CSV oracle formats each row with Python's '%'.
 """
 
 from __future__ import annotations
 
+import csv
+from types import SimpleNamespace
+
 import numpy as np
 
-from evifuse import Frame, MassFunction
+from evifuse import Dataset, Frame, MassFunction
 
 
 def dense_from_mass(m: MassFunction) -> np.ndarray:
@@ -77,3 +80,32 @@ def random_mass(
     weights /= weights.sum()
     subsets = list(frame.subsets())
     return MassFunction(frame, [(subsets[b], w) for b, w in zip(chosen, weights)])
+
+
+def write_dataset_csv(dataset: Dataset, path: str) -> None:
+    """save_dataset's oracle: one '%' format per row, names quoted as
+    csv.writer quotes a field and each score as '%.9f' writes it.
+
+        PYTHONPATH=src python tests/helpers.py <scenario.json> <out.csv>
+
+    writes the scenario's simulated dataset."""
+    ds = dataset.checked()
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    names = [line(["", c])[1:-1] for c in ds.frame.labels]
+    sources = [line(["", s])[1:-1] for s in ds.source_ids]
+    row = "%d,%s,%s,%s," + ",".join(["%.9f"] * ds.frame.n) + "\n"
+    header = ["sample_id", "true_class", "source_id", "label"]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(line(header + [f"score_{c}" for c in ds.frame.labels]))
+        columns = (ds.sample_ids, ds.truth, ds.labels, ds.scores)
+        for i, t, labels, scores in zip(*(a.tolist() for a in columns)):
+            for s, c, x in zip(sources, labels, scores):
+                fh.write(row % (i, names[t], s, names[c], *x))
+
+
+if __name__ == "__main__":
+    import sys
+
+    from evifuse import load_config, simulate
+
+    write_dataset_csv(simulate(load_config(sys.argv[1])), sys.argv[2])

@@ -133,3 +133,38 @@ def test_check_number_and_check_integer():
         check_integer("n", 0, 1)
     with pytest.raises(ValueError, match="n must be an integer"):
         check_integer("n", 1.0, 1)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (math.nan, "must be finite"),
+        (np.float64(math.nan), "must be finite"),
+        (np.float32(math.nan), "must be finite"),
+        (math.inf, "must be finite"),
+        (np.float32(-math.inf), "must be finite"),
+        (True, "must be a number, got "),
+        (np.True_, "must be a number, got "),
+        (10**400, "does not fit in a float"),
+        (-(10**309), "does not fit in a float"),
+        (1.5, r"must lie in \[0, 1\]"),
+        (-1, r"must lie in \[0, 1\]"),
+        (np.float32(1.5), r"must lie in \[0, 1\]"),
+        (np.int64(2), r"must lie in \[0, 1\]"),
+        (np.uint8(3), r"must lie in \[0, 1\]"),
+    ],
+)
+def test_check_number_scalar_messages(value, message):
+    # Python and numpy scalars are checked without an array, with the
+    # messages a 0-d array of the same value gives
+    with pytest.raises(ValueError, match=f"^x {message}"):
+        check_number("x", value, 0, 1)
+    if not isinstance(value, int) or abs(value) < 2**63:  # no array holds 10**400
+        with pytest.raises(ValueError, match=f"^x {message}"):
+            check_number("x", np.asarray(value), 0, 1)
+
+
+def test_check_number_gives_a_python_float_for_a_scalar():
+    for value in (0.25, -0.0, 1, np.float32(0.25), np.int32(0), np.asarray(0.25)):
+        x = check_number("x", value, 0, 1)
+        assert type(x) is float and x == float(value)

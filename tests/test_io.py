@@ -44,6 +44,7 @@ from evifuse.io import (
     report_from_dict,
     report_to_dict,
 )
+from helpers import write_dataset_csv
 
 
 @pytest.fixture()
@@ -419,6 +420,76 @@ def test_save_dataset_writes_what_csv_writer_writes(classes, sources, sample_ids
             assert first.read_bytes() == expected.getvalue().encode()
             save_dataset(load_dataset(str(first)), str(again))
             assert again.read_bytes() == first.read_bytes()
+
+
+# Scores whose '%.9f' the array writer must get right: signed zero, the
+# ends of [0, 1], the float below 1, a scaled value of 0.5, the smallest
+# subnormal, ties of the rounding (j/1024 * 1e9 is a half-integer for odd j)
+# and floats next to q + 1/2 nanounits.
+_EDGE_SCORES = [-0.0, 0.0, 1.0, 1 - 2**-53, 5e-10, 5e-324]
+_SCORE = (
+    st.sampled_from(_EDGE_SCORES)
+    | st.integers(0, 1024).map(lambda j: j / 1024)
+    | st.integers(0, 10**9 - 1).map(lambda q: (q + 0.5) / 1e9)
+    | st.floats(0, 1)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    classes=st.lists(_NAME, min_size=1, max_size=4, unique=True),
+    sources=st.lists(_NAME | st.just(""), min_size=1, max_size=3, unique=True),
+    sample_ids=st.lists(
+        st.integers(-(2**53), 2**53), min_size=1, max_size=5, unique=True
+    ),
+    whole_floats=st.booleans(),
+    data=st.data(),
+)
+def test_save_dataset_writes_what_the_row_oracle_writes(
+    classes, sources, sample_ids, whole_floats, data
+):
+    n, m, k = len(sample_ids), len(sources), len(classes)
+    classes_of = st.integers(0, k - 1)
+    truth = data.draw(st.lists(classes_of, min_size=n, max_size=n))
+    labels = data.draw(st.lists(classes_of, min_size=n * m, max_size=n * m))
+    scores = data.draw(st.lists(_SCORE, min_size=n * m * k, max_size=n * m * k))
+    ds = Dataset(
+        make_frame(classes),
+        tuple(sources),
+        np.array(sample_ids, dtype=float if whole_floats else np.int64),
+        np.array(truth),
+        np.array(labels).reshape(n, m),
+        np.array(scores).reshape(n, m, k),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        expected, got = Path(tmp, "oracle.csv"), Path(tmp, "saved.csv")
+        write_dataset_csv(ds, str(expected))
+        for block_rows in (evifuse.io._BLOCK_ROWS, 2, m):
+            with mock.patch.object(evifuse.io, "_BLOCK_ROWS", block_rows):
+                save_dataset(ds, str(got))
+            assert got.read_bytes() == expected.read_bytes()
+
+
+def test_save_dataset_writes_each_edge_score_as_the_row_oracle_does(tmp_path):
+    # every edge score and every j/1024, in one column
+    scores = np.array(_EDGE_SCORES + [j / 1024 for j in range(1025)])
+    n = len(scores)
+    ds = Dataset(
+        make_frame(["a"]), ("s",), np.arange(n), np.zeros(n, int),
+        np.zeros((n, 1), int), scores.reshape(n, 1, 1),
+    )
+    save_dataset(ds, str(tmp_path / "saved.csv"))
+    write_dataset_csv(ds, str(tmp_path / "oracle.csv"))
+    saved = (tmp_path / "saved.csv").read_bytes()
+    assert saved == (tmp_path / "oracle.csv").read_bytes()
+    assert saved.splitlines()[1:7] == [
+        b"0,a,s,a,-0.000000000",
+        b"1,a,s,a,0.000000000",
+        b"2,a,s,a,1.000000000",
+        b"3,a,s,a,1.000000000",
+        b"4,a,s,a,0.000000001",
+        b"5,a,s,a,0.000000000",
+    ]
 
 
 def _six_class_dataset(**arrays):

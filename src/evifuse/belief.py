@@ -295,8 +295,8 @@ def appriou_decide_batch(
     for the conflict class) and the same conflict mass up to rounding.
     Source j's masses (a, b, g) sit on {l_j}, its complement and the frame,
     and are combined by the closed form of ``_decide_triples``; rows it
-    hands to the scalar path are combined once per distinct label row, from
-    source masses built once per (source, label).
+    flags are combined from their own sources' masses, each built once per
+    (source, label) in a call.
     """
     frame, m = params.frame, params.m_sources
     labels = frame.check_classes(labels)
@@ -309,12 +309,10 @@ def appriou_decide_batch(
         tables /= tables.sum(axis=0)
     masses = tables[:, np.arange(m), labels]
 
-    source_mass = cache(partial(appriou_mass, params=params, as_printed=as_printed))
-
-    def scalar(row: np.ndarray) -> MassFunction:
-        return combine_all([source_mass(j, int(k)) for j, k in enumerate(row)])
-
-    return _decide_triples(labels, masses, frame.n, labels, scalar)
+    mass = cache(partial(appriou_mass, params=params, as_printed=as_printed))
+    return _decide_triples(
+        labels, masses, frame.n, lambda r, j: mass(j, int(labels[r, j]))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +545,9 @@ def denoeux_decide_batch(
     neighbour's simple support s is the mass triple (s, 0, 1 - s), combined
     by the closed form of ``_decide_triples`` (with it, m({i}) = S_i
     prod_{j != i} (1 - S_j) for S_i = 1 - prod(1 - s) over the neighbours of
-    class i, as in Denoeux 1995); rows it hands to the scalar path are
-    combined once per distinct query.
+    class i, as in Denoeux 1995); rows it flags are combined from
+    ``denoeux_mass`` of the same k neighbours, so they get the mass function
+    of ``denoeux_classify_mass`` without a second search.
     """
     queries = np.asarray(queries, dtype=float)
     if queries.ndim != 2 or queries.shape[1:] != ts.prototypes.shape[1:]:
@@ -561,9 +560,10 @@ def denoeux_decide_batch(
     classes = ts.classes[nearest]
     support = ts.alpha * np.exp(-ts.gamma[classes] * d2)
     masses = np.stack([support, np.zeros_like(support), 1.0 - support])
-
-    scalar = partial(denoeux_classify_mass, ts=ts)
-    return _decide_triples(classes, masses, ts.frame.n, queries, scalar)
+    mass = partial(denoeux_mass, ts=ts)
+    return _decide_triples(
+        classes, masses, ts.frame.n, lambda r, j: mass(queries[r], nearest[r, j])
+    )
 
 
 def _k_nearest(
@@ -669,16 +669,15 @@ def _decide_triples(
     classes: np.ndarray,
     masses: np.ndarray,
     n: int,
-    keys: np.ndarray,
-    scalar: Callable[[np.ndarray], MassFunction],
+    source_mass: Callable[[int, int], MassFunction],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decisions and conflict masses for rows of mass triples, one per source.
 
     In row r, source j puts masses[:, r, j] = (a, b, g) on {classes[r, j]},
     its complement and the frame; a Denoeux neighbour's simple support s is
     the triple (s, 0, 1 - s). Rows whose top two pignistic values the closed
-    form flags as a near tie are decided by ``scalar(keys[r])`` instead, once
-    per distinct key (rows of equal bytes).
+    form flags as a near tie are decided by the scalar conjunctive rule
+    instead, over source_mass(r, j) for each source j of the row.
     """
     decided = np.empty(classes.shape[0], dtype=np.int64)
     conflict = np.empty(classes.shape[0])
@@ -691,14 +690,10 @@ def _decide_triples(
         decided[block], conflict[block], flagged[block] = _closed_form(
             classes[block], masses[:, block], n
         )
-    outcomes = {}
     for r in np.flatnonzero(flagged):
-        key = keys[r].tobytes()
-        if key not in outcomes:
-            m = scalar(keys[r])
-            d = decide_pignistic(m)
-            outcomes[key] = -1 if d.is_conflict else d.index, m.conflict_mass()
-        decided[r], conflict[r] = outcomes[key]
+        m = combine_all([source_mass(r, j) for j in range(classes.shape[1])])
+        d = decide_pignistic(m)
+        decided[r], conflict[r] = -1 if d.is_conflict else d.index, m.conflict_mass()
     return decided, conflict
 
 

@@ -29,6 +29,8 @@ class SourceProfile:
     temperature: float = 0.0  # 0 = crisp one-hot scores, 1 = pure noise
 
     def __post_init__(self) -> None:
+        if not isinstance(self.id, str):
+            raise ValueError(f"source id must be a string, got {self.id!r}")
         rel = tuple(check_number("reliabilities", r, 0, 1) for r in self.reliability)
         if not rel:
             raise ValueError("reliability needs one entry per class")
@@ -147,6 +149,9 @@ class Dataset:
             raise ValueError("at least one sample is required")
         if m < 1:
             raise ValueError("at least one source is required")
+        for sid in self.source_ids:
+            if not isinstance(sid, str):
+                raise ValueError(f"source ids must be strings, got {sid!r}")
         if len(set(self.source_ids)) != m:
             raise ValueError("source ids must be unique")
         if self.sample_ids.shape != (n_samples,):

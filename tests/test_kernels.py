@@ -35,6 +35,7 @@ from evifuse import (
     decide_threshold,
     default_config,
     denoeux_classify_mass,
+    denoeux_mass,
     make_frame,
     simulate,
     tally,
@@ -303,18 +304,18 @@ def test_neighbour_margin_far_from_the_origin(monkeypatch):
     monkeypatch.setattr(belief, "_BLOCK_FLOATS", 3 * ts.size)  # 3 queries a block
     scalar_calls = []
 
-    def counted(x, ts):
+    def counted(x, t, ts):
         scalar_calls.append(x)
-        return denoeux_classify_mass(x, ts)
+        return denoeux_mass(x, t, ts)
 
-    monkeypatch.setattr(belief, "denoeux_classify_mass", counted)
+    monkeypatch.setattr(belief, "denoeux_mass", counted)
     decided, conflict = denoeux_decide_batch(np.array(queries), ts)
+    assert scalar_calls == []
     want = [denoeux_classify_mass(x, ts) for x in queries]
     assert decided.tolist() == [decide_pignistic(m).index for m in want]
     np.testing.assert_allclose(
         conflict, [m.conflict_mass() for m in want], rtol=0.0, atol=CONFLICT_ATOL
     )
-    assert scalar_calls == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -465,8 +466,9 @@ def test_squared_distances_that_could_overflow_raise(dim):
 def test_crisp_scores_decide_distance_ties_in_the_closed_form(monkeypatch):
     # Every source at temperature 0 gives one-hot scores: prototypes repeat,
     # and most queries tie with prototypes beyond their k-th neighbour. The
-    # batch must match the scalar path, and a query may reach that path only
-    # when the closed form flags its top two pignistic values, once at most.
+    # batch must match the scalar path, and a row reaches that path, with
+    # its k neighbours, exactly when the closed form flags its top two
+    # pignistic values.
     cfg = default_config(seed=4, n_samples=900)
     cfg = replace(cfg, sources=tuple(replace(s, temperature=0.0) for s in cfg.sources))
     ds = simulate(cfg)
@@ -477,22 +479,24 @@ def test_crisp_scores_decide_distance_ties_in_the_closed_form(monkeypatch):
     k = cfg.fusion.denoeux_k
     assert np.mean(d2[:, k - 1] == d2[:, k]) > 0.5
     calls, flagged = [], []
-    closed_form = belief._closed_form
+    closed_form, decide_triples = belief._closed_form, belief._decide_triples
 
-    def counted(x, ts):
-        calls.append(x.tobytes())
-        return denoeux_classify_mass(x, ts)
+    def counted(classes, masses, n, source_mass):
+        def mass(r, j):
+            calls.append((r, j))
+            return source_mass(r, j)
+
+        return decide_triples(classes, masses, n, mass)
 
     def recorded(classes, masses, n):
         out = closed_form(classes, masses, n)
         flagged.append(out[2])
         return out
 
-    monkeypatch.setattr(belief, "denoeux_classify_mass", counted)
+    monkeypatch.setattr(belief, "_decide_triples", counted)
     monkeypatch.setattr(belief, "_closed_form", recorded)
     assert_kernels_match(ds, calib_idx, test_idx, cfg.fusion, ["belief_denoeux"])
-    distinct = np.unique(queries[np.concatenate(flagged)], axis=0)
-    assert len(set(calls)) == len(calls) <= distinct.shape[0]
+    assert len(calls) == k * np.concatenate(flagged).sum()
 
 
 def test_pignistic_near_tie_follows_scalar_path():
@@ -505,10 +509,11 @@ def test_pignistic_near_tie_follows_scalar_path():
     assert_kernels_match(ds, calib_idx, test_idx, fusion, ["belief_denoeux"])
 
 
-def test_near_tied_queries_take_the_scalar_path_once_each(monkeypatch):
+def test_near_tied_queries_never_call_denoeux_classify_mass(monkeypatch):
     # Each query sits midway between a class-0 and a class-1 prototype, so
-    # its two neighbours tie on BetP and the closed form flags it; a query
-    # that repeats is combined on the scalar path once.
+    # its two neighbours tie on BetP and the closed form flags it; the
+    # scalar combination takes the neighbours the batch search found, with
+    # no second search.
     protos = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 5.0], [2.0, 5.0]])
     ts = TrainingSet(make_frame(["a", "b"]), protos, [0, 1, 0, 1], k=2)
     queries = np.array([[1.0, 0.0], [1.0, 5.0], [1.0, 0.0], [1.0, 0.0]])
@@ -521,9 +526,43 @@ def test_near_tied_queries_take_the_scalar_path_once_each(monkeypatch):
 
     monkeypatch.setattr(belief, "denoeux_classify_mass", counted)
     decided, conflict = denoeux_decide_batch(queries, ts)
-    assert sorted(calls) == [[1.0, 0.0], [1.0, 5.0]]
+    assert calls == []
     assert decided.tolist() == [decide_pignistic(m).index for m in want]
     assert conflict.tolist() == [m.conflict_mass() for m in want]
+
+
+def test_near_tie_with_a_distance_tie_at_the_kth_neighbour(monkeypatch):
+    # The query [1, 0] lies at distance 1 from all three prototypes. Its
+    # k = 2 nearest are the first two, of classes b and a, by the index
+    # order of the stable sort, so their BetP values tie and the row is
+    # flagged. The third prototype, tied with the second, is of class b:
+    # had it been taken, b would win with no conflict. The flagged row is
+    # combined from the neighbours the batch search found, which must be the
+    # scalar path's; every copy of the query gets the same bytes, and a
+    # clear query beside them stays in the closed form.
+    protos = np.array([[2.0, 0.0], [0.0, 0.0], [1.0, 1.0], [9.0, 9.0]])
+    ts = TrainingSet(
+        make_frame(["a", "b"]), protos, [1, 0, 1, 1], k=2, alpha=1.0, gamma=[0.1, 0.1]
+    )
+    tied, clear = [1.0, 0.0], [9.0, 8.0]
+    queries = np.array([tied, clear, tied, tied])
+    calls = []
+
+    def counted(x, t, ts):
+        calls.append(int(t))
+        return denoeux_mass(x, t, ts)
+
+    monkeypatch.setattr(belief, "denoeux_mass", counted)
+    decided, conflict = denoeux_decide_batch(queries, ts)
+    assert calls == [0, 1] * 3
+    want = denoeux_classify_mass(tied, ts)
+    assert want.conflict_mass() > 0.5
+    d = decide_pignistic(want).index
+    assert decided.tolist() == [d, 1, d, d] == [0, 1, 0, 0]
+    assert conflict[0] == pytest.approx(want.conflict_mass(), abs=CONFLICT_ATOL)
+    for i in (2, 3):
+        assert decided[i].tobytes() == decided[0].tobytes()
+        assert conflict[i].tobytes() == conflict[0].tobytes()
 
 
 def test_tiny_masses_are_kept_by_denoeux_combination():
@@ -816,28 +855,26 @@ def test_decide_triples_gives_each_row_the_same_bytes_in_any_batch(monkeypatch, 
     masses[:, ::4] = np.array([0.25, 1.5, 0.25])[:, None, None]
     classes[::4] = 0
     masses /= masses.sum(axis=0)
-    keys = np.arange(rows)[:, None]
 
-    def scalar(key):
-        r = int(key[0])
-        return combine_all(
+    def source_mass(r, j):
+        c = frame.singleton(classes[r, j])
+        return MassFunction(
+            frame,
             [
-                MassFunction(
-                    frame,
-                    [
-                        (frame.singleton(c), masses[0, r, j]),
-                        (frame.singleton(c).complement(), masses[1, r, j]),
-                        (frame.full(), masses[2, r, j]),
-                    ],
-                )
-                for j, c in enumerate(classes[r])
-            ]
+                (c, masses[0, r, j]),
+                (c.complement(), masses[1, r, j]),
+                (frame.full(), masses[2, r, j]),
+            ],
         )
 
     monkeypatch.setattr(belief, "_BLOCK_FLOATS", 2 * n * n * 7)  # 7 rows a block
 
     def decide(at):
-        return belief._decide_triples(classes[at], masses[:, at], n, keys[at], scalar)
+        # Row r of the call is row index[r] of the arrays.
+        index = np.arange(rows)[at]
+        return belief._decide_triples(
+            classes[at], masses[:, at], n, lambda r, j: source_mass(index[r], j)
+        )
 
     whole = decide(slice(None))
     one_by_one = [decide(slice(r, r + 1)) for r in range(rows)]

@@ -130,6 +130,9 @@ def test_config_validation():
         _config(n_samples=0)
     with pytest.raises(ValueError):
         SourceProfile("s1", (0.5, 1.2, 0.5))
+    # save_config would write an id that load_config refuses.
+    with pytest.raises(ValueError, match="source id must be a string, got 5"):
+        SourceProfile(5, (0.5, 0.5, 0.5))
 
 
 @pytest.mark.parametrize(
@@ -229,16 +232,22 @@ def test_config_stores_numpy_integers_as_int(tmp_path):
 
 def test_dataset_rejects_repeated_source_ids():
     # evaluate_dataset keys source_accuracy by id, so a repeated id would
-    # silently report one column's accuracy under another's name.
-    with pytest.raises(ValueError, match="source ids must be unique"):
-        Dataset(
-            make_frame(["a", "b"]),
-            ("s1", "s1", "s3", "s4"),
-            np.arange(3),
-            np.zeros(3, np.int64),
-            np.zeros((3, 4), np.int64),
-            np.zeros((3, 4, 2)),
-        )
+    # silently report one column's accuracy under another's name. The ids 1
+    # and "1" differ, but save_dataset writes both as 1, which load_dataset
+    # rejects as a repeated source.
+    for ids, message in [
+        (("s1", "s1", "s3", "s4"), "source ids must be unique"),
+        ((1, "1", "s3", "s4"), "source ids must be strings, got 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Dataset(
+                make_frame(["a", "b"]),
+                ids,
+                np.arange(3),
+                np.zeros(3, np.int64),
+                np.zeros((3, 4), np.int64),
+                np.zeros((3, 4, 2)),
+            )
 
 
 def _one_source(**kwargs):

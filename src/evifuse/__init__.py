@@ -5,10 +5,10 @@ symbolic decisions, possibility theory and belief functions for numeric
 ones, plus confusion-matrix calibration and a seeded synthetic benchmark
 harness that compares them under a repeated split protocol.
 
-``import evifuse`` loads the frame, possibility and simulation modules; the
-others (belief, calibration, experiment, io, voting) load on first use of
-one of their names, so simulating a dataset does not pay for the fusion
-rules.
+``import evifuse`` loads the frame and simulation modules; the others
+(belief, calibration, experiment, io, possibility, voting) load on first
+use of one of their names, so simulating a dataset does not pay for the
+fusion rules.
 """
 
 from importlib import import_module as _import_module
@@ -21,15 +21,6 @@ from .frame import (
     FocalSet,
     Frame,
     make_frame,
-)
-from .possibility import (
-    OPERATORS,
-    PossibilityDistribution,
-    combine,
-    decide_possibilistic,
-    necessity_measure,
-    possibility_measure,
-    to_possibility,
 )
 from .simulate import (
     Dataset,
@@ -82,6 +73,15 @@ _LAZY = {
         "save_config",
         "save_dataset",
         "save_report",
+    ),
+    "possibility": (
+        "OPERATORS",
+        "PossibilityDistribution",
+        "combine",
+        "decide_possibilistic",
+        "necessity_measure",
+        "possibility_measure",
+        "to_possibility",
     ),
     "voting": (
         "VoteTally",

@@ -24,6 +24,10 @@ SUM_TOL = 1e-9
 # Largest seed numpy's SeedSequence takes as one unsigned 64-bit word.
 MAX_SEED = 2**64 - 1
 
+# The names of possibility.OPERATORS, here so that FusionSettings checks an
+# operator without loading the fusion modules.
+POSSIBILITY_OPERATORS = ("min", "max", "mean", "median")
+
 
 def check_integer(name: str, value, low: float = -math.inf) -> int:
     """value as an int; ValueError unless it is an integer other than a bool,

@@ -10,11 +10,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import MISSING, asdict, fields, is_dataclass, replace
-from itertools import islice
+from functools import cache
+from io import StringIO
+from itertools import chain, islice
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Any, BinaryIO, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -35,9 +37,8 @@ class ValidationError(ValueError):
 # The leading columns, then one score_<class> column per class.
 _COLUMNS = ("sample_id", "true_class", "source_id", "label")
 
-# Data rows read or written at a time: a file's fields are Python objects (when
-# read) or byte arrays (when written) for one block only, so memory follows the
-# dataset's arrays, not the field count.
+# Data rows read or written at a time, each block as one byte array, so memory
+# follows the dataset's arrays, not the field count.
 _BLOCK_ROWS = 4096
 
 
@@ -46,14 +47,17 @@ def _words(texts: Iterable[str]) -> np.ndarray:
     return np.frombuffer("".join(texts).encode(), np.uint32)
 
 
-# A score in [0, 1] as '%.9f' writes it, plus its separator, is three words
-# "d.dd" "dddd" "ddd," looked up by q // 10**7, q // 1000 % 10**4 and
-# q % 1000, where q is the score times 1e9 rounded to an integer.
-_SCORE_WORDS = (
-    _words("%d.%02d" % divmod(i, 100) for i in range(101)),
-    _words("%04d" % i for i in range(10000)),
-    _words("%03d," % i for i in range(1000)),
-)
+@cache
+def _score_words() -> tuple[np.ndarray, ...]:
+    """A score in [0, 1] as '%.9f' writes it, plus its separator, is three
+    words "d.dd" "dddd" "ddd," looked up by q // 10**7, q // 1000 % 10**4 and
+    q % 1000, where q is the score times 1e9 rounded to an integer. Built on
+    the first save, so reading a dataset does not pay for it."""
+    return (
+        _words("%d.%02d" % divmod(i, 100) for i in range(101)),
+        _words("%04d" % i for i in range(10000)),
+        _words("%03d," % i for i in range(1000)),
+    )
 
 
 def _texts(texts: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -78,7 +82,7 @@ def _score_texts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y = x * 1e9
     q = np.rint(y).astype(np.int64)
     keys = (q // 10**7, q // 1000 % 10**4, q % 1000)
-    words = np.stack([table[key] for table, key in zip(_SCORE_WORDS, keys)], axis=-1)
+    words = np.stack([table[key] for table, key in zip(_score_words(), keys)], axis=-1)
     text = np.empty((*x.shape, 13), np.uint8)
     text[..., 0] = ord("-")
     text[..., 1:] = words.view(np.uint8).reshape(*x.shape, 12)
@@ -130,35 +134,298 @@ def save_dataset(dataset: Dataset, path: str) -> None:
             fh.write(text[keep].tobytes())
 
 
-def _parse(cells: np.ndarray, dtype: type) -> tuple[np.ndarray, np.ndarray]:
-    """Strings as ``dtype`` with int()/float() semantics, and per string 0 if
-    it parsed, 1 if it is not a number, 2 if it does not fit (value 0)."""
-    bad = np.zeros(cells.shape, np.int8)
+# Bytes that csv.reader treats specially: a quote may open a field holding
+# commas and line ends, a carriage return ends a line as a newline does, and
+# Python before 3.11 refuses NUL. The block that first holds one, and the rest
+# of the file, are read by csv.reader.
+_CSV_ONLY = (b'"', b"\r", b"\0")
+
+# Bytes read from the file at a time, joined and cut into blocks of whole
+# lines. With glibc, a freed buffer of 1 MiB raised malloc's mmap threshold
+# above the blocks' temporaries, which then stayed resident: 5 MB more after
+# loading the csv_pipeline benchmark's file than with reads of 64 KiB.
+_READ_BYTES = 1 << 16
+
+# The longest field that _cast hands to numpy's bytes-to-number cast.
+_CAST_BYTES = 32
+
+# NUL bytes before and after each block's fields, so that the 16 bytes that
+# end a field and the _CAST_BYTES that start one can be read as they are.
+_PAD = bytes(_CAST_BYTES)
+
+# Masks keeping the first i bytes of a little-endian word.
+_MASKS = np.array([(1 << 8 * i) - 1 for i in range(9)], np.uint64)
+
+# Steps that turn four digit bytes of a little-endian 32-bit word into their
+# number: multiply by 10 and 100, add the next byte or pair shifted down by 8
+# or 16 bits, and mask each merged group.
+_STEPS = [tuple(map(np.uint32, s)) for s in [(10, 8, 0xFF00FF), (100, 16, 0xFFFF)]]
+# A 32-bit word times _ONES holds the sum of its bytes in its top byte (while
+# that sum is below 256); for each of 16 bytes, how many follow it, as four
+# words; 10**f for each f such a sum can reach.
+_ONES = np.uint32(0x01010101)
+_AFTER = np.arange(15, -1, -1, dtype=np.uint8).view(np.uint32)
+_POW10 = 10.0 ** np.arange(256)
+
+# Row i of 16 bytes: 0xFF where the last i are a field's bytes; and row i of
+# _CAST_BYTES bytes: 0xFF where the first i are.
+_KEEP = np.tri(17, 16, -1, np.uint8)[:, ::-1].ravel() * np.uint8(0xFF)
+_HEAD = np.tri(_CAST_BYTES + 1, _CAST_BYTES, -1, np.uint8).ravel() * np.uint8(0xFF)
+
+
+def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
+    """The rest of binary file ``fh`` in blocks of _BLOCK_ROWS lines, each
+    ending in a newline but the file's last."""
+    pending, lines = [], 0  # the chunks read since the last block, and their lines
+    while chunk := fh.read(_READ_BYTES):
+        n = chunk.count(b"\n")
+        if lines + n < _BLOCK_ROWS:
+            pending.append(chunk)
+            lines += n
+            continue
+        # the newlines of this chunk that end a block
+        newlines = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+        cuts = (newlines[_BLOCK_ROWS - lines - 1 :: _BLOCK_ROWS] + 1).tolist()
+        yield b"".join([*pending, chunk[: cuts[0]]])
+        yield from (chunk[a:b] for a, b in zip(cuts, cuts[1:]))
+        pending, lines = [chunk[cuts[-1] :]], (lines + n) % _BLOCK_ROWS
+    if any(pending):
+        yield b"".join(pending)
+
+
+def _split(raw: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """A block of whole lines as csv.reader splits it on commas and newlines:
+    (its bytes between two _PADs, the position there of the separator after
+    each field, each line's field count, 0 for a blank line). None if the
+    block holds a byte in _CSV_ONLY or a field over csv.field_size_limit()
+    bytes, which only csv.reader can read or refuse."""
+    if any(c in raw for c in _CSV_ONLY):
+        return None
+    data = _padded(raw)
+    newline = data == ord("\n")
+    seps = np.flatnonzero(newline | (data == ord(",")))
+    ends = newline[seps]
+    if not raw.endswith(b"\n"):  # the file's last line
+        seps = np.append(seps, len(_PAD) + len(raw))
+        ends = np.append(ends, True)
+    start = len(_PAD) - 1  # where the separator before the first field would be
+    last = np.flatnonzero(ends)  # each line's last separator, in seps
+    lines = np.diff(seps[last], prepend=start)  # each line's length and newline
+    limit = csv.field_size_limit() + 1  # no field is longer than its line
+    if lines.max() > limit and np.diff(seps, prepend=start).max() > limit:
+        return None
+    counts = np.diff(last, prepend=-1)
+    counts[lines == 1] = 0  # a blank line
+    return data, seps, counts
+
+
+def _padded(raw: bytes) -> np.ndarray:
+    """``raw`` between two _PADs, as uint8."""
+    return np.frombuffer(_PAD + raw + _PAD, np.uint8)
+
+
+def _gather(data: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes of ``data`` from each position ``at``, one row per
+    position; gathered as a void dtype, several times faster than from a view
+    of words with a stride of one byte."""
+    view = np.ndarray((len(data) - width + 1,), f"V{width}", data, strides=(1,))
+    return view[at].view(np.uint8).reshape(*np.shape(at), width)
+
+
+def _rows(fh: BinaryIO) -> Iterator[Any]:
+    """Binary file ``fh`` as its header row (None if the file is empty), then
+    blocks of data rows as _split gives them. From the first block that
+    _split cannot read, csv.reader reads the rest of the file. A csv.Error
+    names its line; invalid UTF-8 raises UnicodeDecodeError."""
+    head = fh.readline()
+    if not head:
+        yield None
+        return
+    raws, lines = chain([head], _line_blocks(fh)), 0  # lines before the block
+    for raw in raws:
+        block = _split(raw)
+        if block is None:
+            yield from _csv_rows(chain([raw], raws), lines)
+            return
+        if not raw.isascii():
+            raw.decode()  # invalid UTF-8 raises here, before any row is checked
+        if lines == 0:
+            text = raw.decode().removesuffix("\n")
+            yield text.split(",") if text else []
+        else:
+            yield block
+        lines += len(block[2])
+
+
+def _csv_rows(raws: Iterable[bytes], lines: int) -> Iterator[Any]:
+    """_rows for blocks ``raws`` of whole lines, which follow ``lines`` lines
+    of the file, read by csv.reader: the header row if ``lines`` is 0, then
+    blocks of _BLOCK_ROWS rows laid out as _split lays them out, each field
+    as its UTF-8 bytes and a comma."""
+    # each block decoded whole and split into lines as open(newline="") splits
+    lines_of = (StringIO(raw.decode(), newline="") for raw in raws)
+    reader = csv.reader(chain.from_iterable(lines_of))
     try:
-        return cells.astype(dtype), bad
+        if lines == 0:
+            yield next(reader, None)
+        for rows in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
+            fields = list(chain.from_iterable(rows))
+            text = ",".join(fields) + ","
+            sizes = map(len, fields if text.isascii() else map(str.encode, fields))
+            seps = np.cumsum(np.fromiter(sizes, np.int64, len(fields)) + 1)
+            data = _padded(text.encode())
+            yield data, seps + (len(_PAD) - 1), np.fromiter(map(len, rows), np.int64)
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise csv.Error(f"line {lines + reader.line_num}: {exc}") from None
+
+
+def _codes(
+    data: np.ndarray, starts: np.ndarray, ends: np.ndarray, code: Callable[[str], int]
+) -> np.ndarray:
+    """code(text) of each field of _padded ``data``, called once per distinct
+    field in the order of first appearance. A field's equals are found by its
+    length and first 8 bytes, then a word at a time."""
+    shape, starts, lengths = starts.shape, starts.ravel(), (ends - starts).ravel()
+    head = _gather(data, starts, 8).view("<u8")[:, 0] & _MASKS[np.minimum(lengths, 8)]
+    key = head ^ lengths.astype(np.uint64) << np.uint64(56)  # exact below 8 bytes
+    short = lengths.max(initial=0) < 8
+    codes = np.empty(len(starts), np.int64)
+    todo = np.ones(len(starts), bool)
+    while todo.any():
+        r = todo.argmax()
+        a, n = starts[r], lengths[r]
+        same = key == key[r]
+        if not short:
+            same &= lengths == n
+        for at in range(8, n, 8):  # the rest of a longer field
+            (i,) = np.nonzero(same)
+            words = _gather(data, np.append(starts[i], a) + at, 8).view("<u8")[:, 0]
+            same[i] = (words[:-1] ^ words[-1]) & _MASKS[min(n - at, 8)] == 0
+        np.putmask(codes, same, code(data[a : a + n].tobytes().decode()))
+        todo ^= same  # same holds no field seen before
+    return codes.reshape(shape)
+
+
+def _byte_sums(words: np.ndarray) -> np.ndarray:
+    """Per column of 32-bit ``words``, the sum of their bytes, which must be
+    below 256: the words are added, then their bytes."""
+    return (sum(words[1:], words[0]) * _ONES) >> np.uint32(24)
+
+
+def _numbers(
+    data: np.ndarray, starts: np.ndarray, ends: np.ndarray, kind: type
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fields of _padded ``data`` as int64 (``kind`` int) or float64 (float)
+    by int()/float() rules, and per field 0 if it parsed, 1 if it is not a
+    number, 2 if it does not fit (value 0).
+
+    A plain decimal, [-]digits[.digits] in at most 16 bytes, is read from its
+    last 4, 8, 12 or 16 bytes as 32-bit words: v, its digits with the point
+    read as a 0, is one 4-digit number per word, each parsed by two
+    multiply-shift-mask steps. The digits q and the count f of them after
+    the point follow, and q / 10**f is exactly float()'s result while
+    q < 2**53. Other fields, such as nan, exponents, '_' and whitespace, go
+    to _cast."""
+    shape, starts, ends = starts.shape, starts.ravel(), ends.ravel()
+    lengths = ends - starts
+    width = min(-(-lengths.max(initial=1) // 4) * 4, 16)  # bytes read, in words
+    # each field's last width bytes, NUL before it, as one row per word; rows
+    # keep the ufuncs' inner loops long
+    text = _gather(data, ends - width, width).view(np.uint32).T.copy()
+    at = np.minimum(lengths, width) * 16 + 16 - width  # each field's row of _KEEP
+    if (lengths == lengths[:1]).all():  # one length, as '%.9f' writes scores
+        at = at[:1]
+    keep = _gather(_KEEP, at, width).view(np.uint32).T
+    chars = text.view(np.uint8)
+    digit = chars - np.uint8(ord("0"))  # a byte below '0' wraps past 9
+    is_digit = (digit < 10).view(np.uint32) & keep  # words of 0/1 bytes
+    words = (digit * is_digit.view(np.uint8)).view(np.uint32)
+    for scale, shift, mask in _STEPS:  # pairs, then groups of 4 digits
+        words = (words * scale + (words >> shift)) & mask
+    v = words[0].astype(np.int64)
+    for w in words[1:]:
+        v = v * 10**4 + w
+    points = (chars == ord(".")).view(np.uint32) & keep
+    n_points, n_digits = _byte_sums(points), _byte_sums(is_digit)
+    negative = data[starts] == ord("-")
+    plain = (n_digits + n_points + negative == lengths) & (n_digits >= 1)
+    if kind is float:
+        plain &= (n_points <= 1) & (v < 2**53)
+        v = v.astype(np.float64)  # exact below 2**53
+        places = _AFTER[4 - len(text) :, None]
+        after = _byte_sums(points * np.uint32(0xFF) & places)  # bytes after the point
+        scale = _POW10[after]  # 10**f
+        low = v - np.floor(v / scale) * scale  # the digits after the point
+        values = ((v - low) / _POW10[n_points] + low) / scale
+    else:
+        plain &= n_points == 0
+        values = v
+    np.negative(values, out=values, where=negative)
+    bad = np.zeros(len(starts), np.int8)
+    rest = np.flatnonzero(~plain)
+    if len(rest):
+        values[rest], bad[rest] = _cast(data, starts[rest], ends[rest], kind)
+    return values.reshape(shape), bad.reshape(shape)
+
+
+def _cast(
+    data: np.ndarray, starts: np.ndarray, ends: np.ndarray, kind: type
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fields as _numbers gives them, by numpy's bytes-to-number cast, which
+    reads ASCII as int() and float() read it. A field the bytes dtype cannot
+    hold as it is (over _CAST_BYTES, not ASCII, or holding a NUL, which it
+    would drop at the end), and every field if the cast fails, goes through
+    int() or float() alone."""
+    lengths = ends - starts
+    width = max(min(lengths.max(), _CAST_BYTES), 1)
+    size = np.minimum(lengths, width)  # bytes read of each field, then NUL
+    text = _gather(data, starts, width) & _gather(_HEAD, size * _CAST_BYTES, width)
+    ok = lengths <= width
+    if text.max() >= 128 or np.count_nonzero(text) < size.sum():  # not ASCII, a NUL
+        ok &= (text < 128).all(axis=1) & (np.count_nonzero(text, axis=1) == size)
+    values = np.zeros(len(starts), np.int64 if kind is int else np.float64)
+    try:
+        values[ok] = text[ok].view(f"S{width}")[:, 0].astype(values.dtype)
     except (ValueError, OverflowError):
-        for i, text in np.ndenumerate(cells):
-            try:
-                np.array(text, dtype=object).astype(dtype)
-            except (ValueError, OverflowError) as exc:
-                bad[i] = 1 + isinstance(exc, OverflowError)
-        return np.where(bad > 0, 0, cells).astype(dtype), bad
+        ok[:] = False
+    bad = np.zeros(len(starts), np.int8)
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            value = kind(data[starts[i] : ends[i]].tobytes().decode())
+        except ValueError:
+            bad[i] = 1
+            continue
+        if kind is int and not -(2**63) <= value < 2**63:
+            bad[i] = 2
+        else:
+            values[i] = value
+    return values, bad
 
 
 def _read_block(
-    rows: list[list[str]], header: list, classes: dict[str, int], index: dict[str, int]
+    block: tuple[np.ndarray, ...],
+    header: list[str],
+    classes: dict[str, int],
+    index: dict[str, int],
 ) -> tuple[Any, ...]:
-    """Data rows before the first that fails a row-local check, as sample ids,
-    class indices of true class and label, source codes (``index`` numbers
-    each new source id) and scores; and that row's problem, or None."""
+    """Data rows of a block from _rows before the first that fails a
+    row-local check, as sample ids, class indices of true class and label,
+    source codes (``index`` numbers each new source id) and scores; and that
+    row's problem, or None."""
+    data, seps, counts = block
     width = len(header)
-    n = next((r for r, row in enumerate(rows) if len(row) != width), len(rows))
-    cells = np.array(rows[:n], dtype=object).reshape(n, width)
-    ids, bad_id = _parse(cells[:, 0], np.int64)
-    codes = np.frompyfunc(classes.get, 2, 1)(cells[:, [1, 3]], -1)
-    truth, label = codes.astype(np.int64).T
-    source = np.array([index.setdefault(s, len(index)) for s in cells[:, 2]], np.int64)
-    scores, unparsed = _parse(cells[:, len(_COLUMNS) :], np.float64)
+    n = np.append(np.flatnonzero(counts != width), len(counts))[0]
+    # each field's first byte and the separator after it, one row per column
+    bounds = np.append(len(_PAD) - 1, seps[: n * width])
+    starts = (bounds[:-1] + 1).reshape(n, width).T.copy()
+    ends = bounds[1:].reshape(n, width).T.copy()
+    ids, bad_id = _numbers(data, starts[0], ends[0], int)
+    names = starts[[1, 3]], ends[[1, 3]]
+    truth, label = _codes(data, *names, lambda t: classes.get(t, -1))
+    sources = starts[2], ends[2]
+    source = _codes(data, *sources, lambda t: index.setdefault(t, len(index)))
+    cols = slice(len(_COLUMNS), width)
+    scores, unparsed = _numbers(data, starts[cols], ends[cols], float)
     outside = ~((scores >= 0.0) & (scores <= 1.0))
     checks = [  # each check of a row, in order, and its message
         (bad_id == 1, "sample_id {0!r} is not an integer"),
@@ -168,15 +435,17 @@ def _read_block(
     ]
     for j, c in enumerate(range(len(_COLUMNS), width)):
         checks += [
-            (unparsed[:, j] > 0, "{h[%d]} value {%d!r} is not a number" % (c, c)),
-            (outside[:, j], "{h[%d]} value {%d} outside [0, 1]" % (c, c)),
+            (unparsed[j] > 0, "{h[%d]} value {%d!r} is not a number" % (c, c)),
+            (outside[j], "{h[%d]} value {%d} outside [0, 1]" % (c, c)),
         ]
-    failed = np.column_stack([mask for mask, _ in checks])
-    r = np.append(np.flatnonzero(failed.any(1)), n)[0]
-    problem = f"expected {width} fields, got {len(rows[r])}" if r < len(rows) else None
+    failed = np.logical_or.reduce([mask for mask, _ in checks])
+    r = np.append(np.flatnonzero(failed), n)[0]
+    problem = f"expected {width} fields, got {counts[r]}" if r < len(counts) else None
     if r < n:
-        problem = checks[failed[r].argmax()][1].format(*rows[r], h=header)
-    return ids[:r], truth[:r], label[:r], source[:r], scores[:r], problem
+        row = [data[a:b].tobytes().decode() for a, b in zip(starts[:, r], ends[:, r])]
+        message = next(message for mask, message in checks if mask[r])
+        problem = message.format(*row, h=header)
+    return ids[:r], truth[:r], label[:r], source[:r], scores[:, :r].T, problem
 
 
 def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
@@ -186,24 +455,35 @@ def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
     an unknown class name, a score that is not a number in [0, 1], a sample
     whose rows disagree on its true class or repeat a source, or a sample
     that does not cover the first sample's sources raises ValidationError
-    with its line where it has one."""
+    with its line where it has one.
+
+    The file is read once (so a pipe works), in blocks of _BLOCK_ROWS lines,
+    and no Python object is made per field: fields end where array compares
+    find a comma or newline, class names and source ids are looked up by
+    their UTF-8 bytes, and sample ids and scores follow int() and float():
+    plain decimals are read from their digits, other ASCII fields by numpy's
+    bytes cast, and the rest one at a time. The block that first holds a
+    quote, carriage return or NUL, or a field over csv.field_size_limit(),
+    and every block after it, go through csv.reader, whose rows feed the
+    same checks. A csv.Error or invalid UTF-8 anywhere in the file wins over
+    a bad row."""
     prefix = [_COLUMNS[0], truth_col, *_COLUMNS[2:]]
     index: dict[str, int] = {}
     blocks, problem = [], None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        rows = _rows(fh)
         try:
-            header = next(reader, None)
+            header = next(rows)
             score_cols = (header or [])[len(prefix) :]
             classes = {c.removeprefix("score_"): k for k, c in enumerate(score_cols)}
-            # after a bad header or row, read on for a csv.Error, which wins
-            for rows in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
+            # after a bad header or row, read on: a csv.Error or bad UTF-8 wins
+            for block in rows:
                 if problem is None and header[: len(prefix)] == prefix:
-                    *columns, problem = _read_block(rows, header, classes, index)
+                    *columns, problem = _read_block(block, header, classes, index)
                     blocks.append(columns)
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
-            raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:  # decoded ahead of the reader: no line
+            raise ValidationError(f"{path}: {exc}") from None
+        except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not valid UTF-8: {exc.reason}") from None
     if header is None:
         raise ValidationError(f"{path}: empty file")
@@ -242,7 +522,9 @@ def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
     # Samples in first-appearance order, each one's rows in file order. Those
     # before the first sample with a wrong row count form a grid of row indices.
     order = np.argsort(first, kind="stable")
-    firsts, counts = np.unique(first, return_counts=True)
+    counts = np.bincount(first)  # rows per sample, at the sample's first row
+    firsts = np.flatnonzero(counts)
+    counts = counts[firsts]
     n, m = len(counts), counts[0]
     k = np.append(np.flatnonzero(counts != m), n)[0]
     grid = order[: k * m].reshape(k, m)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .frame import SUM_TOL, Decision, FocalSet, check_number
+from .frame import POSSIBILITY_OPERATORS, SUM_TOL, Decision, FocalSet, check_number
 
 
 def _median(x: np.ndarray, axis: int) -> np.ndarray:
@@ -27,7 +27,7 @@ def _median(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 # Elementwise merge operators: each reduces its argument over ``axis``.
-OPERATORS = {"min": np.min, "max": np.max, "mean": np.mean, "median": _median}
+OPERATORS = dict(zip(POSSIBILITY_OPERATORS, (np.min, np.max, np.mean, _median)))
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .frame import SUM_TOL, Frame, check_integer, check_number, check_seed, make_frame
-from .possibility import OPERATORS
+from .frame import (
+    POSSIBILITY_OPERATORS,
+    SUM_TOL,
+    Frame,
+    check_integer,
+    check_number,
+    check_seed,
+    make_frame,
+)
 
 # Long-tailed six-class mix used by the default benchmark scenario.
 _DEFAULT_PRIOR_SHARES = (54.52, 21.35, 8.80, 5.50, 0.77, 2.40)
@@ -64,7 +71,7 @@ class FusionSettings:
             raise ValueError(f"appriou_as_printed must be a boolean, got {flag!r}")
         object.__setattr__(self, "appriou_as_printed", bool(flag))
         op = self.possibility_operator
-        if not isinstance(op, str) or op not in OPERATORS:  # a list is unhashable
+        if not isinstance(op, str) or op not in POSSIBILITY_OPERATORS:
             raise ValueError(f"unknown possibility operator {op!r}")
 
 

@@ -57,9 +57,7 @@ def test_import_loads_only_the_simulation_modules():
         "import sys, evifuse; evifuse.simulate(evifuse.default_config(n_samples=30));"
         "print(*sorted(m for m in sys.modules if m.startswith('evifuse')))"
     )
-    assert loaded.split() == [
-        "evifuse", "evifuse.frame", "evifuse.possibility", "evifuse.simulate"
-    ]
+    assert loaded.split() == ["evifuse", "evifuse.frame", "evifuse.simulate"]
 
 
 def test_simulate_stays_the_function_after_its_submodule_is_imported():

@@ -377,6 +377,149 @@ def test_load_dataset_rejects_invalid_utf8(tmp_path):
     assert str(info.value) == f"{path}: not valid UTF-8: invalid start byte"
 
 
+@pytest.mark.parametrize("block_rows", [2, 4096])
+def test_load_dataset_invalid_utf8_after_a_bad_row_wins(tmp_path, block_rows):
+    # as a csv.Error does: the rest of the file is read, in this block or later
+    path = tmp_path / "data.csv"
+    body = "0,a,s1,zz,0.5,0.5\n0,a,s2,a,0.5,0.5\n1,a,s1,a,0.5\n"
+    path.write_bytes((_HEADER + body).encode() + b"1,a,s2,\xff\n")
+    with mock.patch.object(evifuse.io, "_BLOCK_ROWS", block_rows):
+        with pytest.raises(ValidationError) as info:
+            load_dataset(str(path))
+    assert str(info.value) == f"{path}: not valid UTF-8: invalid start byte"
+
+
+# Decimals as files write them: plain ones of up to 20 digits, read from
+# their digits when they fit in 16 bytes, and forms that only int() and
+# float() read (a sign, spaces, '_', exponents, other digits).
+_DIGITS = st.text(alphabet="0123456789", max_size=20)
+_PLAIN_SCORE = st.builds(
+    lambda sign, whole, point, fraction: sign + whole + point + fraction,
+    st.sampled_from(["", "-"]),
+    st.sampled_from(["", "0", "00", "1"]),
+    st.sampled_from([".", ""]),
+    _DIGITS,
+)
+_OTHER_SCORE = st.sampled_from(
+    ["+0.5", " 0.25", "0.5 ", "1e-1", "5E-10", "0.1_2", "\u0660.\u0665", "+.5", "1.0e0"]
+)
+_ID = st.integers(0, 2**63 - 1).map("+{}".format) | st.builds(
+    lambda value, zeros, pad: pad % f"{'-' * (value < 0)}{'0' * zeros}{abs(value)}",
+    st.integers(-(2**63), 2**63 - 1) | st.integers(-999, 999),
+    st.integers(0, 3),
+    st.sampled_from(["%s", "%s", " %s", "%s "]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_dataset_reads_numbers_as_int_and_float_do(tmp_path_factory, data):
+    """Sample ids equal int() of their text and scores float() of theirs, bit
+    for bit (-0.0 included), whichever path reads them."""
+    scores = data.draw(
+        st.lists(
+            (_PLAIN_SCORE | _OTHER_SCORE).filter(_is_score), min_size=1, max_size=40
+        )
+    )
+    ids = data.draw(st.lists(_ID, min_size=len(scores), max_size=len(scores)))
+    ids = list({int(t): t for t in ids}.values())  # one sample per id
+    scores = scores[: len(ids)]
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    rows = [f"{i},a,s,a,{x}\n" for i, x in zip(ids, scores)]
+    path.write_text("sample_id,true_class,source_id,label,score_a\n" + "".join(rows))
+    ds = load_dataset(str(path))
+    assert ds.sample_ids.tolist() == [int(t) for t in ids]
+    want = np.array([float(x) for x in scores])
+    assert ds.scores.ravel().view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def _is_score(text):
+    try:
+        return 0.0 <= float(text) <= 1.0
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        ".123456789012345",  # 16 bytes, 15 after the point
+        "0.12345678901234",
+        "-.000000000000000",
+        "1.00000000000000",
+        "0000000000000001",
+        "00000000000000.5",
+        "0.000000000000001",  # 17 bytes: read by numpy's bytes cast
+        "0.30000000000000004",
+        "0" * 30 + ".5",  # 32 bytes, the longest the cast takes
+        "0" * 31 + ".5",  # read by float()
+        "0." + "0" * 40 + "1",
+        "1.",
+        ".5",
+        "-0",
+        "0.5.5",
+        "..5",
+        "-",
+        "5-",
+        "0.-5",
+        "1e0",
+    ],
+)
+def test_load_dataset_reads_edge_decimals_as_float_does(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(_HEADER + f"0,a,s1,a,0.5,{text}\n")
+    try:
+        want = float(text)
+    except ValueError:
+        with pytest.raises(ValidationError, match="is not a number"):
+            load_dataset(str(path))
+        return
+    got = load_dataset(str(path)).scores[0, 0, 1]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_load_dataset_tells_long_names_apart_by_every_byte(tmp_path):
+    # Names longer than a word that share their first 8 or 16 bytes, and
+    # share them with a shorter name.
+    classes = ["category_one", "category_two", "category_", "c" * 17, "c" * 16 + "d"]
+    sources = ("source_long_1", "source_long_2", "source_l")
+    n, m, k = 10, len(sources), len(classes)
+    rng = np.random.default_rng(0)
+    ds = Dataset(
+        make_frame(classes), sources, np.arange(n), rng.integers(0, k, n),
+        rng.integers(0, k, (n, m)), rng.random((n, m, k)),
+    )
+    path = tmp_path / "data.csv"
+    save_dataset(ds, str(path))
+    loaded = load_dataset(str(path))
+    assert loaded.source_ids == sources
+    assert loaded.truth.tolist() == ds.truth.tolist()
+    assert loaded.labels.tolist() == ds.labels.tolist()
+
+
+def test_load_dataset_tells_a_name_from_a_longer_one_with_nul_bytes(tmp_path):
+    # csv.reader reads NUL bytes from Python 3.11 on. "abc" and an 8-byte id
+    # of "abc", NULs and one more byte share the first 8 bytes once the
+    # length is folded into them, so only the length tells them apart.
+    path = tmp_path / "data.csv"
+    long_id = "abc\0\0\0\0\x0b"
+    rows = [f"0,a,{source},a,0.5\n" for source in ("abc", long_id)]
+    path.write_text("sample_id,true_class,source_id,label,score_a\n" + "".join(rows))
+    if sys.version_info < (3, 11):
+        with pytest.raises(ValidationError, match="line 3"):
+            load_dataset(str(path))
+    else:
+        assert load_dataset(str(path)).source_ids == ("abc", long_id)
+
+
+def test_loading_builds_no_writer_tables(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text(_HEADER + "0,a,s1,a,0.5,0.5\n")
+    evifuse.io._score_words.cache_clear()
+    load_dataset(str(path))
+    assert evifuse.io._score_words.cache_info().currsize == 0
+
+
 # class names and source ids that csv.writer must quote, or that hold spaces
 _NAME = st.text(alphabet='ab ,"', min_size=1, max_size=4)
 
@@ -565,7 +708,11 @@ def _load_row_by_row(path):
     """Reference loader: the checks of load_dataset one row at a time, in
     order. Returns the error message, or the loaded arrays."""
     with open(path, encoding="utf-8", newline="") as fh:
-        header, *body = csv.reader(fh)
+        reader = csv.reader(fh)
+        try:
+            header, *body = reader
+        except csv.Error as exc:  # a NUL byte before Python 3.11
+            return f"line {reader.line_num}: {exc}"
     classes = [c.removeprefix("score_") for c in header[4:]]
     samples = {}
     for lineno, row in enumerate(body, start=2):
@@ -654,11 +801,33 @@ def _check_against_row_by_row_reference(tmp_path_factory, data):
         rows.insert(draw(st.integers(0, len(rows))), (rows[r] + ["0"])[:cut])
         if draw(st.booleans()):
             del rows[r]
+    # Bytes that hand the rest of the file to csv.reader, from a drawn row on:
+    # a quoted field (holding a comma, a doubled quote or a newline), a NUL
+    # and CRLF line ends; and blank lines and a missing final newline, which
+    # both readers take.
+    sometimes = st.sampled_from([False, False, True])
+    cells = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+    if cells and draw(sometimes):
+        r, c = draw(st.sampled_from(cells))
+        inside = draw(st.sampled_from(["", ",x", '""', "\n"]))
+        rows[r][c] = f'"{rows[r][c]}{inside}"'
+    if cells and draw(sometimes):
+        r, c = draw(st.sampled_from(cells))
+        rows[r][c] += "\0"
+    for _ in range(draw(st.integers(0, 2)) if draw(sometimes) else 0):
+        rows.insert(draw(st.integers(0, len(rows))), [])
+    crlf_from = draw(st.integers(0, len(rows))) if draw(sometimes) else len(rows) + 1
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     header = "sample_id,true_class,source_id,label," + ",".join(
         f"score_{c}" for c in "ab"[:k]
     )
-    path.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+    lines = [header] + [",".join(row) for row in rows]
+    text = "".join(
+        line + ("\r\n" if i >= crlf_from else "\n") for i, line in enumerate(lines)
+    )
+    if lines[-1] and draw(sometimes):  # a blank last line needs its newline
+        text = text.removesuffix("\n").removesuffix("\r")
+    path.write_bytes(text.encode())
     expected = _load_row_by_row(path)
     if isinstance(expected, str):
         with pytest.raises(ValidationError) as info:

@@ -468,8 +468,8 @@ def test_crisp_scores_decide_distance_ties_in_the_closed_form(monkeypatch):
     # and most queries tie with prototypes beyond their k-th neighbour. The
     # batch must match the scalar path, and a row reaches that path, with
     # its k neighbours, exactly when the closed form flags its top two
-    # pignistic values.
-    cfg = default_config(seed=4, n_samples=900)
+    # pignistic values; this scenario and split flag at least one row.
+    cfg = default_config(seed=0, n_samples=1800)
     cfg = replace(cfg, sources=tuple(replace(s, temperature=0.0) for s in cfg.sources))
     ds = simulate(cfg)
     calib_idx, test_idx = protocol_split(ds.n_samples, 4)
@@ -496,6 +496,7 @@ def test_crisp_scores_decide_distance_ties_in_the_closed_form(monkeypatch):
     monkeypatch.setattr(belief, "_decide_triples", counted)
     monkeypatch.setattr(belief, "_closed_form", recorded)
     assert_kernels_match(ds, calib_idx, test_idx, cfg.fusion, ["belief_denoeux"])
+    assert np.concatenate(flagged).sum() > 0
     assert len(calls) == k * np.concatenate(flagged).sum()
 
 

@@ -327,6 +327,8 @@ class TrainingSet:
     the reciprocal of the mean pairwise distance among the prototypes of
     each class (classes with fewer than two prototypes, or zero spread,
     fall back to the global mean distance, computed only then, or to 1).
+    The prototypes and classes are held as given where they are float64 and
+    int64 arrays, not copied, and made read-only, as Dataset holds its arrays.
     """
 
     frame: Frame
@@ -337,7 +339,7 @@ class TrainingSet:
     gamma: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        protos = np.array(self.prototypes, dtype=float)
+        protos = np.asarray(self.prototypes, dtype=float)
         classes = self.frame.check_classes(self.classes)
         if protos.ndim != 2 or protos.shape[0] == 0:
             raise ValueError("prototypes must form a non-empty (t, d) matrix")
@@ -404,11 +406,12 @@ def _mean_pairwise_distance(
     """Mean Euclidean distance over all point pairs; None if degenerate.
 
     Pairs are summed one block of rows at a time, each row against the points
-    from the block's first on. One matrix product,
-    [x_i, |x_i|^2, 1] . [-2 x_j, 1, |x_j|^2], gives the block's squared
-    distances in a flat buffer of at least max(_BLOCK_FLOATS, t) floats, with
-    a boolean buffer of the same size; the caller may pass them, so memory
-    stays bounded whatever the number of points. The points are first scaled
+    from the block's first on. One matrix product of the block's rows
+    [x_i, |x_i|^2, 1] and the columns [-2 x_j, 1, |x_j|^2] gives its squared
+    distances in a flat buffer of _pair_rows(t) * t floats, at most
+    max(_BLOCK_FLOATS, t), with a boolean buffer of the same size; the caller
+    may pass larger ones, so memory stays bounded whatever the number of
+    points. The points are first scaled
     by 2**s of ``_scale_exponent``, and the mean back by 2**-s, so squared
     distances of tiny coordinates do not underflow; a mean whose reciprocal
     is not finite, as for subnormal data, counts as degenerate. In the
@@ -423,23 +426,26 @@ def _mean_pairwise_distance(
     if t < 2:
         return None
     s = _scale_exponent(x)
-    x = x * math.ldexp(1.0, s)
+    if s:
+        x = x * math.ldexp(1.0, s)
     sq = np.einsum("td,td->t", x, x)
-    left = np.empty((t, dim + 2))
-    left[:, :dim], left[:, dim], left[:, dim + 1] = x, sq, 1.0
+    rows = _pair_rows(t)
+    left = np.empty((rows, dim + 2))  # a block's rows, filled block by block
+    left[:, dim + 1] = 1.0
     right = np.empty((dim + 2, t))
-    right[:dim], right[dim], right[dim + 1] = -2.0 * x.T, 1.0, sq
+    np.multiply(x.T, -2.0, out=right[:dim])
+    right[dim], right[dim + 1] = 1.0, sq
     rtol, tiny = 4 * (dim + 2) * 2.0**-53, np.finfo(float).tiny
     # Per row, the largest bound of its pairs: only rows with an entry at or
     # below it are searched for the entries within their own bound.
     row_bound = rtol * (sq + sq.max() + tiny)
-    rows = max(1, min(t, _BLOCK_FLOATS // t))
     if buffers is None:
         buffers = np.empty(rows * t), np.empty(rows * t, dtype=bool)
     total = 0.0
     for a in range(0, t - 1, rows):
         n = min(rows, t - a)
-        d2 = np.matmul(left[a : a + n], right[:, a:], out=_head(buffers[0], n, t - a))
+        left[:n, :dim], left[:n, dim] = x[a : a + n], sq[a : a + n]
+        d2 = np.matmul(left[:n], right[:, a:], out=_head(buffers[0], n, t - a))
         # A point and itself, entry (i, a + i), is left out of the search.
         diagonal = d2.reshape(-1)[:: t - a + 1][:n]
         diagonal[:] = np.inf
@@ -457,6 +463,11 @@ def _mean_pairwise_distance(
     return mean if mean > 0.0 and 1.0 / mean < math.inf else None
 
 
+def _pair_rows(t: int) -> int:
+    """Rows of a block of _mean_pairwise_distance over t points."""
+    return max(1, min(t, _BLOCK_FLOATS // t))
+
+
 def _head(buf: np.ndarray, *shape: int) -> np.ndarray:
     """The leading entries of a flat buffer, viewed with the given shape."""
     return buf[: math.prod(shape)].reshape(shape)
@@ -467,16 +478,18 @@ def default_gamma(
 ) -> np.ndarray:
     """Per-class distance scales from mean within-class pairwise distances.
 
-    All classes, and the global fallback, sum their pairs in one pair of
-    block buffers.
+    All classes sum their pairs in one pair of block buffers, sized for the
+    largest class's blocks; the global fallback, computed only if a class
+    needs it, in its own.
     """
-    floats = max(_BLOCK_FLOATS, prototypes.shape[0])
+    sizes = np.bincount(classes, minlength=n_classes).tolist()
+    floats = max((_pair_rows(t) * t for t in sizes if t > 1), default=0)
     bufs = np.empty(floats), np.empty(floats, dtype=bool)
     means = [
         _mean_pairwise_distance(prototypes[classes == c], bufs)
         for c in range(n_classes)
     ]
-    global_mean = _mean_pairwise_distance(prototypes, bufs) if None in means else None
+    global_mean = _mean_pairwise_distance(prototypes) if None in means else None
     fallback = 1.0 / global_mean if global_mean is not None else 1.0
     return np.array([fallback if mean is None else 1.0 / mean for mean in means])
 
@@ -559,7 +572,7 @@ def denoeux_decide_batch(
     nearest, d2 = _k_nearest(queries, ts.prototypes, ts.k)
     classes = ts.classes[nearest]
     support = ts.alpha * np.exp(-ts.gamma[classes] * d2)
-    masses = np.stack([support, np.zeros_like(support), 1.0 - support])
+    masses = (support, np.broadcast_to(0.0, support.shape), 1.0 - support)
     mass = partial(denoeux_mass, ts=ts)
     return _decide_triples(
         classes, masses, ts.frame.n, lambda r, j: mass(queries[r], nearest[r, j])
@@ -588,9 +601,12 @@ def _k_nearest(
     width = groups * size
     # Queries and prototypes are scaled by 2**s of _scale_exponent, which puts
     # their largest magnitude in [0.5, 1); values far below it may still fall
-    # out of float32's range. X and P denote the scaled float64 values.
+    # out of float32's range. X and P denote the scaled float64 values, the
+    # inputs themselves at s = 0.
     s = _scale_exponent(protos, x)
-    queries, scaled = x * math.ldexp(1.0, s), protos * math.ldexp(1.0, s)
+    queries, scaled = x, protos
+    if s:
+        queries, scaled = x * math.ldexp(1.0, s), protos * math.ldexp(1.0, s)
     psq = np.einsum("td,td->t", scaled, scaled)
     # One float32 product of [-2 P, |P|^2] and [X, 1] ranks each prototype by
     # |P|^2 - 2 X.P, leaving out the |X|^2 shared by all prototypes of one
@@ -600,7 +616,8 @@ def _k_nearest(
     left = np.empty((dim + 1, x.shape[0]), dtype=np.float32)
     left[:dim], left[dim] = queries.T, 1.0
     right = np.zeros((width, dim + 1), dtype=np.float32)
-    right[:t, :dim], right[:t, dim] = -2.0 * scaled, psq
+    np.multiply(scaled, -2.0, out=right[:t, :dim])
+    right[:t, dim] = psq
     right[t:, dim] = np.finfo(np.float32).max
     # The margin. With u = 2**-24 and tau = 2**-126, the least normal float32,
     # below which any value may be flushed to 0:
@@ -633,7 +650,7 @@ def _k_nearest(
     slack = 2.0 * (rtol * (xsq + psq.max()) + atol)
     # A block holds 2 _BLOCK_FLOATS float32 ranks, the bytes of _BLOCK_FLOATS
     # float64s, and k d candidate differences a row fit in _BLOCK_FLOATS too.
-    rows = max(1, 2 * _BLOCK_FLOATS // max(width, 2 * k * dim))
+    rows = max(1, min(2 * _BLOCK_FLOATS // max(width, 2 * k * dim), x.shape[0]))
     ranks = np.empty(rows * width, dtype=np.float32)
     nearest = np.empty((x.shape[0], k), dtype=np.intp)
     d2 = np.empty((x.shape[0], k))
@@ -667,13 +684,15 @@ def _k_nearest(
 
 def _decide_triples(
     classes: np.ndarray,
-    masses: np.ndarray,
+    masses: Sequence[np.ndarray],
     n: int,
     source_mass: Callable[[int, int], MassFunction],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decisions and conflict masses for rows of mass triples, one per source.
 
-    In row r, source j puts masses[:, r, j] = (a, b, g) on {classes[r, j]},
+    masses is three arrays shaped like classes, a (3, rows, sources) array or
+    a tuple. In row r, source j puts (a, b, g), entry (r, j) of each, on
+    {classes[r, j]},
     its complement and the frame; a Denoeux neighbour's simple support s is
     the triple (s, 0, 1 - s). Rows whose top two pignistic values the closed
     form flags as a near tie are decided by the scalar conjunctive rule
@@ -688,7 +707,7 @@ def _decide_triples(
     for a in range(0, classes.shape[0], rows):
         block = slice(a, a + rows)
         decided[block], conflict[block], flagged[block] = _closed_form(
-            classes[block], masses[:, block], n
+            classes[block], [x[block] for x in masses], n
         )
     for r in np.flatnonzero(flagged):
         m = combine_all([source_mass(r, j) for j in range(classes.shape[1])])

@@ -25,6 +25,12 @@ from .simulate import Dataset, FusionSettings, SimConfig, simulate, trial_stream
 # per row, -1 = conflict class. It fits what it needs from calib, one trial's
 # calibration rows; a ROW_WISE kernel gets None and reads only rows.
 
+# Test rows the Denoeux kernel decides at a time. On csv_pipeline, blocks of
+# 2048 rows peak 0.65 MB below one call on a trial's 4000 (in RSS of the
+# `evifuse eval` child); blocks of 1024 save 0.06 MB more but, with two BLAS
+# threads, take 4 ms more a trial.
+_QUERY_ROWS = 2048
+
 
 def _calibrate(fit, ds: Dataset, calib: np.ndarray):
     """``fit`` (vote_weights or conditional_probs) of the per-source
@@ -64,7 +70,13 @@ def _belief_denoeux(ds, settings, calib, rows):
     flat = ds.scores.reshape(ds.n_samples, -1)
     k, alpha = min(settings.denoeux_k, len(calib)), settings.denoeux_alpha
     ts = belief.TrainingSet(ds.frame, flat[calib], ds.truth[calib], k, alpha)
-    return belief.denoeux_decide_batch(flat[rows], ts)
+    # Queries are gathered and decided _QUERY_ROWS at a time, so that their
+    # copy, neighbours and masses stay bounded; each row's decision is its own.
+    parts = [
+        belief.denoeux_decide_batch(flat[rows[a : a + _QUERY_ROWS]], ts)
+        for a in range(0, len(rows), _QUERY_ROWS)
+    ]
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 KERNELS = {
@@ -252,10 +264,11 @@ def evaluate_dataset(
     if third < 1:
         raise ValueError("dataset too small to split into three non-empty parts")
 
-    perms = np.stack(
-        [trial_stream(seed, t).permutation(ds.n_samples) for t in range(n_trials)]
-    )
-    calib, tests = perms[:, third : 2 * third], perms[:, 2 * third : 3 * third]
+    # each trial's calibration and test thirds of its permutation
+    calib, tests = np.empty((2, n_trials, third), dtype=np.int64)
+    for t in range(n_trials):
+        perm = trial_stream(seed, t).permutation(ds.n_samples)
+        calib[t], tests[t] = perm[third : 2 * third], perm[2 * third : 3 * third]
     truth = ds.truth[tests]
     source_rates = (ds.labels[tests] == truth[..., None]).mean(axis=1).sum(axis=0)
     source_accuracy = {

@@ -117,9 +117,11 @@ class Frame:
         return k
 
     def check_classes(self, k) -> np.ndarray:
-        """Array form of check_class: an int64 copy, or its error for the
-        first bad index."""
+        """Array form of check_class: k as int64, the same array if it is
+        one, or its error for the first bad index."""
         k = np.asarray(k)
+        if k.dtype.kind in "biu" and (k.size == 0 or 0 <= k.min() <= k.max() < self.n):
+            return k.astype(np.int64, copy=False)  # checked without a temporary
         bad = (k < 0) | (k >= self.n)
         if k.dtype.kind not in "biu":  # integers need no fraction check
             bad |= k != np.trunc(k)

@@ -37,9 +37,18 @@ class ValidationError(ValueError):
 # The leading columns, then one score_<class> column per class.
 _COLUMNS = ("sample_id", "true_class", "source_id", "label")
 
-# Data rows read or written at a time, each block as one byte array, so memory
-# follows the dataset's arrays, not the field count.
-_BLOCK_ROWS = 4096
+# Data rows read at a time, each block as one byte array, so that memory
+# follows the dataset's arrays, not the field count. csv_pipeline's 36k rows
+# load at a traced peak of 2.2, 2.9 and 4.3 MB, in 25, 20 and 19 ms, with
+# 1024, 2048 and 4096 rows a block.
+_BLOCK_ROWS = 2048
+
+# Bytes of padded row text written at a time. Each of a block's temporaries
+# stays below glibc's default mmap threshold of 128 KiB, so they reuse the
+# same heap memory block after block. csv_pipeline's dataset saves in 23.5,
+# 20.7 and 20.7 ms at a traced peak of 0.29, 0.44 and 0.74 MB with blocks of
+# 32, 64 and 128 KiB.
+_WRITE_BYTES = 1 << 16
 
 
 def _words(texts: Iterable[str]) -> np.ndarray:
@@ -70,38 +79,38 @@ def _texts(texts: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
     return table.reshape(len(raw), width), np.arange(width) < lengths[:, None]
 
 
-def _score_texts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of scores in [0, 1] as '%.9f' writes them, each followed by a comma
-    and the last by a newline: (rows, 13 * columns) bytes, where each score's
-    13 start with a sign byte, and the mask of the bytes to write. The sign
-    is kept for -0.0 only, which '%.9f' writes as -0.000000000.
+def _score_texts(x: np.ndarray, text: np.ndarray, keep: np.ndarray) -> None:
+    """Write scores x in [0, 1] as '%.9f' writes them, each followed by a comma
+    and the last of a row by a newline, into ``text``, 13 bytes a score of
+    which the first is a sign byte, and set ``keep`` to the bytes to write:
+    the sign is kept for -0.0 only, which '%.9f' writes as -0.000000000.
 
     q = rint(x * 1e9) gives the digits '%.9f' rounds to, unless x * 1e9 lies
     within 2**-20 of a half-integer: the float product errs by less than
     2**-23 and may sit on the other side of a tie. Those go through '%.9f'."""
-    y = x * 1e9
+    text, keep = text.reshape(*x.shape, 13), keep.reshape(*x.shape, 13)  # views
+    y = np.ascontiguousarray(x) * 1e9  # so that the words below are C-ordered
     q = np.rint(y).astype(np.int64)
     keys = (q // 10**7, q // 1000 % 10**4, q % 1000)
-    words = np.stack([table[key] for table, key in zip(_score_words(), keys)], axis=-1)
-    text = np.empty((*x.shape, 13), np.uint8)
     text[..., 0] = ord("-")
-    text[..., 1:] = words.view(np.uint8).reshape(*x.shape, 12)
+    for at, table, key in zip(range(1, 13, 4), _score_words(), keys):
+        text[..., at : at + 4] = table[key].view(np.uint8).reshape(*x.shape, 4)
     tie = np.abs(y - np.floor(y) - 0.5) <= 2.0**-20
     if tie.any():
         fields = "".join("%.9f," % v for v in x[tie].tolist()).encode()
         text[tie, 1:] = np.frombuffer(fields, np.uint8).reshape(-1, 12)
-    text[:, -1, -1] = ord("\n")
-    keep = np.ones(text.shape, bool)
+    text[..., -1, -1] = ord("\n")
+    keep[...] = True
     keep[..., 0] = np.signbit(x)
-    return text.reshape(len(x), -1), keep.reshape(len(x), -1)
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
     """Write the dataset CSV from Dataset.checked(): a dataset it refuses,
     which load_dataset would reject, is refused before the file is opened.
     Whole-float ids and classes are written as integers, scores as '%.9f'
-    writes them. Each block of rows is assembled as one byte array, from the
-    padded bytes of its fields and a mask that drops the padding."""
+    writes them. Each block of rows is assembled as one byte array of about
+    _WRITE_BYTES, from the padded bytes of its fields and a mask that drops
+    the padding, so memory beyond the dataset does not grow with it."""
     try:
         dataset = dataset.checked()
     except ValueError as exc:
@@ -111,33 +120,38 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     # a name is quoted as the second of two fields, as in a data row
     line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
     quoted = [line(["", c])[1:-1] for c in labels]
-    truths, names = _texts(f",{c}," for c in quoted), _texts(f"{c}," for c in quoted)
-    sources = _texts(line(["", s])[1:-1] + "," for s in dataset.source_ids)
+    # the true class, source and label fields as padded bytes and their masks
+    tables = [
+        _texts(f",{c}," for c in quoted),
+        _texts(line(["", s])[1:-1] + "," for s in dataset.source_ids),
+        _texts(f"{c}," for c in quoted),
+    ]
     m, k = dataset.m_sources, dataset.frame.n
-    step = max(1, _BLOCK_ROWS // m)  # samples per block
+    # each row's byte offsets: its sample id (an int64 is 20 bytes at most),
+    # the three fields above, then its scores
+    ends = np.cumsum([20, *(table.shape[1] for table, _ in tables), 13 * k]).tolist()
+    step = max(1, _WRITE_BYTES // (m * ends[-1]))  # samples per block
     with open(path, "wb") as fh:
         fh.write(line([*_COLUMNS, *(f"score_{c}" for c in labels)]).encode())
         for block in (slice(i, i + step) for i in range(0, dataset.n_samples, step)):
             ids = dataset.sample_ids[block].astype("S20").view(np.uint8)
-            ids = np.repeat(ids.reshape(-1, 20), m, axis=0)  # an int64 is 20 chars at most
-            truth = np.repeat(dataset.truth[block], m)
-            source = np.tile(np.arange(m), len(ids) // m)
-            label = dataset.labels[block].ravel()
-            fields = [
-                (ids, ids != 0),  # padded with NUL, which no digit or sign is
-                (truths[0][truth], truths[1][truth]),
-                (sources[0][source], sources[1][source]),
-                (names[0][label], names[1][label]),
-                _score_texts(dataset.scores[block].reshape(len(ids), k)),
-            ]
-            text, keep = (np.concatenate(parts, axis=1) for parts in zip(*fields))
-            fh.write(text[keep].tobytes())
+            shape = (len(ids) // 20, m, ends[-1])  # (samples, sources, bytes)
+            text, keep = np.empty(shape, np.uint8), np.empty(shape, bool)
+            text[..., :20] = ids.reshape(-1, 1, 20)
+            keep[..., :20] = text[..., :20] != 0  # padded with NUL, unlike a digit
+            # each field's table rows, broadcast to (samples, sources)
+            keys = (dataset.truth[block, None], slice(None), dataset.labels[block])
+            for a, b, (table, mask), key in zip(ends, ends[1:], tables, keys):
+                text[..., a:b], keep[..., a:b] = table[key], mask[key]
+            scores = ends[-2]
+            _score_texts(dataset.scores[block], text[..., scores:], keep[..., scores:])
+            fh.write(text[keep])
 
 
 # Bytes that csv.reader treats specially: a quote may open a field holding
 # commas and line ends, a carriage return ends a line as a newline does, and
-# Python before 3.11 refuses NUL. The block that first holds one, and the rest
-# of the file, are read by csv.reader.
+# Python before 3.11 refuses NUL. The block that first holds one, once each
+# CRLF is read as LF, and the rest of the file, are read by csv.reader.
 _CSV_ONLY = (b'"', b"\r", b"\0")
 
 # Bytes read from the file at a time, joined and cut into blocks of whole
@@ -234,19 +248,23 @@ def _gather(data: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
 
 def _rows(fh: BinaryIO) -> Iterator[Any]:
     """Binary file ``fh`` as its header row (None if the file is empty), then
-    blocks of data rows as _split gives them. From the first block that
-    _split cannot read, csv.reader reads the rest of the file. A csv.Error
-    names its line; invalid UTF-8 raises UnicodeDecodeError."""
+    blocks of data rows as _split gives them, each CRLF read as LF. From the
+    first block that _split cannot read, csv.reader reads the rest of the
+    file as it is. A csv.Error names its line; invalid UTF-8 raises
+    UnicodeDecodeError."""
     head = fh.readline()
     if not head:
         yield None
         return
     raws, lines = chain([head], _line_blocks(fh)), 0  # lines before the block
     for raw in raws:
-        block = _split(raw)
+        # Outside quotes, which csv.reader reads, a CRLF ends a line as LF does.
+        plain = raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw
+        block = _split(plain)
         if block is None:
             yield from _csv_rows(chain([raw], raws), lines)
             return
+        raw = plain
         if not raw.isascii():
             raw.decode()  # invalid UTF-8 raises here, before any row is checked
         if lines == 0:
@@ -338,14 +356,21 @@ def _numbers(
     keep = _gather(_KEEP, at, width).view(np.uint32).T
     chars = text.view(np.uint8)
     digit = chars - np.uint8(ord("0"))  # a byte below '0' wraps past 9
-    is_digit = (digit < 10).view(np.uint32) & keep  # words of 0/1 bytes
-    words = (digit * is_digit.view(np.uint8)).view(np.uint32)
+    is_digit = (digit < 10).view(np.uint32)
+    is_digit &= keep  # words of 0/1 bytes
+    digit *= is_digit.view(np.uint8)
+    words = digit.view(np.uint32)
     for scale, shift, mask in _STEPS:  # pairs, then groups of 4 digits
-        words = (words * scale + (words >> shift)) & mask
+        high = words >> shift
+        words *= scale
+        words += high
+        words &= mask
     v = words[0].astype(np.int64)
     for w in words[1:]:
-        v = v * 10**4 + w
-    points = (chars == ord(".")).view(np.uint32) & keep
+        v *= 10**4
+        v += w
+    points = (chars == ord(".")).view(np.uint32)
+    points &= keep
     n_points, n_digits = _byte_sums(points), _byte_sums(is_digit)
     negative = data[starts] == ord("-")
     plain = (n_digits + n_points + negative == lengths) & (n_digits >= 1)
@@ -409,16 +434,19 @@ def _read_block(
     index: dict[str, int],
 ) -> tuple[Any, ...]:
     """Data rows of a block from _rows before the first that fails a
-    row-local check, as sample ids, class indices of true class and label,
-    source codes (``index`` numbers each new source id) and scores; and that
-    row's problem, or None."""
+    row-local check, as sample ids, true class indices, source codes
+    (``index`` numbers each new source id), label class indices and scores,
+    the codes and indices in small integer types; and that row's problem, or
+    None."""
     data, seps, counts = block
     width = len(header)
     n = np.append(np.flatnonzero(counts != width), len(counts))[0]
-    # each field's first byte and the separator after it, one row per column
-    bounds = np.append(len(_PAD) - 1, seps[: n * width])
-    starts = (bounds[:-1] + 1).reshape(n, width).T.copy()
-    ends = bounds[1:].reshape(n, width).T.copy()
+    # each field's separator and first byte, the one after the separator
+    # before it, one row per column
+    ends = seps[: n * width].reshape(n, width).T.copy()
+    starts = np.empty_like(ends)
+    starts[0, :1], starts[0, 1:] = len(_PAD), ends[-1, :-1] + 1
+    np.add(ends[:-1], 1, out=starts[1:])
     ids, bad_id = _numbers(data, starts[0], ends[0], int)
     names = starts[[1, 3]], ends[[1, 3]]
     truth, label = _codes(data, *names, lambda t: classes.get(t, -1))
@@ -445,7 +473,10 @@ def _read_block(
         row = [data[a:b].tobytes().decode() for a, b in zip(starts[:, r], ends[:, r])]
         message = next(message for mask, message in checks if mask[r])
         problem = message.format(*row, h=header)
-    return ids[:r], truth[:r], label[:r], source[:r], scores[:, :r].T, problem
+    # class indices (-1 to 15) as int8 and source codes in the least unsigned
+    # type, until the rows are joined; scores C-ordered, as the dataset's are
+    codes = truth[:r].astype(np.int8), source[:r].astype(np.min_scalar_type(len(index)))
+    return ids[:r], *codes, label[:r].astype(np.int8), scores[:, :r].T.copy(), problem
 
 
 def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
@@ -500,16 +531,27 @@ def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
 
     if not blocks:
         raise ValidationError(f"{path}: no data rows")
-    ids, truth, label, source, scores = map(np.concatenate, zip(*blocks))
-    del blocks  # now copied into the columns
+    # Each column is joined from its block parts, which are dropped as it is;
+    # labels and scores last, after the checks.
+    ids, truth, source, labels, scores = map(list, zip(*blocks))
+    del blocks
+    ids = np.concatenate(ids)
+    truth = np.concatenate(truth)
+    source = np.concatenate(source)
+    if problem is None:  # then there are rows
+        m = int(np.argmax(ids != ids[0])) or len(ids)  # the first sample's, if first
+        if _grouped(ids, truth, source, m):
+            ids, truth = ids[::m].copy(), truth[::m].astype(np.int64)
+            del source
+            labels = np.concatenate(labels).astype(np.int64).reshape(-1, m)
+            scores = np.concatenate(scores).reshape(-1, m, frame.n)
+            return Dataset(frame, tuple(index), ids, truth, labels, scores)
+
     # each row's sample as the row it first appears on; keyed by the parsed id,
     # so "0" and "00" name the same sample. Only rows before a bad one are here.
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    first = first[inverse]
-    key = first * len(index) + source
-    _, pair_first, pair_inverse = np.unique(key, return_index=True, return_inverse=True)
+    first = _first_rows(ids)
     inconsistent = truth != truth[first]
-    duplicate = pair_first[pair_inverse] != np.arange(len(ids))
+    duplicate = _first_rows(first * len(index) + source) != np.arange(len(ids))
     # the first row failing either, or else len(ids): the row of a block's problem
     r = np.append(np.flatnonzero(inconsistent | duplicate), len(ids))[0]
     if r < len(ids) and inconsistent[r]:
@@ -518,16 +560,19 @@ def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
         problem = f"duplicate source {list(index)[source[r]]!r} for sample {ids[r]}"
     if problem is not None:
         raise ValidationError(f"{path}: line {r + 2}: {problem}")
+    del inconsistent, duplicate
 
     # Samples in first-appearance order, each one's rows in file order. Those
     # before the first sample with a wrong row count form a grid of row indices.
     order = np.argsort(first, kind="stable")
     counts = np.bincount(first)  # rows per sample, at the sample's first row
+    del first
     firsts = np.flatnonzero(counts)
     counts = counts[firsts]
     n, m = len(counts), counts[0]
     k = np.append(np.flatnonzero(counts != m), n)[0]
     grid = order[: k * m].reshape(k, m)
+    del order
     uncovered = np.append(np.flatnonzero((source[grid] != source[grid[0]]).any(1)), k)
     source_ids = tuple(np.array(list(index), dtype=object)[source[grid[0]]])
     if uncovered[0] < n:
@@ -535,8 +580,40 @@ def load_dataset(path: str, truth_col: str = "true_class") -> Dataset:
             f"{path}: sample {ids[firsts[uncovered[0]]]} "
             f"does not cover sources {list(source_ids)}"
         )
-    return Dataset(
-        frame, source_ids, ids[firsts], truth[firsts], label[grid], scores[grid]
+    ids, truth = ids[firsts], truth[firsts].astype(np.int64)
+    del source
+    labels = np.concatenate(labels)[grid].astype(np.int64)
+    scores = np.concatenate(scores)[grid]
+    return Dataset(frame, source_ids, ids, truth, labels, scores)
+
+
+def _first_rows(keys: np.ndarray) -> np.ndarray:
+    """For each key, the index of the first key equal to it: what np.unique
+    gives through its return_index and return_inverse, in fewer arrays."""
+    order = np.argsort(keys, kind="stable")  # equal keys in index order
+    ordered = keys[order]
+    at = np.arange(len(keys))
+    at[1:][ordered[1:] == ordered[:-1]] = 0  # a run's first place, else 0
+    del ordered
+    np.maximum.accumulate(at, out=at)
+    first = np.empty_like(order)
+    first[order] = order[at]
+    return first
+
+
+def _grouped(ids: np.ndarray, truth: np.ndarray, source: np.ndarray, m: int) -> bool:
+    """Whether the rows come in runs of m, each the rows of one sample, with
+    sample ids increasing from run to run, one true class per run and the
+    sources of the first run, each once, in its order. Such rows are valid
+    and form the dataset's arrays as they are."""
+    if len(ids) % m:
+        return False
+    runs = (-1, m)
+    return bool(
+        (ids.reshape(runs) == ids[::m, None]).all()
+        and (ids[m::m] > ids[:-m:m]).all()
+        and (truth.reshape(runs) == truth[::m, None]).all()
+        and (source.reshape(runs) == np.arange(m)).all()
     )
 
 

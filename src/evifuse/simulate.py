@@ -26,6 +26,11 @@ from .frame import (
 # Long-tailed six-class mix used by the default benchmark scenario.
 _DEFAULT_PRIOR_SHARES = (54.52, 21.35, 8.80, 5.50, 0.77, 2.40)
 
+# Floats of scores simulate draws at a time, and sample ids compared at a
+# time; the blocks' temporaries stay below glibc's default mmap threshold of
+# 128 KiB.
+_BLOCK_FLOATS = 1 << 13
+
 
 @dataclass(frozen=True)
 class SourceProfile:
@@ -120,22 +125,31 @@ class SimConfig:
 
 
 def _check_sample_ids(ids: np.ndarray) -> np.ndarray:
-    """ids as int64; ValueError for the first that is not a whole number in
-    the int64 range load_dataset reads."""
+    """ids as int64, the same array if they are, unique whole numbers in the
+    int64 range load_dataset reads; else ValueError for the first bad one."""
     if ids.dtype.kind not in "iuf":
         raise ValueError(f"sample ids must be integers, got dtype {ids.dtype}")
+    top = np.iinfo(np.int64).max
     if ids.dtype.kind == "f":
         fraction = ids != np.trunc(ids)  # NaN too
-        outside = ~((ids >= -(2.0**63)) & (ids < 2.0**63))
-    else:
-        fraction = np.zeros(ids.shape, bool)
-        outside = ids > np.iinfo(np.int64).max
-    bad = fraction | outside
-    if bad.any():
-        i = bad.argmax()
-        problem = "is not an integer" if fraction[i] else "does not fit in 64 bits"
-        raise ValueError(f"sample id {ids[i]} {problem}")
-    return ids.astype(np.int64)
+        bad = fraction | ~((ids >= -(2.0**63)) & (ids < 2.0**63))
+        if bad.any():
+            i = bad.argmax()
+            problem = "is not an integer" if fraction[i] else "does not fit in 64 bits"
+            raise ValueError(f"sample id {ids[i]} {problem}")
+    elif ids.size and ids.max() > top:  # only uint64 can exceed the range
+        raise ValueError(f"sample id {ids[(ids > top).argmax()]} does not fit in 64 bits")
+    ids = ids.astype(np.int64, copy=False)
+    # Ids that increase, as simulate and a saved file's loader give them, are
+    # unique; they are compared a block at a time, the others sorted.
+    for a in range(0, len(ids), _BLOCK_FLOATS):
+        block = ids[a : a + _BLOCK_FLOATS + 1]
+        if not (block[1:] > block[:-1]).all():
+            ordered = np.sort(ids)  # not np.unique, which imports numpy.ma
+            if (ordered[1:] == ordered[:-1]).any():
+                raise ValueError("sample ids must be unique")
+            break
+    return ids
 
 
 @dataclass(frozen=True)
@@ -171,16 +185,14 @@ class Dataset:
             arr.setflags(write=False)
 
     def checked(self) -> Dataset:
-        """A copy with int64 sample ids and classes and float64 scores, as
-        save_dataset writes it: every score is a finite number in [0, 1],
-        every class index in range, and the sample ids are unique whole
-        numbers that fit in int64; else ValueError."""
+        """The dataset with int64 sample ids and classes and float64 scores,
+        as save_dataset writes it, holding the same arrays where they have
+        those dtypes: every score is a finite number in [0, 1], every class
+        index in range, and the sample ids are unique whole numbers that fit
+        in int64; else ValueError."""
         scores = check_number("scores", self.scores, 0, 1)
         truth, labels = map(self.frame.check_classes, (self.truth, self.labels))
         ids = _check_sample_ids(np.asarray(self.sample_ids))
-        ordered = np.sort(ids)  # not np.unique, which imports numpy.ma
-        if (ordered[1:] == ordered[:-1]).any():
-            raise ValueError("sample ids must be unique")
         return replace(self, sample_ids=ids, truth=truth, labels=labels, scores=scores)
 
     @property
@@ -203,31 +215,42 @@ def trial_stream(seed: int, trial: int) -> np.random.Generator:
 
 
 def simulate(config: SimConfig) -> Dataset:
-    """Draw a full dataset from the scenario; deterministic given the seed."""
+    """Draw a full dataset from the scenario; deterministic given the seed.
+
+    Each source fills its column of labels and scores in place, a block of
+    samples at a time. Its draws, a uniform and a class offset per sample and
+    then n uniforms per sample, come in the order of one call each, which
+    calls over consecutive blocks reproduce."""
     frame = config.frame
     n, m, total = frame.n, len(config.sources), config.n_samples
     rng = _stream(config.seed, 0)
     truth = rng.choice(n, size=total, p=np.asarray(config.priors))
+    truth = truth.astype(np.int64, copy=False)
     labels = np.empty((total, m), dtype=np.int64)
     scores = np.empty((total, m, n))
-    eye = np.eye(n)
+    step = max(1, _BLOCK_FLOATS // n)
+    blocks = [slice(a, a + step) for a in range(0, total, step)]
     for j, src in enumerate(config.sources):
-        rel = np.asarray(src.reliability)
-        correct = rng.random(total) < rel[truth]
-        if n > 1:
-            offsets = rng.integers(1, n, size=total)
-            wrong = (truth + offsets) % n
-        else:
-            wrong = truth
-        labels[:, j] = np.where(correct, truth, wrong)
-        noise = rng.random((total, n))
-        raw = (1.0 - src.temperature) * eye[labels[:, j]] + src.temperature * noise
-        scores[:, j, :] = np.clip(raw, 0.0, 1.0)
+        rel, t = np.asarray(src.reliability), src.temperature
+        label, score = labels[:, j], scores[:, j]
+        for b in blocks:  # 1 where the source decides the true class
+            label[b] = rng.random(len(truth[b])) < rel[truth[b]]
+        for b in blocks:  # an error is one of the other classes, if there are any
+            wrong = truth[b]
+            if n > 1:
+                wrong = (wrong + rng.integers(1, n, size=len(wrong))) % n
+            label[b] = np.where(label[b], truth[b], wrong)
+        for b in blocks:
+            # (1 - t) one_hot(label) + t noise, clipped to [0, 1]
+            out = score[b]
+            np.multiply(rng.random(out.shape), t, out=out)
+            out[np.arange(len(out)), label[b]] += 1.0 - t
+            np.clip(out, 0.0, 1.0, out=out)
     return Dataset(
         frame=frame,
         source_ids=tuple(s.id for s in config.sources),
         sample_ids=np.arange(total, dtype=np.int64),
-        truth=truth.astype(np.int64),
+        truth=truth,
         labels=labels,
         scores=scores,
     )

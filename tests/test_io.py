@@ -353,6 +353,56 @@ def test_dataset_csv_memory_grows_with_the_arrays_not_the_fields(tmp_path):
     assert load <= 256, f"load_dataset peak grows by {load:.1f} B per row"
 
 
+def _nbytes(ds):
+    return sum(a.nbytes for a in (ds.sample_ids, ds.truth, ds.labels, ds.scores))
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_load_dataset_peaks_at_most_three_times_the_dataset(tmp_path, newline):
+    """On the byte path load_dataset holds one block's parse and the parsed
+    columns, which it joins one at a time, beside the dataset it returns: at
+    its traced peak, at most three times the dataset's nbytes, for the
+    12,000 samples of csv_pipeline with LF or CRLF line ends."""
+    path = tmp_path / "data.csv"
+    save_dataset(simulate(_csv_pipeline_config(12000)), str(path))
+    path.write_bytes(path.read_bytes().replace(b"\n", newline))
+    load_dataset(str(path))  # so that no first-use cost is traced
+    tracemalloc.start()
+    try:
+        ds = load_dataset(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * _nbytes(ds), f"peak at {peak / _nbytes(ds):.2f} times the dataset"
+
+
+def test_save_dataset_peak_is_the_same_at_3000_and_12000_samples(tmp_path):
+    """save_dataset checks the dataset's arrays without copying them and
+    writes blocks of about _WRITE_BYTES of row text, so its traced peak
+    above its input does not grow with the dataset."""
+    path = str(tmp_path / "data.csv")
+    save_dataset(simulate(_csv_pipeline_config(300)), path)  # builds the score tables
+    small, big = (
+        _traced_peak(save_dataset, simulate(_csv_pipeline_config(n)), path)
+        for n in (3000, 12000)
+    )
+    assert abs(big - small) <= small / 100, f"{small} B at 3,000 samples, {big} B at 12,000"
+
+
+def test_load_dataset_reads_crlf_lines_on_the_byte_path(tmp_path):
+    """A block whose every CR starts a CRLF, and that holds no quote or NUL,
+    is read without csv.reader, to the dataset of the same file with LF."""
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    save_dataset(simulate(_csv_pipeline_config(1000)), str(lf))
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    with mock.patch.object(evifuse.io, "_csv_rows", side_effect=AssertionError):
+        got = load_dataset(str(crlf))
+    want = load_dataset(str(lf))
+    assert (got.frame, got.source_ids) == (want.frame, want.source_ids)
+    for name in ("sample_ids", "truth", "labels", "scores"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def _csv_pipeline_config(n_samples):
     reliabilities = ((0.80, 0.75, 0.70), (0.70, 0.65, 0.60), (0.60, 0.55, 0.50))
     sources = tuple(

@@ -9,6 +9,7 @@ pooled over trials so rare classes with empty trial slices stay defined.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from numbers import Real
@@ -21,18 +22,23 @@ from .calibration import ConfusionMatrix, conditional_probs, vote_weights
 from .frame import check_integer, check_number, check_seed
 from .simulate import Dataset, FusionSettings, SimConfig, simulate, trial_stream
 
-# A kernel: (ds, settings, calib, rows) -> (decided, conflict_mass), one entry
-# per row, -1 = conflict class. It fits what it needs from calib, one trial's
-# calibration rows; a ROW_WISE kernel gets None and reads only rows.
+# A method is a table row (fit, decide, by_labels). fit(ds, settings, calib)
+# builds the method's model from one trial's calibration rows; it is None for
+# a row-wise method, whose decisions do not depend on the trial.
+# decide(ds, settings, model, rows) -> (decided, conflict_mass), one entry per
+# row, -1 = conflict class, reads only rows and decides each on its own. A
+# by_labels method reads a row's labels and nothing else of it, so rows of
+# equal labels are decided once; the others are keyed by row index.
 
-# Test rows the Denoeux kernel decides at a time. On csv_pipeline, blocks of
-# 2048 rows peak 0.65 MB below one call on a trial's 4000 (in RSS of the
-# `evifuse eval` child); blocks of 1024 save 0.06 MB more but, with two BLAS
-# threads, take 4 ms more a trial.
+# Rows any method's decide call gets at most, so that their copy and what is
+# computed from them stay bounded. On csv_pipeline, Denoeux calls of 2048 rows
+# peak 0.65 MB below one call on a trial's 4000 (in RSS of the `evifuse eval`
+# child); 1024 saves 0.06 MB more but, with two BLAS threads, takes 4 ms more
+# a trial.
 _QUERY_ROWS = 2048
 
 
-def _calibrate(fit, ds: Dataset, calib: np.ndarray):
+def _calibrate(fit, ds: Dataset, settings, calib: np.ndarray):
     """``fit`` (vote_weights or conditional_probs) of the per-source
     confusion matrices over the calibration rows, counted with one bincount;
     evaluate_dataset has checked every class index."""
@@ -42,67 +48,49 @@ def _calibrate(fit, ds: Dataset, calib: np.ndarray):
     return fit([ConfusionMatrix(ds.frame, c, s) for c, s in zip(counts, ds.source_ids)])
 
 
-def _vote(c, b, ds, settings, calib, rows):
-    counts = voting.tally_batch(ds.labels[rows], ds.frame)
+def _vote(ds, settings, weights, rows, c_b=None):
+    """Threshold vote, at (c, b) = c_b or the settings' vote_c and vote_b."""
+    counts = voting.tally_batch(ds.labels[rows], ds.frame, weights)
+    c, b = c_b or (settings.vote_c, settings.vote_b)
     return voting.decide_threshold_batch(counts, c, b), np.zeros(rows.shape[0])
 
 
-def _vote_weighted(ds, settings, calib, rows):
-    weights = _calibrate(vote_weights, ds, calib)
-    counts = voting.tally_batch(ds.labels[rows], ds.frame, weights)
-    decided = voting.decide_threshold_batch(counts, settings.vote_c, settings.vote_b)
-    return decided, np.zeros(rows.shape[0])
+def _possibility(op, ds, settings, model, rows):
+    return possibility.decide_batch(ds.scores[rows], op), np.zeros(rows.shape[0])
 
 
-def _belief_appriou(ds, settings, calib, rows):
-    params = _calibrate(conditional_probs, ds, calib)
+def _appriou(ds, settings, params, rows):
     return belief.appriou_decide_batch(
         ds.labels[rows], params, settings.appriou_as_printed
     )
 
 
-def _possibility(op, ds, settings, calib, rows):
-    decided = possibility.decide_batch(ds.scores[rows], op)
-    return decided, np.zeros(rows.shape[0])
-
-
-def _belief_denoeux(ds, settings, calib, rows):
-    flat = ds.scores.reshape(ds.n_samples, -1)
+def _training_set(ds, settings, calib):
     k, alpha = min(settings.denoeux_k, len(calib)), settings.denoeux_alpha
-    ts = belief.TrainingSet(ds.frame, flat[calib], ds.truth[calib], k, alpha)
-    # Queries are gathered and decided _QUERY_ROWS at a time, so that their
-    # copy, neighbours and masses stay bounded; each row's decision is its own.
-    parts = [
-        belief.denoeux_decide_batch(flat[rows[a : a + _QUERY_ROWS]], ts)
-        for a in range(0, len(rows), _QUERY_ROWS)
-    ]
-    return tuple(map(np.concatenate, zip(*parts)))
+    flat = ds.scores[calib].reshape(len(calib), -1)  # one (m n)-vector a row
+    return belief.TrainingSet(ds.frame, flat, ds.truth[calib], k, alpha)
 
 
-KERNELS = {
-    "vote_majority": partial(_vote, 0.0, 0.0),
+def _denoeux(ds, settings, ts, rows):
+    return belief.denoeux_decide_batch(ds.scores[rows].reshape(len(rows), -1), ts)
+
+
+Method = namedtuple("Method", "fit decide by_labels")
+TABLE = {
+    "vote_majority": Method(None, partial(_vote, c_b=(0.0, 0.0)), True),
     # m whole votes give more than m/2 exactly when they give at least
     # m/2 + 1/2, and no other class can tie with such a count.
-    "vote_absolute": partial(_vote, 0.5, 0.5),
-    "vote_weighted": _vote_weighted,
-    **{f"possibility_{op}": partial(_possibility, op) for op in possibility.OPERATORS},
-    "belief_appriou": _belief_appriou,
-    "belief_denoeux": _belief_denoeux,
+    "vote_absolute": Method(None, partial(_vote, c_b=(0.5, 0.5)), True),
+    "vote_weighted": Method(partial(_calibrate, vote_weights), _vote, True),
+    **{
+        f"possibility_{op}": Method(None, partial(_possibility, op), False)
+        for op in possibility.OPERATORS
+    },
+    "belief_appriou": Method(partial(_calibrate, conditional_probs), _appriou, True),
+    "belief_denoeux": Method(_training_set, _denoeux, False),
 }
 
-METHODS = tuple(KERNELS)
-
-# Methods whose kernels read only the row, never calib: a row's decision does
-# not depend on the trial, so each row is decided once per run.
-ROW_WISE = frozenset(
-    {"vote_majority", "vote_absolute"}
-    | {f"possibility_{op}" for op in possibility.OPERATORS}
-)
-# Methods whose kernels read a row's labels and nothing else of it; rows of
-# equal labels are decided once. The others are keyed by row index.
-LABEL_ROWS = frozenset(
-    {"vote_majority", "vote_absolute", "vote_weighted", "belief_appriou"}
-)
+METHODS = tuple(TABLE)
 
 
 def normalize_methods(methods: Sequence[str], settings: FusionSettings) -> list[str]:
@@ -193,29 +181,31 @@ def _label_rows(ds: Dataset) -> np.ndarray:
 def _decide(name, ds, settings, calib, keys):
     """Method ``name``'s decisions on every trial's test third, as a
     (trials, third) array, and each trial's mean conflict mass, from the
-    (trials, third) matrix of row keys. A calibrated kernel is called once
-    per trial, with that trial's calibration rows, on one row per distinct
-    key of its test third; a ROW_WISE kernel gets None and one row per
-    distinct key of the run, at most one third of rows a call. A calibrated
-    kernel's ValueError names the method and trial."""
-    kernel, third = KERNELS[name], calib.shape[1]
+    (trials, third) matrix of row keys. A fitted method is fitted once per
+    trial, on that trial's calibration rows, and decides one row per distinct
+    key of its test third; a row-wise method decides one row per distinct key
+    of the run. Each decide call gets at most min(third, _QUERY_ROWS) rows,
+    and a ValueError names the method, and the trial if it has one."""
+    fit, decide, _ = TABLE[name]
+    step = min(calib.shape[1], _QUERY_ROWS)
     decided, conflict_mass = np.empty(keys.shape, dtype=np.int64), np.empty(keys.shape)
-    groups = [(None, ...)] if name in ROW_WISE else zip(calib, range(len(calib)))
-    for trial_calib, at in groups:  # the whole run, or one trial's row
+    for at in [...] if fit is None else range(len(calib)):  # the run, or a trial
         seen = np.zeros(ds.n_samples, dtype=bool)
         seen[keys[at]] = True
         rows = np.flatnonzero(seen)
-        parts = []
-        for a in range(0, len(rows), third):
-            try:
-                parts.append(kernel(ds, settings, trial_calib, rows[a : a + third]))
-            except ValueError as err:
-                if trial_calib is None:
-                    raise
-                raise ValueError(f"{name}, trial {at}: {err}") from None
+        try:
+            model = None if fit is None else fit(ds, settings, calib[at])
+            parts = [
+                decide(ds, settings, model, rows[a : a + step])
+                for a in range(0, len(rows), step)
+            ]
+        except ValueError as err:
+            where = name if fit is None else f"{name}, trial {at}"
+            raise ValueError(f"{where}: {err}") from None
         inverse = (np.cumsum(seen) - 1)[keys[at]]
         out = (np.concatenate(part)[inverse] for part in zip(*parts))
         decided[at], conflict_mass[at] = out
+        del model, parts  # neither is held while the next trial is fitted
     return decided, conflict_mass.mean(axis=1)
 
 
@@ -248,11 +238,11 @@ def evaluate_dataset(
 
     Every class index in ``ds.truth`` and ``ds.labels`` is checked once,
     up front, whichever methods are asked for; scores are checked by the
-    kernels, only in the rows they read. Works one method at a time: the
+    decide calls, only in the rows they read. Works one method at a time: the
     method decides every trial's test third, and those decisions are scored
-    once. A row's key is its label row for LABEL_ROWS methods, found once
+    once. A row's key is its label row for a by_labels method, found once
     per run, and its index for the others; ``_decide`` decides one row per
-    distinct key of each trial, or of the whole run for a ROW_WISE method.
+    distinct key of each trial, or of the whole run for a row-wise method.
     """
     settings = settings or FusionSettings()
     methods = normalize_methods(methods, settings)
@@ -275,10 +265,11 @@ def evaluate_dataset(
         sid: float(source_rates[j] / n_trials) for j, sid in enumerate(ds.source_ids)
     }
 
-    labels = _label_rows(ds)[tests] if LABEL_ROWS.intersection(methods) else None
+    by_labels = any(TABLE[name].by_labels for name in methods)
+    labels = _label_rows(ds)[tests] if by_labels else None
     results = {}
     for name in methods:
-        keys = labels if name in LABEL_ROWS else tests
+        keys = labels if TABLE[name].by_labels else tests
         decided, conflict_mass = _decide(name, ds, settings, calib, keys)
         results[name] = _score(ds.frame, truth, decided, conflict_mass)
     return ExperimentReport(seed, n_trials, results, source_accuracy)

@@ -26,9 +26,8 @@ from .frame import (
 # Long-tailed six-class mix used by the default benchmark scenario.
 _DEFAULT_PRIOR_SHARES = (54.52, 21.35, 8.80, 5.50, 0.77, 2.40)
 
-# Floats of scores simulate draws at a time, and sample ids compared at a
-# time; the blocks' temporaries stay below glibc's default mmap threshold of
-# 128 KiB.
+# Sample ids _check_sample_ids compares at a time; a block's temporaries stay
+# below glibc's default mmap threshold of 128 KiB.
 _BLOCK_FLOATS = 1 << 13
 
 
@@ -215,12 +214,7 @@ def trial_stream(seed: int, trial: int) -> np.random.Generator:
 
 
 def simulate(config: SimConfig) -> Dataset:
-    """Draw a full dataset from the scenario; deterministic given the seed.
-
-    Each source fills its column of labels and scores in place, a block of
-    samples at a time. Its draws, a uniform and a class offset per sample and
-    then n uniforms per sample, come in the order of one call each, which
-    calls over consecutive blocks reproduce."""
+    """Draw a full dataset from the scenario; deterministic given the seed."""
     frame = config.frame
     n, m, total = frame.n, len(config.sources), config.n_samples
     rng = _stream(config.seed, 0)
@@ -228,24 +222,15 @@ def simulate(config: SimConfig) -> Dataset:
     truth = truth.astype(np.int64, copy=False)
     labels = np.empty((total, m), dtype=np.int64)
     scores = np.empty((total, m, n))
-    step = max(1, _BLOCK_FLOATS // n)
-    blocks = [slice(a, a + step) for a in range(0, total, step)]
-    for j, src in enumerate(config.sources):
-        rel, t = np.asarray(src.reliability), src.temperature
-        label, score = labels[:, j], scores[:, j]
-        for b in blocks:  # 1 where the source decides the true class
-            label[b] = rng.random(len(truth[b])) < rel[truth[b]]
-        for b in blocks:  # an error is one of the other classes, if there are any
-            wrong = truth[b]
-            if n > 1:
-                wrong = (wrong + rng.integers(1, n, size=len(wrong))) % n
-            label[b] = np.where(label[b], truth[b], wrong)
-        for b in blocks:
-            # (1 - t) one_hot(label) + t noise, clipped to [0, 1]
-            out = score[b]
-            np.multiply(rng.random(out.shape), t, out=out)
-            out[np.arange(len(out)), label[b]] += 1.0 - t
-            np.clip(out, 0.0, 1.0, out=out)
+    for j, src in enumerate(config.sources):  # column j, filled in place
+        correct = rng.random(total) < np.asarray(src.reliability)[truth]
+        offsets = rng.integers(1, n, size=total) if n > 1 else 0  # to a wrong class
+        labels[:, j] = np.where(correct, truth, (truth + offsets) % n)
+        # (1 - t) one_hot(label) + t noise, clipped to [0, 1]
+        score, t = scores[:, j], src.temperature
+        np.multiply(rng.random((total, n)), t, out=score)
+        score[np.arange(total), labels[:, j]] += 1.0 - t
+        np.clip(score, 0.0, 1.0, out=score)
     return Dataset(
         frame=frame,
         source_ids=tuple(s.id for s in config.sources),

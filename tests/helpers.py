@@ -13,6 +13,16 @@ from types import SimpleNamespace
 import numpy as np
 
 from evifuse import Dataset, Frame, MassFunction
+from evifuse.experiment import TABLE
+
+
+def fit_decide(name, ds, settings, calib, rows):
+    """Method ``name`` fitted on the calibration rows, as the protocol does
+    once per trial (never for a row-wise method), then deciding ``rows`` in
+    one call: (decided, conflict_mass)."""
+    fit, decide, _ = TABLE[name]
+    model = None if fit is None else fit(ds, settings, calib)
+    return decide(ds, settings, model, rows)
 
 
 def dense_from_mass(m: MassFunction) -> np.ndarray:

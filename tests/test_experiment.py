@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -20,10 +21,9 @@ from evifuse import (
     simulate,
 )
 from evifuse.experiment import (
-    KERNELS,
-    LABEL_ROWS,
     METHODS,
-    ROW_WISE,
+    TABLE,
+    _QUERY_ROWS,
     ExperimentReport,
     MethodResult,
     _label_rows,
@@ -31,6 +31,7 @@ from evifuse.experiment import (
 )
 from evifuse.io import report_to_dict
 from evifuse.simulate import trial_stream
+from helpers import fit_decide
 
 
 def _small_config(**kwargs):
@@ -230,8 +231,9 @@ def test_denoeux_protocol_peak_on_the_csv_pipeline_scenario():
 
 
 # ---------------------------------------------------------------------------
-# The run-level pass for ROW_WISE methods against a per-trial loop
+# The run-level pass for row-wise methods against a per-trial loop
 
+ROW_WISE = [name for name in METHODS if TABLE[name].fit is None]
 CALIBRATED = [name for name in METHODS if name not in ROW_WISE]
 MIXED = (
     ["vote_majority", "belief_denoeux", "possibility_min"],
@@ -246,8 +248,9 @@ def _crisp(config):
 
 
 def _reference_report(ds, methods, settings, n_trials, seed):
-    """The protocol as a per-trial loop: every kernel decides every trial's
-    test third, and the metrics are accumulated trial by trial."""
+    """The protocol as a per-trial loop: every method is fitted on every
+    trial's calibration third and decides its test third in one call, and
+    the metrics are accumulated trial by trial."""
     names = normalize_methods(methods, settings)
     third, n = ds.n_samples // 3, ds.frame.n
     sums = {name: ([], [], [], np.zeros(n)) for name in names}
@@ -260,7 +263,9 @@ def _reference_report(ds, methods, settings, n_trials, seed):
         truth = ds.truth[test_idx]
         np.add.at(class_total, truth, 1.0)
         for name in names:
-            decided, conflict_mass = KERNELS[name](ds, settings, calib_idx, test_idx)
+            decided, conflict_mass = fit_decide(
+                name, ds, settings, calib_idx, test_idx
+            )
             accuracy, rate, mass, class_correct = sums[name]
             correct = decided == truth
             accuracy.append(float(correct.mean()))
@@ -371,48 +376,56 @@ def test_label_rows_map_each_sample_to_the_first_with_its_labels(
 
 @pytest.mark.parametrize("n_trials", [1, 4, 12])
 def test_row_wise_methods_are_decided_once_per_run(monkeypatch, n_trials):
-    # A calibrated kernel is called once per trial, in trial order, with that
-    # trial's calibration rows, and gets each distinct row key of that trial's
-    # test third exactly once; the key is the label row for LABEL_ROWS
-    # methods, or the row index. A ROW_WISE kernel gets each distinct key of
-    # the run exactly once, in calls of at most one third of rows, with None
-    # for calib.
-    calls = {name: [] for name in METHODS}
-    for name, kernel in list(KERNELS.items()):
-
-        def counted(ds, settings, calib, rows, name=name, kernel=kernel):
-            calls[name].append((calib, rows))
-            return kernel(ds, settings, calib, rows)
-
-        monkeypatch.setitem(KERNELS, name, counted)
+    # A fitted method is fitted once per trial, in trial order, on that
+    # trial's calibration rows, and its decide gets each distinct row key of
+    # that trial's test third exactly once, before the next trial's fit; the
+    # key is the label row for a by_labels method, or the row index. A
+    # row-wise method is never fitted, and its decide gets each distinct key
+    # of the run exactly once. Every decide call gets at most
+    # min(third, _QUERY_ROWS) rows.
+    third = 100 // 3
     config = _small_config(n_samples=100, n_trials=n_trials)
     ds = simulate(config)
-    evaluate_dataset(ds, METHODS, n_trials=n_trials, seed=config.seed)
-
-    third = 100 // 3
     perms = [trial_stream(config.seed, t).permutation(100) for t in range(n_trials)]
     tests = [(t, r) for t, p in enumerate(perms) for r in p[2 * third : 3 * third]]
-    for name, made in calls.items():
-        values = ds.labels if name in LABEL_ROWS else np.arange(100)
-        if name in ROW_WISE:
-            want = sorted({values[row].tobytes() for _, row in tests})
-            assert len(made) == math.ceil(len(want) / third), name
-            for calib, rows in made:
-                assert calib is None and len(rows) <= third, name
-            got = sorted(values[row].tobytes() for _, rows in made for row in rows)
-        else:
-            want = sorted({(t, values[row].tobytes()) for t, row in tests})
-            assert len(made) == n_trials, name
-            for (calib, _), p in zip(made, perms):
-                assert calib.tolist() == p[third : 2 * third].tolist(), name
-            got = sorted(
-                (t, values[row].tobytes())
-                for t, (_, rows) in enumerate(made)
-                for row in rows
-            )
-        assert got == want, name
-        if name in LABEL_ROWS:
-            assert len(want) < len(tests), name  # some key repeats
+    for query_rows in (_QUERY_ROWS, 8):
+        monkeypatch.setattr("evifuse.experiment._QUERY_ROWS", query_rows)
+        step = min(third, query_rows)
+        fits = {name: [] for name in METHODS}
+        decides = {name: [] for name in METHODS}
+        for name, method in TABLE.items():
+
+            def fit(ds, settings, calib, name=name, method=method):
+                fits[name].append(calib)
+                return method.fit(ds, settings, calib)
+
+            def decide(ds, settings, model, rows, name=name, method=method):
+                decides[name].append((len(fits[name]) - 1, rows))
+                return method.decide(ds, settings, model, rows)
+
+            counted = method._replace(fit=fit if method.fit else None, decide=decide)
+            monkeypatch.setitem(TABLE, name, counted)
+        evaluate_dataset(ds, METHODS, n_trials=n_trials, seed=config.seed)
+        monkeypatch.undo()
+
+        for name, made in decides.items():
+            values = ds.labels if TABLE[name].by_labels else np.arange(100)
+            assert all(len(rows) <= step for _, rows in made), name
+            if TABLE[name].fit is None:
+                want = sorted({values[row].tobytes() for _, row in tests})
+                assert len(made) == math.ceil(len(want) / step), name
+                got = sorted(values[row].tobytes() for _, rows in made for row in rows)
+            else:
+                want = sorted({(t, values[row].tobytes()) for t, row in tests})
+                assert len(fits[name]) == n_trials, name
+                for calib, p in zip(fits[name], perms):
+                    assert calib.tolist() == p[third : 2 * third].tolist(), name
+                got = sorted(
+                    (t, values[row].tobytes()) for t, rows in made for row in rows
+                )
+            assert got == want, name
+            if TABLE[name].by_labels:
+                assert len(want) < len(tests), name  # some key repeats
 
 
 def _with_score(ds, row, value):
@@ -434,6 +447,35 @@ def test_non_finite_score_in_a_tested_row_raises(name, bad):
     row = np.setdiff1d(tests[2], np.concatenate(tests[:2]))[0]
     with pytest.raises(ValueError, match="must be finite"):
         evaluate_dataset(_with_score(ds, row, bad), [name], None, 3, config.seed)
+
+
+@pytest.mark.parametrize("name", NUMERIC)
+def test_value_error_names_the_method_and_a_fitted_ones_trial(name):
+    config = _small_config(n_samples=31, n_trials=3)
+    row = trial_stream(config.seed, 0).permutation(31)[25]  # tested in trial 0
+    where = name if TABLE[name].fit is None else rf"{name}, trial \d"
+    with pytest.raises(ValueError, match=rf"^{where}: \w+ must be finite$"):
+        ds = _with_score(simulate(config), row, math.nan)
+        evaluate_dataset(ds, [name], None, 3, config.seed)
+
+
+def test_a_fitted_model_is_released_before_the_next_trial_is_fitted(monkeypatch):
+    # Two trials' models are never held at once.
+    models = {name: [] for name in CALIBRATED}
+    for name in CALIBRATED:
+
+        def fit(ds, settings, calib, made=models[name], method=TABLE[name]):
+            assert [model() for model in made] == [None] * len(made)
+            model = method.fit(ds, settings, calib)
+            made.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setitem(TABLE, name, TABLE[name]._replace(fit=fit))
+    config = _small_config(n_samples=60, n_trials=4)
+    evaluate_dataset(simulate(config), CALIBRATED, n_trials=4, seed=config.seed)
+    assert {name: len(made) for name, made in models.items()} == dict.fromkeys(
+        CALIBRATED, 4
+    )
 
 
 def test_score_of_a_row_no_trial_reads_does_not_matter():

@@ -44,9 +44,10 @@ from evifuse import (
 )
 from evifuse import belief
 from evifuse.belief import appriou_decide_batch, appriou_mass, denoeux_decide_batch
-from evifuse.experiment import KERNELS, METHODS, ROW_WISE
+from evifuse.experiment import METHODS, TABLE
 from evifuse.simulate import SourceProfile
 from evifuse.voting import VoteWeights, decide_threshold_batch, tally_batch
+from helpers import fit_decide
 
 CONFLICT_ATOL = 1e-10
 FRAME_ABC = make_frame(["a", "b", "c"])
@@ -129,9 +130,9 @@ def assert_kernels_match(ds, calib_idx, test_idx, settings, methods=METHODS):
             want, want_conflict = scalar_outputs(name, ds, calib_idx, test_idx, settings)
         except ValueError:
             with pytest.raises(ValueError):
-                KERNELS[name](ds, settings, calib_idx, test_idx)
+                fit_decide(name, ds, settings, calib_idx, test_idx)
             continue
-        decided, conflict = KERNELS[name](ds, settings, calib_idx, test_idx)
+        decided, conflict = fit_decide(name, ds, settings, calib_idx, test_idx)
         assert decided.dtype == np.int64, name
         assert decided.tolist() == want, name
         np.testing.assert_allclose(
@@ -615,7 +616,7 @@ def test_total_conflict_gives_conflict_class():
     )
     calib_idx, test_idx = np.array([2, 3]), np.array([4, 5])
     fusion = FusionSettings(denoeux_k=2, denoeux_alpha=1.0)
-    decided, conflict = KERNELS["belief_denoeux"](ds, fusion, calib_idx, test_idx)
+    decided, conflict = fit_decide("belief_denoeux", ds, fusion, calib_idx, test_idx)
     assert decided.tolist() == [-1, -1]
     assert conflict.tolist() == [1.0, 1.0]
     assert_kernels_match(ds, calib_idx, test_idx, fusion)
@@ -640,7 +641,7 @@ def test_tied_possibility_values():
     possibility = [name for name in METHODS if name.startswith("possibility_")]
     assert_kernels_match(ds, calib_idx, test_idx, FusionSettings(), possibility)
     fusion = FusionSettings()
-    decided, _ = KERNELS["possibility_max"](ds, fusion, calib_idx, test_idx)
+    decided, _ = fit_decide("possibility_max", ds, fusion, calib_idx, test_idx)
     assert 1 not in decided.tolist()
 
 
@@ -727,7 +728,7 @@ def test_vote_batch_matches_scalar(seed, n, m, coarse, c, b):
 
 
 def vote_absolute(labels, frame):
-    """KERNELS["vote_absolute"] on every row of a (rows, sources) label matrix."""
+    """vote_absolute's decide on every row of a (rows, sources) label matrix."""
     size, m = labels.shape
     ds = Dataset(
         frame,
@@ -737,7 +738,7 @@ def vote_absolute(labels, frame):
         labels,
         np.zeros((size, m, frame.n)),
     )
-    return KERNELS["vote_absolute"](ds, FusionSettings(), None, np.arange(size))[0]
+    return fit_decide("vote_absolute", ds, FusionSettings(), None, np.arange(size))[0]
 
 
 def test_weighted_vote_exact_tie_is_conflict():
@@ -1129,9 +1130,13 @@ def test_mass_lost_by_appriou_combination_is_bounded():
 
 
 # ---------------------------------------------------------------------------
-# The kernel contract the protocol relies on: a kernel reads the dataset only
-# at its trial's calibration rows and at its rows, and a ROW_WISE kernel not
-# even at the calibration rows.
+# The method contract the protocol relies on: a method reads the dataset
+# only at its trial's calibration rows and at its rows, and a row-wise
+# method, which has no fit, not even at the calibration rows.
+
+ROW_WISE = ["vote_majority", "vote_absolute"] + [
+    f"possibility_{op}" for op in ("min", "max", "mean", "median")
+]
 
 
 @pytest.mark.parametrize("scores", ["continuous", "coarse"])
@@ -1148,18 +1153,14 @@ def test_kernel_reads_only_calibration_rows_and_its_rows(name, scores):
     values[other] = rng.random(values[other].shape)
     changed = Dataset(ds.frame, ds.source_ids, ds.sample_ids, truth, labels, values)
     settings = FusionSettings(denoeux_k=4)
-    want = KERNELS[name](ds, settings, calib_idx, rows)
-    got = KERNELS[name](changed, settings, calib_idx, rows)
+    want = fit_decide(name, ds, settings, calib_idx, rows)
+    got = fit_decide(name, changed, settings, calib_idx, rows)
     for w, g in zip(want, got):
         assert w.dtype == g.dtype and w.tobytes() == g.tobytes(), name
 
 
 @pytest.mark.parametrize("name", sorted(ROW_WISE))
 def test_row_wise_kernel_does_not_need_a_calibration_split(name):
-    ds = make_dataset(14, n=3, m=4, size=60)
-    calib_idx, rows = protocol_split(60, 14)
-    settings = FusionSettings()
-    want = KERNELS[name](ds, settings, calib_idx, rows)
-    got = KERNELS[name](ds, settings, None, rows)
-    for w, g in zip(want, got):
-        assert w.dtype == g.dtype and w.tobytes() == g.tobytes(), name
+    # The protocol fits nothing for a method without fit, so its decide gets
+    # no model and no calibration rows.
+    assert TABLE[name].fit is None
